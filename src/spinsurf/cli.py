@@ -381,7 +381,7 @@ def compare(path_a, path_b, tol=1e-9):
             f"artifact type mismatch: {kind_a!r} vs {kind_b!r}")
     diffs = []
     if kind_a == "json":
-        _json_diffs(data_a, data_b, "", diffs)
+        _json_diffs(data_a, data_b, "", diffs, tol)
     else:
         if data_a.shape != data_b.shape:
             diffs.append(("shape", math.inf,
@@ -401,7 +401,7 @@ def compare(path_a, path_b, tol=1e-9):
                       for d in diffs]}
 
 
-def _json_diffs(a, b, prefix, out, tol=1e-9):
+def _json_diffs(a, b, prefix, out, tol):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k not in a or k not in b:

@@ -30,13 +30,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .frames import SIGMA1, SIGMA2, SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          build_h0_operator, build_soi_operator)
+                          _factor_shifted, build_h0_operator,
+                          build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "analytic_force",
     "gaussian_wavepacket",
     "Trajectory",
+    "Trajectories",
     "evolve",
     "ForceReport",
     "force_equality_report",
@@ -140,21 +141,11 @@ def _diagonal_operator(grid: Grid, values) -> HermitianOperator:
 
 def _momentum_s_operator(grid: Grid) -> HermitianOperator:
     """-i d_s by centered differences (per spin component)."""
-    n1, n2 = grid.n1, grid.n2
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    nb = np.roll(idx, -1, axis=1)
-    mask = np.ones((n1, n2), dtype=bool)
-    if grid.bc[1] != "periodic":
-        mask[:, -1] = False
-    r = idx[mask]
-    c = nb[mask]
-    val = -1j / (2.0 * grid.h2)
-    rows = np.concatenate([r, c])
-    cols = np.concatenate([c, r])
-    vals = np.concatenate([np.full(len(r), val), np.full(len(r), -val)])
-    node = sp.coo_matrix((vals, (rows, cols)),
-                         shape=(grid.nodes, grid.nodes)).tocsr()
-    return HermitianOperator(matrix=sp.kron(node, sp.eye(2)).tocsr(),
+    fwd = sp.eye(grid.n2, k=1)
+    if grid.bc[1] == "periodic":
+        fwd = fwd + sp.eye(grid.n2, k=1 - grid.n2)
+    d_s = sp.kron(sp.eye(grid.n1), (fwd - fwd.T) * (-1j / (2.0 * grid.h2)))
+    return HermitianOperator(matrix=sp.kron(d_s, sp.eye(2), format="csr"),
                              grid=grid, terms=("p_s",))
 
 
@@ -258,49 +249,65 @@ class Trajectory:
     norms: np.ndarray
 
 
-def evolve(op: HermitianOperator, fld: SpinorField, dt: float, steps: int,
+class Trajectories(tuple):
+    """One Trajectory per packet of a block evolution, in field order."""
+
+    @property
+    def norms(self) -> np.ndarray:
+        """All packets' norm records end to end, so a drift check written
+        for one Trajectory covers every packet of a unit-norm batch."""
+        return np.concatenate([t.norms for t in self])
+
+
+def evolve(op: HermitianOperator, fields, dt: float, steps: int,
            observables: Optional[dict] = None, record_every: int = 1,
-           stop_when=None) -> Trajectory:
+           stop_when=None):
     """Implicit-midpoint (Cayley) unitary evolution, norm preserving.
 
-    Solves (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi with a
-    prefactorized sparse LU per call.  Accuracy requires dt * E of the
-    occupied modes to be small; stability is unconditional.  Observables
-    is a dict name -> operator; ``stop_when(obs_snapshot)`` may end the
-    run early (the ballistic-window rule).
+    Steps psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2) psi = 2 A^{-1} psi - psi
+    with A = 1 + i dt H/2 factored once.  ``fields`` is one SpinorField or
+    a sequence of them on one grid; the running packets advance together
+    as one multi-column solve.  Accuracy requires dt * E of the occupied
+    modes to be small; stability is unconditional.  Observables is a dict
+    name -> operator; ``stop_when(obs_snapshot)`` may end a packet's run
+    early (the ballistic-window rule) while the others keep stepping.
+    Returns a Trajectory, or Trajectories for a sequence of fields.
     """
-    H = op.matrix.tocsc()
-    n = H.shape[0]
-    A = (sp.identity(n, format="csc") + 0.5j * dt * H).tocsc()
-    B = (sp.identity(n, format="csc") - 0.5j * dt * H).tocsr()
-    solver = spla.splu(A)
-    psi = fld.flat().copy()
-    observables = observables or {}
-
-    times, norms = [], []
-    series = {k: [] for k in observables}
+    single = isinstance(fields, SpinorField)
+    fields = [fields] if single else list(fields)
+    lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
+    mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
+            for k, obs in (observables or {}).items()}
+    cell = fields[0].grid.h1 * fields[0].grid.h2
+    psi = np.column_stack([f.flat() for f in fields])
+    logs = [[] for _ in fields]           # per packet: (t, norm, snapshot)
+    active = list(range(len(fields)))     # packet of each column of psi
 
     def record(t):
-        times.append(t)
-        nrm = math.sqrt(fld.grid.h1 * fld.grid.h2 * float(np.vdot(psi, psi).real))
-        norms.append(nrm)
-        snap = {}
-        for k, obs in observables.items():
-            m = obs.matrix if isinstance(obs, HermitianOperator) else obs
-            snap[k] = float((np.vdot(psi, m @ psi) / np.vdot(psi, psi)).real)
-            series[k].append(snap[k])
-        return snap
+        sq = np.einsum("ij,ij->j", psi.conj(), psi).real
+        values = {k: np.einsum("ij,ij->j", psi.conj(), m @ psi).real / sq
+                  for k, m in mats.items()}
+        for col, p in enumerate(active):
+            logs[p].append((t, math.sqrt(cell * sq[col]),
+                            {k: float(v[col]) for k, v in values.items()}))
 
-    snap = record(0.0)
+    record(0.0)
     for step in range(1, steps + 1):
-        psi = solver.solve(B @ psi)
+        psi = 2.0 * lu.solve(psi) - psi
         if step % record_every == 0 or step == steps:
-            snap = record(step * dt)
-            if stop_when is not None and stop_when(snap):
-                break
-    return Trajectory(times=np.asarray(times),
-                      observables={k: np.asarray(v) for k, v in series.items()},
-                      norms=np.asarray(norms))
+            record(step * dt)
+            if stop_when is not None:
+                keep = [c for c, p in enumerate(active)
+                        if not stop_when(logs[p][-1][2])]
+                psi, active = psi[:, keep], [active[c] for c in keep]
+                if not active:
+                    break
+    trajs = [Trajectory(times=np.array([r[0] for r in log]),
+                        norms=np.array([r[1] for r in log]),
+                        observables={k: np.array([r[2][k] for r in log])
+                                     for k in mats})
+             for log in logs]
+    return trajs[0] if single else Trajectories(trajs)
 
 
 # ----------------------------------------------------------------------
@@ -387,12 +394,10 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     window per spin).
     """
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
-    H = H0 + Hso
     grid = H0.grid
     if s_center is None:
         s_center = setup.s_length / 3.0
-    Q1, Q2 = grid.mesh()
-    s_op = _diagonal_operator(grid, Q2)
+    s_op = _diagonal_operator(grid, grid.mesh()[1])
     sigma3_op = HermitianOperator(
         matrix=sp.kron(sp.eye(grid.nodes), sp.csr_matrix(SIGMA3)).tocsr(),
         grid=grid, terms=("sigma3",))
@@ -401,26 +406,20 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     s_walls = (grid.domain[1][0], grid.domain[1][1])
     sigma_s = widths[1] if not np.isscalar(widths) else float(widths)
 
-    def stop_rule(start_s):
-        def rule(snap):
-            moved = abs(snap["s"] - start_s) >= 10.0 * sigma_s
-            near_wall = (snap["s"] - s_walls[0] < 5.0 * sigma_s
-                         or s_walls[1] - snap["s"] < 5.0 * sigma_s)
-            return moved or near_wall
-        return rule
+    def left_window(snap):
+        moved = abs(snap["s"] - s_center) >= 10.0 * sigma_s
+        near_wall = (snap["s"] - s_walls[0] < 5.0 * sigma_s
+                     or s_walls[1] - snap["s"] < 5.0 * sigma_s)
+        return moved or near_wall
 
-    out = {"setup": setup, "trajectories": {}, "deflection": {}}
-    for spin, name in ((+1, "up"), (-1, "down")):
-        pkt = gaussian_wavepacket(grid, (setup.theta_c, s_center), widths,
-                                  k_s, spin, rho=setup.rho)
-        traj = evolve(H, pkt, dt, steps, observables=obs,
-                      record_every=record_every,
-                      stop_when=stop_rule(s_center))
-        out["trajectories"][name] = traj
-        out["deflection"][name] = float(
-            np.mean(traj.observables["theta"] - setup.theta_c))
-    d_up = out["deflection"]["up"]
-    d_dn = out["deflection"]["down"]
-    out["opposite_sign"] = (d_up * d_dn) < 0.0
-    out["asymmetry"] = abs(d_up + d_dn) / max(abs(d_up), 1e-300)
-    return out
+    packets = [gaussian_wavepacket(grid, (setup.theta_c, s_center), widths,
+                                   k_s, spin, rho=setup.rho)
+               for spin in (+1, -1)]
+    trajs = evolve(H0 + Hso, packets, dt, steps, observables=obs,
+                   record_every=record_every, stop_when=left_window)
+    d_up, d_dn = (float(np.mean(t.observables["theta"] - setup.theta_c))
+                  for t in trajs)
+    return {"setup": setup, "trajectories": {"up": trajs[0], "down": trajs[1]},
+            "deflection": {"up": d_up, "down": d_dn},
+            "opposite_sign": d_up * d_dn < 0.0,
+            "asymmetry": abs(d_up + d_dn) / max(abs(d_up), 1e-300)}

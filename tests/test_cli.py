@@ -157,3 +157,22 @@ def test_unknown_experiment_rejected(tmp_path, capsys):
     assert code != 0
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"]["type"] == "ConfigError"
+
+
+def test_compare_json_honours_tol(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[surface]\nkind = sphere\nr = 1.0\n"
+                   "[run]\nexperiment = flux\n")
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    a = out / "flux.json"
+    payload = json.loads(a.read_text())
+    payload["phi_over_phi0"] *= 1.0 + 1e-6
+    b = tmp_path / "flux.json"
+    b.write_text(json.dumps(payload))
+    assert compare(str(a), str(b), tol=1e-3)["passed"]
+    failed = compare(str(a), str(b))
+    assert not failed["passed"]
+    assert failed["diffs"][0]["field"] == "phi_over_phi0"
+    assert _run_cli(["--compare", str(a), str(b), "--tol", "1e-3"]) == 0
+    assert _run_cli(["--compare", str(a), str(b)]) != 0

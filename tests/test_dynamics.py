@@ -233,6 +233,54 @@ def test_unitarity_drift_thousand_steps():
     assert np.abs(traj.norms - traj.norms[0]).max() < 1e-10
 
 
+def _two_packets():
+    """A fast spin-up and a slow spin-down packet on a small bent cylinder."""
+    setup = BentCylinderSetup(n_theta=16, n_s=64, s_length=10.0)
+    H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
+    grid = H0.grid
+    s_op = sp.kron(sp.diags(grid.mesh()[1].ravel()), sp.eye(2)).tocsr()
+    packets = [gaussian_wavepacket(grid, (0.0, 3.0), (0.06, 1.0), k, spin)
+               for k, spin in ((4.0, +1), (1.0, -1))]
+    return H0 + Hso, packets, {"theta": theta_op, "p_s": ps_op, "s": s_op}
+
+
+def test_block_evolve_matches_single_calls():
+    H, packets, obs = _two_packets()
+    block = evolve(H, packets, 2e-3, 60, observables=obs, record_every=5)
+    assert len(block) == 2
+    for pkt, traj in zip(packets, block):
+        one = evolve(H, pkt, 2e-3, 60, observables=obs, record_every=5)
+        assert np.array_equal(traj.times, one.times)
+        for name in obs:
+            diff = traj.observables[name] - one.observables[name]
+            assert np.abs(diff).max() < 1e-10
+        assert np.abs(traj.norms - traj.norms[0]).max() <= 1e-10
+    assert np.array_equal(block.norms,
+                          np.concatenate([t.norms for t in block]))
+
+
+def test_block_evolve_stops_packets_independently():
+    H, packets, obs = _two_packets()
+
+    def passed(snap):
+        return snap["s"] > 3.5
+
+    fast, slow = evolve(H, packets, 2e-3, 100, observables=obs,
+                        record_every=5, stop_when=passed)
+    # the fast packet crosses s = 3.5 and stops; the slow one runs on
+    assert passed({"s": fast.observables["s"][-1]})
+    assert not passed({"s": fast.observables["s"][-2]})
+    assert len(fast.times) < len(slow.times) == 21
+    assert slow.times[-1] == pytest.approx(0.2)
+    # dropping the stopped column leaves the other packet's steps intact
+    for pkt, traj in zip(packets, (fast, slow)):
+        alone = evolve(H, pkt, 2e-3, 100, observables=obs, record_every=5)
+        n = len(traj.times)
+        for name in obs:
+            diff = traj.observables[name] - alone.observables[name][:n]
+            assert np.abs(diff).max() < 1e-10
+
+
 def test_force_equality_report_small_regime():
     rep = force_equality_report(BentCylinderSetup(), k_s=8.0)
     for s in (+1, -1):

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import spinsurf.spectra as spectra
+from spinsurf.errors import EigensolverError
 from spinsurf.hamiltonian import Grid, HermitianOperator, assemble_Heff
 from spinsurf.spectra import (conductance_curve, cylinder_analytic_spectrum,
                               cylinder_ring_operator, cylinder_thresholds,
@@ -42,6 +45,68 @@ def test_eigensolve_iterative_repeatable():
     r2 = eigensolve(H, k=6, seed=99, return_vectors=False)
     assert np.abs(r1.values - r2.values).max() < 1e-9
     assert r1.diagnostics["method"] == "shift-invert-lanczos"
+
+
+def test_shift_invert_matches_dense_below_old_cutoff():
+    # dim 1024: above the dense cutoff, far below the former 4096
+    p = make_surface("torus", rho=1.0, R=3.0)
+    H = assemble_Heff(p, Grid.for_patch(p, 16, 32))
+    assert spectra._DENSE_CUTOFF < H.dim < 4096
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    assert res.diagnostics["method"] == "shift-invert-lanczos"
+    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    assert np.abs(res.values - ref).max() < 1e-10
+    assert ([m for _, m in res.clusters]
+            == [m for _, m in degeneracy_clusters(ref)])
+
+
+def test_eigensolve_diagnostics():
+    op = cylinder_ring_operator(1.0, 256)
+    res = eigensolve(op, k=8, seed=0)
+    d = res.diagnostics
+    assert d["method"] == "shift-invert-lanczos"
+    assert d["ordering"] == "MMD_AT_PLUS_A"
+    assert d["sigma"] < res.values.min()
+    assert d["fill"] >= op.matrix.nnz
+    assert d["opinv_solves"] > 0
+    norm = abs(op.matrix).sum(axis=1).max()
+    assert d["contract"] == pytest.approx(1e-10 * norm, rel=1e-12)
+    assert d["max_residual"] == res.residuals.max() <= d["contract"]
+
+    dense = eigensolve(cylinder_ring_operator(1.0, 16), k=4).diagnostics
+    assert dense["method"] == "dense-eigh"
+    assert dense["sigma"] is dense["fill"] is dense["opinv_solves"] is None
+    assert dense["max_residual"] <= dense["contract"]
+
+
+def test_eigensolve_real_matrix_stays_real():
+    # no connection: a real operator; start vector and OPinv stay real
+    op = cylinder_ring_operator(1.0, 256, with_connection=False)
+    assert not np.iscomplexobj(op.matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eigensolve(op, k=6, seed=2)
+    assert res.diagnostics["method"] == "shift-invert-lanczos"
+    assert not np.iscomplexobj(res.vectors)
+
+
+def test_eigensolve_checks_which_before_solving(monkeypatch):
+    def solver_called(*args, **kwargs):
+        raise AssertionError("solver ran before which was checked")
+
+    monkeypatch.setattr(spectra, "_factor_shifted", solver_called)
+    monkeypatch.setattr(spectra.np.linalg, "eigh", solver_called)
+    for n in (16, 256):        # dense and shift-invert sizes
+        with pytest.raises(ValueError, match="unknown which"):
+            eigensolve(cylinder_ring_operator(1.0, n), k=4, which="highest")
+
+
+def test_eigensolve_singular_shift_names_sigma():
+    op = _op(np.diag(np.arange(300.0)))
+    with pytest.raises(EigensolverError, match="sigma = 5.0"):
+        eigensolve(op, k=3, which="nearest", target=5.0)
+    res = eigensolve(op, k=3, which="nearest", target=5.25)
+    assert np.allclose(res.values, [4.0, 5.0, 6.0], atol=1e-12)
 
 
 def test_degeneracy_clusters_basic():
