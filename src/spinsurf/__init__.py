@@ -13,7 +13,7 @@ results to SI.
 """
 
 from .constants import PhysicalScale
-from .frames import (AdaptedFrameData, ExpansionReport, FrameData,
+from .frames import (AdaptedFrameData, ExpansionReport, FrameFields,
                      adapted_frame_at, expansion_report, frame_at,
                      frame_fields, verify_thin_layer_expansions)
 from .gauge import (FluxResult, GaugeFieldSample, curl_matches_w, flux,

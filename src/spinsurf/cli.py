@@ -187,6 +187,11 @@ def _exp_spectrum(cfg, patch):
         rho = patch.params["rho"]
         op = cylinder_ring_operator(rho, n, with_connection=with_conn)
     else:
+        if "with_connection" in cfg.section("spectrum"):
+            # the grid route always assembles the connection
+            raise ConfigError(
+                f"[spectrum] with_connection applies only to a cylinder, "
+                f"not a {patch.kind}", key="with_connection")
         n1 = cfg.get("grid", "n1", int, 24)
         n2 = cfg.get("grid", "n2", int, 24)
         grid = Grid.for_patch(patch, n1, n2)
@@ -337,7 +342,6 @@ _RUNNERS = {
 def run(cfg: RunConfig):
     """Execute the configured experiment; returns (paths, summary line)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    np.random.seed(cfg.seed)
     patch = _surface(cfg)
     paths, summary = _RUNNERS[cfg.experiment](cfg, patch)
     return paths, summary

@@ -24,7 +24,6 @@ EV = 1.602e-19          # J
 
 # Flux quantum h/(2e) in natural units (hbar = e = 1): h = 2*pi
 PHI0_NATURAL = math.pi
-PHI0_SI = 2.0 * math.pi * HBAR / (2.0 * E_CHARGE)  # Wb
 
 # Printed coefficient of the spin-orbit crossover radius estimate,
 # r = (3.79e-20 eV m^2) / (zeta * alpha~).  Recomputing hbar^2/(2 m_e)

@@ -3,17 +3,11 @@
 The bent cylinder is the torus patch in coordinates (theta, s) restricted
 to a small angular window theta in [theta_c - theta0, theta_c + theta0]
 (hard walls), with theta_c = 0 the outer (K > 0) side and theta_c = pi
-the inner (K < 0) side.  The Hamiltonian here is assembled from the
-closed-form coefficient functions
-
-    sqrt(g) = rho W,   W = (R + rho cos theta)/R,
-    w_s = -sin(theta)/(2R),  w_theta = 0,
-    scalar = cos(theta) / (4 rho (R + rho cos theta)),
-    X^theta = -sigma_2/(2 rho^2),
-    X^s = +(R cos theta / (2 (R + rho cos theta)^2)) sigma_1,
-
-through the same stencil builders as the general assembler, so the two
-routes can be compared matrix against matrix on the torus patch.
+the inner (K < 0) side.  Its H0 and Hso come from the general route: one
+geometry pass of the torus patch on the window grid, fed to the same
+stencil builders as any other surface.  The closed-form coefficients
+(sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R), ...) are
+kept in the test suite as the oracle these operators are checked against.
 
 Heisenberg forces: theta_dot = -i [theta, H], then
 theta_ddot_pm = -i [theta_dot, H0] and theta_ddot_so = -i [theta_dot, Hso];
@@ -33,10 +27,10 @@ import scipy.sparse as sp
 
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
-from .frames import SIGMA1, SIGMA2, SIGMA3
+from .frames import SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _factor_shifted, build_h0_operator,
-                          build_soi_operator)
+                          _factor_shifted, _grid_geometry,
+                          build_h0_operator, build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -96,39 +90,14 @@ class BentCylinderSetup:
 
 
 def bent_cylinder_operators(setup: BentCylinderSetup):
-    """(H0, Hso, theta_op, p_s op) from the closed bent-cylinder forms."""
-    rho, R = setup.rho, setup.R
-    grid = setup.grid()
-
-    def width(th):
-        return (R + rho * np.cos(th)) / R
-
-    def coeff_fn(axis, Q1, Q2):
-        W = width(Q1)
-        if axis == 0:
-            return W / rho          # sqrt(g) g^{theta theta}
-        return rho / W              # sqrt(g) g^{ss}
-
-    def w_fn(axis, Q1, Q2):
-        if axis == 0:
-            return np.zeros_like(Q1)
-        return -np.sin(Q1) / (2.0 * R)
-
-    Q1, Q2 = grid.mesh()
-    sqrt_g = rho * width(Q1)
-    scalar = np.cos(Q1) / (4.0 * rho * (R + rho * np.cos(Q1)))
-    H0 = build_h0_operator(grid, coeff_fn, w_fn, sqrt_g, scalar,
-                           label="bent H0", meta={"route": "closed-form"})
-
-    shape = Q1.shape
-    X = np.zeros((2, 2, 2) + shape, dtype=complex)
-    X[0] = (-SIGMA2 / (2.0 * rho**2))[..., None, None] * np.ones(shape)
-    xs = R * np.cos(Q1) / (2.0 * (R + rho * np.cos(Q1)) ** 2)
-    X[1] = SIGMA1[..., None, None] * xs
-    Hso = build_soi_operator(grid, X, label="bent Hso",
-                             meta={"route": "closed-form"})
-
-    theta_op = _diagonal_operator(grid, Q1)
+    """(H0, Hso, theta_op, p_s op) on the bent-cylinder window grid."""
+    patch, grid = setup.patch(), setup.grid()
+    geo = _grid_geometry(patch, grid)
+    H0 = build_h0_operator(grid, geo, label="bent H0",
+                           meta={"patch": patch.name})
+    Hso = build_soi_operator(grid, geo.X, label="bent Hso",
+                             meta={"patch": patch.name})
+    theta_op = _diagonal_operator(grid, grid.mesh()[0])
     ps_op = _momentum_s_operator(grid)
     return H0, Hso, theta_op, ps_op
 

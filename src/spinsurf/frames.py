@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, ExpansionOrderError, SingularLayerError
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _fd1
 
 __all__ = [
     "PAULI",
-    "FrameData",
+    "FrameFields",
     "frame_at",
     "frame_fields",
     "AdaptedFrameData",
@@ -183,37 +183,10 @@ def _gram_schmidt(r_a, r_ab, frame_gauge):
     return e_hat, de2
 
 
-@dataclass(frozen=True)
-class FrameData:
-    """All pointwise surface quantities at a single parameter point."""
-
-    q1: float
-    q2: float
-    r: np.ndarray            # (3,)
-    n_hat: np.ndarray        # (3,)
-    g: np.ndarray            # (2,2) metric
-    g_inv: np.ndarray
-    sqrt_g: float
-    alpha_lower: np.ndarray  # (2,2) alpha_ab
-    alpha: np.ndarray        # (2,2) mixed alpha_a^b
-    K: float
-    M: float
-    e: np.ndarray            # (2,2) vielbein e_a^i
-    e_inv: np.ndarray        # (2,2) inverse e_i^a
-    w: np.ndarray            # (2,) abelian connection components
-    S: np.ndarray            # (2,2) coupling tensor S^{ab}
-    A_so: np.ndarray         # (2,2,2) complex, (A_so)_a as 2x2 matrices
-
-
-def frame_at(patch: SurfacePatch, point, frame_gauge="gs12") -> FrameData:
-    """Evaluate FrameData at a single point (q1, q2)."""
-    q1, q2 = float(point[0]), float(point[1])
-    ff = frame_fields(patch, q1, q2, frame_gauge=frame_gauge)
-    return FrameData(
-        q1=q1, q2=q2, r=ff.r, n_hat=ff.n_hat, g=ff.g, g_inv=ff.g_inv,
-        sqrt_g=float(ff.sqrt_g), alpha_lower=ff.alpha_lower, alpha=ff.alpha,
-        K=float(ff.K), M=float(ff.M), e=ff.e, e_inv=ff.e_inv, w=ff.w,
-        S=ff.S, A_so=ff.A_so)
+def frame_at(patch: SurfacePatch, point, frame_gauge="gs12") -> FrameFields:
+    """frame_fields at a single point (q1, q2); its scalars are 0-d."""
+    return frame_fields(patch, float(point[0]), float(point[1]),
+                        frame_gauge=frame_gauge)
 
 
 def curvature_radius(patch: SurfacePatch, point) -> float:
@@ -229,15 +202,6 @@ def curvature_radius(patch: SurfacePatch, point) -> float:
 # Adapted frame: the 3D metric of the normal neighborhood and its
 # Christoffel symbols and spin connection.
 # ----------------------------------------------------------------------
-
-def _fd_field(func, q1, q2, axis, h):
-    """4th-order central difference of an array-valued field of (q1, q2)."""
-    def at(off):
-        if axis == 0:
-            return np.asarray(func(q1 + off * h, q2))
-        return np.asarray(func(q1, q2 + off * h))
-    return (at(-2.0) - 8.0 * at(-1.0) + 8.0 * at(1.0) - at(2.0)) / (12.0 * h)
-
 
 def _metric_block(patch, q1, q2, q3):
     """Exact 3x3 adapted-frame metric at scalar (q1, q2, q3)."""
@@ -316,8 +280,8 @@ def adapted_frame_at(patch: SurfacePatch, point, q3: float,
     # dG[A][D,B] = d_A G_{DB}; surface derivatives by FD, d_3 closed form
     dG = np.zeros((3, 3, 3))
     for a in range(2):
-        dG[a] = _fd_field(lambda u, v: _metric_block(patch, u, v, q3),
-                          q1, q2, a, h[a])
+        dG[a] = _fd1(lambda u, v: _metric_block(patch, u, v, q3),
+                     q1, q2, a, h[a])
     g = ff.g
     Ag = A @ g
     dG[2, :2, :2] = (Ag + Ag.T) + 2.0 * q3 * (A @ g @ A.T)
@@ -336,8 +300,8 @@ def adapted_frame_at(patch: SurfacePatch, point, q3: float,
 
     dE = np.zeros((3, 3, 3))
     for a in range(2):
-        dE[a] = _fd_field(lambda u, v: _vielbein_block(patch, u, v, q3),
-                          q1, q2, a, h[a])
+        dE[a] = _fd1(lambda u, v: _vielbein_block(patch, u, v, q3),
+                     q1, q2, a, h[a])
     dE[2, :2, :2] = A @ ff.e
 
     Omega = _spin_connection(E, E_inv, dE, Gamma)
@@ -433,8 +397,8 @@ def _truncated_spin_connection(patch, q1, q2, q3, h):
 
     dE = np.zeros((3, 3, 3))
     for a in range(2):
-        dE[a] = _fd_field(lambda u, v: _vielbein_block(patch, u, v, q3),
-                          q1, q2, a, h[a])
+        dE[a] = _fd1(lambda u, v: _vielbein_block(patch, u, v, q3),
+                     q1, q2, a, h[a])
     dE[2, :2, :2] = A @ e
 
     return _spin_connection(E, E_inv, dE, Gamma)
@@ -445,7 +409,7 @@ def _christoffel_2d(patch, q1, q2, h):
     ff = frame_fields(patch, q1, q2)
     dg = np.zeros((2, 2, 2))
     for a in range(2):
-        dg[a] = _fd_field(
+        dg[a] = _fd1(
             lambda u, v: frame_fields(patch, u, v).g, q1, q2, a, h[a])
     Gam = np.empty((2, 2, 2))
     for c in range(2):
@@ -610,7 +574,7 @@ def _tetrad_residual(patch, q1, q2, q3):
 
     dEinv = np.zeros((3, 3, 3))
     for a in range(2):
-        dEinv[a] = _fd_field(einv_at, q1, q2, a, h[a])
+        dEinv[a] = _fd1(einv_at, q1, q2, a, h[a])
     Minv = np.linalg.inv(np.eye(2) + q3 * A)
     dEinv[2, :2, :2] = -(ff.e_inv @ A) @ (Minv @ Minv)
 

@@ -29,7 +29,7 @@ from . import constants
 from .errors import (NotClosedSurfaceError, SurfaceParameterError,
                      WindingMismatchError)
 from .frames import SIGMA1, SIGMA2, SIGMA3, frame_at, frame_fields
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _fd1
 
 __all__ = [
     "GaugeFieldSample",
@@ -59,18 +59,14 @@ class GaugeFieldSample:
     F_tangential: np.ndarray    # (2,) coordinate components F^a, reported only
 
 
-def _fd4(fn, x, h):
-    return (fn(x - 2*h) - 8.0*fn(x - h) + 8.0*fn(x + h) - fn(x + 2*h)) / (12.0*h)
-
-
 def _curls(patch, q1, q2, rel_step=1e-5):
     """Numeric curls of w and A_so at a point; returns (curl_w, curl_A)."""
     h1 = max(patch.extents[0], 1e-12) * rel_step
     h2 = max(patch.extents[1], 1e-12) * rel_step
-    d1w = _fd4(lambda u: frame_fields(patch, u, q2).w, q1, h1)
-    d2w = _fd4(lambda v: frame_fields(patch, q1, v).w, q2, h2)
-    d1A = _fd4(lambda u: frame_fields(patch, u, q2).A_so, q1, h1)
-    d2A = _fd4(lambda v: frame_fields(patch, q1, v).A_so, q2, h2)
+    d1w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 0, h1)
+    d2w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 1, h2)
+    d1A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 0, h1)
+    d2A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 1, h2)
     ff = frame_fields(patch, q1, q2)
     curl_w = (d1w[1] - d2w[0]) / ff.sqrt_g
     comm = ff.A_so[0] @ ff.A_so[1] - ff.A_so[1] @ ff.A_so[0]
@@ -236,8 +232,8 @@ def gauge_transform(wf: WField, theta: Callable, winding_tol=1e-9) -> WField:
     Q1, Q2 = np.meshgrid(wf.q1, wf.q2, indexing="ij")
     h1 = (wf.q1[1] - wf.q1[0]) * 1e-3
     h2 = (wf.q2[1] - wf.q2[0]) * 1e-3
-    d1 = _fd4(lambda u: np.asarray(theta(u, Q2), dtype=float), Q1, h1)
-    d2 = _fd4(lambda v: np.asarray(theta(Q1, v), dtype=float), Q2, h2)
+    d1 = _fd1(theta, Q1, Q2, 0, h1)
+    d2 = _fd1(theta, Q1, Q2, 1, h2)
     return WField(q1=wf.q1, q2=wf.q2, w1=wf.w1 - d1, w2=wf.w2 - d2,
                   periodic=wf.periodic, period=wf.period)
 

@@ -21,6 +21,12 @@ matrices Hermitian by construction:
   with centered differences, Hermitian without invoking the continuum
   derivative identity.
 
+All surface data come from one geometry pass per grid (``GridGeometry``):
+``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and at
+the half-steps of each axis (sqrt(g) g^{aa} and the link phase h w_a).
+The stencil builders read only that record, so a closed-form geometry
+can be fed to the same builders.
+
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
 """
@@ -43,6 +49,7 @@ __all__ = [
     "Grid",
     "SpinorField",
     "HermitianOperator",
+    "GridGeometry",
     "assemble_H0",
     "assemble_Hso",
     "assemble_Heff",
@@ -117,6 +124,19 @@ class Grid:
 
     def mesh(self):
         return np.meshgrid(self.q1, self.q2, indexing="ij")
+
+    def half_mesh(self, axis: int):
+        """Mesh of the half-steps q + h/2 along ``axis``.
+
+        A wall axis also gets the half-step between the wall and the
+        first node, first in order: n + 1 points, against n when periodic.
+        """
+        q, h = (self.q1, self.h1) if axis == 0 else (self.q2, self.h2)
+        half = q + 0.5 * h
+        if self.bc[axis] != "periodic":
+            half = np.concatenate(([q[0] - 0.5 * h], half))
+        axes = (half, self.q2) if axis == 0 else (self.q1, half)
+        return np.meshgrid(*axes, indexing="ij")
 
 
 @dataclass
@@ -203,119 +223,124 @@ def _factor_shifted(mat, shift, scale=1.0):
 
 
 def _check_hermitian(mat, label):
-    d = (mat - mat.getH()).tocoo()
-    top = np.abs(mat.tocoo().data).max() if mat.nnz else 1.0
-    defect = float(np.abs(d.data).max() / top) if d.nnz else 0.0
+    defect = hermiticity_defect(mat)
     if defect > 1e-12:
         raise AssertionError(
             f"{label} assembly lost hermiticity: defect {defect:.3e}")
 
 
 # ----------------------------------------------------------------------
+# One geometry pass per grid
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GridGeometry:
+    """The surface data the H0 and Hso stencils read, for one grid.
+
+    At the nodes, shape (n1, n2): ``sqrt_g``, ``K``, ``M``,
+    ``c12`` = sqrt(g) g^{12}, and the spin-orbit fields ``X`` of shape
+    (2, 2, 2, n1, n2).  Per axis a, at the points of ``Grid.half_mesh(a)``:
+    ``c[a]`` = sqrt(g) g^{aa} and ``phase[a]`` = h_a w_a.
+    """
+
+    sqrt_g: np.ndarray
+    K: np.ndarray
+    M: np.ndarray
+    c12: np.ndarray
+    X: np.ndarray
+    c: tuple
+    phase: tuple
+
+
+def _grid_geometry(patch: SurfacePatch, grid: Grid) -> GridGeometry:
+    """Evaluate frame_fields once at the nodes and once per axis at the
+    half-steps, keeping only what the stencils read."""
+    ff = frame_fields(patch, *grid.mesh())
+    nodes = dict(sqrt_g=ff.sqrt_g, K=ff.K, M=ff.M,
+                 c12=ff.sqrt_g * ff.g_inv[0, 1], X=_soi_fields(ff))
+    del ff  # one FrameFields alive at a time bounds the peak memory
+    c, phase = [], []
+    for axis, h in ((0, grid.h1), (1, grid.h2)):
+        ff = frame_fields(patch, *grid.half_mesh(axis))
+        c.append(ff.sqrt_g * ff.g_inv[axis, axis])
+        phase.append(h * ff.w[axis])
+        del ff
+    return GridGeometry(c=tuple(c), phase=tuple(phase), **nodes)
+
+
+# ----------------------------------------------------------------------
 # Kinetic (flux-form) assembly with per-spin link phases
 # ----------------------------------------------------------------------
 
-def _axis_geometry(grid, axis, coeff_fn, w_fn):
-    """Midpoint link coefficients and phases along one axis.
+def _links(grid, axis):
+    """Flat indices (k, k+1) of the links along axis, and the node mask.
 
-    Returns (c_plus, c_minus, phase_plus, link_mask) where c_plus[k] is
-    the coefficient on the half-step above node k (the seam midpoint for
-    the wrap link when periodic; the wall half-step contributes only to
-    the diagonal).
+    Periodic axes wrap; on a wall axis the last node has no +1 link.
     """
-    q1, q2 = grid.q1, grid.q2
-    h = grid.h1 if axis == 0 else grid.h2
-    if axis == 0:
-        Qm1, Qm2 = np.meshgrid(q1 + 0.5 * h, q2, indexing="ij")
-    else:
-        Qm1, Qm2 = np.meshgrid(q1, q2 + 0.5 * h, indexing="ij")
-    c_plus = np.asarray(coeff_fn(axis, Qm1, Qm2), dtype=float)
-    phase_plus = h * np.asarray(w_fn(axis, Qm1, Qm2), dtype=float)
-
-    c_minus = np.roll(c_plus, 1, axis=axis)
-    periodic = grid.bc[axis] == "periodic"
-    if not periodic:
-        # half-step between the wall and the first node
-        if axis == 0:
-            Qb1, Qb2 = np.meshgrid([q1[0] - 0.5 * h], q2, indexing="ij")
-            c_minus[0, :] = np.asarray(coeff_fn(axis, Qb1, Qb2), float)[0]
-        else:
-            Qb1, Qb2 = np.meshgrid(q1, [q2[0] - 0.5 * h], indexing="ij")
-            c_minus[:, 0] = np.asarray(coeff_fn(axis, Qb1, Qb2), float)[:, 0]
-
-    link_mask = np.ones(c_plus.shape, dtype=bool)
-    if not periodic:
-        if axis == 0:
-            link_mask[-1, :] = False
-        else:
-            link_mask[:, -1] = False
-    return c_plus, c_minus, phase_plus, link_mask
+    idx = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
+    mask = np.ones(idx.shape, dtype=bool)
+    if grid.bc[axis] != "periodic":
+        mask[(slice(None),) * axis + (-1,)] = False
+    return idx[mask], np.roll(idx, -1, axis=axis)[mask], mask
 
 
-def _neighbor_indices(grid, axis):
-    """Flat node index of the +1 neighbor along axis (with wrap)."""
-    n1, n2 = grid.n1, grid.n2
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    return np.roll(idx, -1, axis=axis)
+def _node_coefficients(grid, geo, axis):
+    """(c_plus, c_minus, phase_plus) of one axis, shaped like the nodes.
+
+    c_plus / phase_plus belong to the half-step above each node (the seam
+    midpoint when periodic; on a wall axis the last one touches the wall
+    and adds only to the diagonal), c_minus to the half-step below.
+    """
+    c, phase = geo.c[axis], geo.phase[axis]
+    if grid.bc[axis] == "periodic":
+        return c, np.roll(c, 1, axis=axis), phase
+    return (np.delete(c, 0, axis=axis), np.delete(c, -1, axis=axis),
+            np.delete(phase, 0, axis=axis))
 
 
-def _kinetic_matrix(grid, coeff_fn, w_fn, g12_fn=None):
-    """Node-space flux-form Laplacian matrices for the two spin signs."""
+def _kinetic_matrix(grid, geo):
+    """Node-space flux-form Laplacian of the spin-up component.
+
+    The spin-down links carry the opposite phases, so its matrix is the
+    complex conjugate of this one.
+    """
     n = grid.nodes
-    idx = np.arange(n).reshape(grid.n1, grid.n2)
+    idx = np.arange(n)
     diag = np.zeros((grid.n1, grid.n2))
-    rows, cols, vals_up, vals_dn = [], [], [], []
+    rows, cols, vals = [], [], []
+    phases = []
 
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        c_plus, c_minus, phase, mask = _axis_geometry(grid, axis, coeff_fn, w_fn)
+        c_plus, c_minus, phase = _node_coefficients(grid, geo, axis)
+        phases.append(phase)
         diag += (c_plus + c_minus) / h**2
-        nb = _neighbor_indices(grid, axis)
-        r = idx[mask]
-        c = nb[mask]
-        hop_up = -(c_plus[mask] / h**2) * np.exp(1j * phase[mask])
+        r, c, mask = _links(grid, axis)
+        hop = -(c_plus[mask] / h**2) * np.exp(1j * phase[mask])
         rows.extend([r, c])
         cols.extend([c, r])
-        vals_up.extend([hop_up, np.conj(hop_up)])
-        vals_dn.extend([np.conj(hop_up), hop_up])
+        vals.extend([hop, np.conj(hop)])
 
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals_up.append(diag.ravel().astype(complex))
-    vals_dn.append(diag.ravel().astype(complex))
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(diag.ravel().astype(complex))
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    A_up = sp.coo_matrix((np.concatenate(vals_up), (rows, cols)),
-                         shape=(n, n)).tocsr()
-    A_dn = sp.coo_matrix((np.concatenate(vals_dn), (rows, cols)),
-                         shape=(n, n)).tocsr()
-
-    if g12_fn is not None:
-        Q1, Q2 = grid.mesh()
-        c12 = np.asarray(g12_fn(Q1, Q2), dtype=float)
-        if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
-            C = sp.diags(c12.ravel())
-            for sign, store in ((+1.0, "up"), (-1.0, "dn")):
-                D1 = _centered_covariant(grid, 0, w_fn, sign)
-                D2 = _centered_covariant(grid, 1, w_fn, sign)
-                cross = (D1.getH() @ C @ D2 + D2.getH() @ C @ D1).tocsr()
-                if store == "up":
-                    A_up = (A_up + cross).tocsr()
-                else:
-                    A_dn = (A_dn + cross).tocsr()
-    return A_up, A_dn
+    c12 = geo.c12
+    if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
+        C = sp.diags(c12.ravel())
+        D1 = _centered_covariant(grid, 0, phases[0])
+        D2 = _centered_covariant(grid, 1, phases[1])
+        A = (A + (D1.getH() @ C @ D2 + D2.getH() @ C @ D1)).tocsr()
+    return A
 
 
-def _centered_covariant(grid, axis, w_fn, spin_sign):
-    """Centered covariant difference with link phases along one axis."""
+def _centered_covariant(grid, axis, phase):
+    """Centered covariant difference with spin-up link phases on one axis."""
     h = grid.h1 if axis == 0 else grid.h2
-    _, _, phase, mask = _axis_geometry(
-        grid, axis, lambda a, u, v: np.zeros_like(u), w_fn)
-    idx = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
-    nb = _neighbor_indices(grid, axis)
-    r = idx[mask]
-    c = nb[mask]
-    up = np.exp(1j * spin_sign * phase[mask]) / (2.0 * h)
+    r, c, mask = _links(grid, axis)
+    up = np.exp(1j * phase[mask]) / (2.0 * h)
     rows = np.concatenate([r, c])
     cols = np.concatenate([c, r])
     vals = np.concatenate([up, -np.conj(up)])
@@ -325,35 +350,38 @@ def _centered_covariant(grid, axis, w_fn, spin_sign):
 
 def _interleave_spin_blocks(A_up, A_dn):
     """Combine node-space spin blocks into the 2N operator (spin fastest)."""
-    n = A_up.shape[0]
-    parts = []
-    for s, A in ((0, A_up), (1, A_dn)):
-        coo = A.tocoo()
-        parts.append((2 * coo.row + s, 2 * coo.col + s, coo.data))
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    order = np.arange(2 * A_up.shape[0]).reshape(2, -1).T.ravel()
+    return sp.block_diag((A_up, A_dn), format="csr")[order][:, order]
 
 
-def build_h0_operator(grid: Grid, coeff_fn, w_fn, sqrt_g_nodes, V_nodes,
-                      g12_fn=None, label="H0", meta=None) -> HermitianOperator:
-    """Assemble an H0-type operator from coefficient callables.
+def _scalar_term(geo, scalar_potential):
+    if scalar_potential == "spin-connection":
+        return 0.25 * geo.K
+    if scalar_potential == "dacosta":
+        return -0.5 * (geo.M**2 - geo.K)
+    if scalar_potential == "none":
+        return np.zeros_like(geo.K)
+    raise ValueError(f"unknown scalar_potential {scalar_potential!r}")
 
-    coeff_fn(axis, Q1, Q2) -> sqrt(g) g^{aa} at arbitrary points,
-    w_fn(axis, Q1, Q2) -> w_a, sqrt_g_nodes / V_nodes -> (n1, n2) arrays.
-    Shared by the general patch assembler and the closed-form
-    bent-cylinder route so the two can be cross-checked matrix against
-    matrix.
+
+def build_h0_operator(grid: Grid, geometry: GridGeometry,
+                      scalar_potential="spin-connection", label="H0",
+                      meta=None) -> HermitianOperator:
+    """Assemble H0 on ``grid`` from a geometry record.
+
+    scalar_potential: 'spin-connection' (default) uses +K/4, the value the
+    spin connection produces; 'dacosta' uses the scalar-particle form
+    -(M^2 - K)/2 for comparison; 'none' drops the term.
     """
-    A_up, A_dn = _kinetic_matrix(grid, coeff_fn, w_fn, g12_fn=g12_fn)
-    rescale = sp.diags(np.asarray(sqrt_g_nodes, float).ravel() ** -0.5)
-    Vd = sp.diags(np.asarray(V_nodes, float).ravel())
-    blocks = [(0.5 * rescale @ A @ rescale + Vd).tocsr() for A in (A_up, A_dn)]
-    H = _interleave_spin_blocks(*blocks)
+    V = _scalar_term(geometry, scalar_potential)
+    rescale = sp.diags(np.asarray(geometry.sqrt_g, float).ravel() ** -0.5)
+    Vd = sp.diags(np.asarray(V, float).ravel())
+    up = (0.5 * rescale @ _kinetic_matrix(grid, geometry) @ rescale
+          + Vd).tocsr()
+    H = _interleave_spin_blocks(up, up.conjugate())
     op = HermitianOperator(
         matrix=H, grid=grid,
-        terms=("kinetic", "gauge-links", "scalar"),
+        terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"),
         meta=meta or {})
     _check_hermitian(op.matrix, label)
     return op
@@ -363,46 +391,16 @@ def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connecti
                 gauge_theta: Optional[Callable] = None) -> HermitianOperator:
     """Discretize H0 (covariant kinetic term plus geometric scalar).
 
-    scalar_potential: 'spin-connection' (default) uses +K/4, the value the
-    spin connection produces; 'dacosta' uses the scalar-particle form
-    -(M^2 - K)/2 for comparison; 'none' drops the term.
+    scalar_potential: see ``build_h0_operator``.
     gauge_theta(q1, q2), when given, applies the abelian gauge rotation
     exp(i sigma_3 theta) exactly (node-phase conjugation of the links),
     so the spectrum is unchanged to solver precision.
     """
-
-    def coeff_fn(axis, Q1, Q2):
-        ff = frame_fields(patch, Q1, Q2)
-        return ff.sqrt_g * ff.g_inv[axis, axis]
-
-    def w_fn(axis, Q1, Q2):
-        return frame_fields(patch, Q1, Q2).w[axis]
-
-    def g12_fn(Q1, Q2):
-        ff = frame_fields(patch, Q1, Q2)
-        return ff.sqrt_g * ff.g_inv[0, 1]
-
-    Q1, Q2 = grid.mesh()
-    ff = frame_fields(patch, Q1, Q2)
-    if scalar_potential == "spin-connection":
-        V = 0.25 * ff.K
-    elif scalar_potential == "dacosta":
-        V = -0.5 * (ff.M**2 - ff.K)
-    elif scalar_potential == "none":
-        V = np.zeros_like(ff.K)
-    else:
-        raise ValueError(f"unknown scalar_potential {scalar_potential!r}")
-
     op = build_h0_operator(
-        grid, coeff_fn, w_fn, ff.sqrt_g, V, g12_fn=g12_fn, label="H0",
+        grid, _grid_geometry(patch, grid), scalar_potential, label="H0",
         meta={"patch": patch.name, "gauge_rotated": gauge_theta is not None})
-    op = HermitianOperator(
-        matrix=op.matrix, grid=grid,
-        terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"),
-        meta=op.meta)
-
     if gauge_theta is not None:
-        theta = np.asarray(gauge_theta(Q1, Q2), dtype=float).ravel()
+        theta = np.asarray(gauge_theta(*grid.mesh()), dtype=float).ravel()
         op = HermitianOperator(matrix=_conjugate_matrix(op.matrix, theta),
                                grid=grid, terms=op.terms, meta=op.meta)
     return op
@@ -425,9 +423,7 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     X^b = (1/(2 sqrt g)) S^{ab} sigma_a evaluated at nodes and centered
     differences for d_b, Hermitian at assembly.
     """
-    Q1, Q2 = grid.mesh()
-    ff = frame_fields(patch, Q1, Q2)
-    X = _soi_fields(ff)
+    X = _soi_fields(frame_fields(patch, *grid.mesh()))
     return build_soi_operator(grid, X, label="Hso",
                               meta={"patch": patch.name})
 
@@ -442,22 +438,12 @@ def _soi_fields(ff):
 
 def _soi_matrix(grid, X):
     """Assemble (i/2){X^b, D_b^centered} into the 2N operator."""
-    n1, n2 = grid.n1, grid.n2
-    idx = np.arange(n1 * n2).reshape(n1, n2)
     rows, cols, vals = [], [], []
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        nb = _neighbor_indices(grid, axis)
-        mask = np.ones((n1, n2), dtype=bool)
-        if grid.bc[axis] != "periodic":
-            if axis == 0:
-                mask[-1, :] = False
-            else:
-                mask[:, -1] = False
+        r, c, mask = _links(grid, axis)
         Xb = X[axis]  # (2,2,n1,n2)
         Xnb = np.roll(Xb, -1, axis=axis + 2)
         block = 1j * (Xb + Xnb) / (4.0 * h)   # entry (n -> n+1)
-        r = idx[mask]
-        c = nb[mask]
         for s_r in range(2):
             for s_c in range(2):
                 b = block[s_r, s_c][mask]
@@ -474,9 +460,13 @@ def _soi_matrix(grid, X):
 
 def assemble_Heff(patch: SurfacePatch, grid: Grid,
                   scalar_potential="spin-connection") -> HermitianOperator:
-    """H0 + Hso on the same grid."""
-    return assemble_H0(patch, grid, scalar_potential=scalar_potential) \
-        + assemble_Hso(patch, grid)
+    """H0 + Hso on the same grid, from one geometry pass."""
+    geo = _grid_geometry(patch, grid)
+    return (build_h0_operator(grid, geo, scalar_potential, label="H0",
+                              meta={"patch": patch.name,
+                                    "gauge_rotated": False})
+            + build_soi_operator(grid, geo.X, label="Hso",
+                                 meta={"patch": patch.name}))
 
 
 # ----------------------------------------------------------------------

@@ -79,30 +79,20 @@ class SurfacePatch:
             return self.analytic_jet(q1, q2)
         return _numeric_jet(self.embed, q1, q2, self.extents)
 
-    def contains(self, q1, q2, pad=0.0):
-        (a0, a1), (b0, b1) = self.domain
-        ok1 = self.periodic[0] or (a0 - pad <= q1 <= a1 + pad)
-        ok2 = self.periodic[1] or (b0 - pad <= q2 <= b1 + pad)
-        return ok1 and ok2
-
 
 # ----------------------------------------------------------------------
 # Numeric derivative provider: 4th-order central differences; second
 # derivatives by nesting the first-derivative stencil.
 # ----------------------------------------------------------------------
 
-_D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-
-
 def _fd1(f, q1, q2, axis, h):
-    acc = 0.0
-    for off, wgt in zip(_D1_OFFSETS, _D1_WEIGHTS):
+    """4th-order central difference of f(q1, q2) along axis with step h;
+    the one stencil of numeric jets, adapted frames and gauge curls."""
+    def at(off):
         if axis == 0:
-            acc = acc + wgt * np.asarray(f(q1 + off * h, q2), dtype=float)
-        else:
-            acc = acc + wgt * np.asarray(f(q1, q2 + off * h), dtype=float)
-    return acc / h
+            return np.asarray(f(q1 + off * h, q2))
+        return np.asarray(f(q1, q2 + off * h))
+    return (at(-2.0) - 8.0 * at(-1.0) + 8.0 * at(1.0) - at(2.0)) / (12.0 * h)
 
 
 def _numeric_jet(embed, q1, q2, extents, rel_step=1e-3):

@@ -176,3 +176,17 @@ def test_compare_json_honours_tol(tmp_path):
     assert failed["diffs"][0]["field"] == "phi_over_phi0"
     assert _run_cli(["--compare", str(a), str(b), "--tol", "1e-3"]) == 0
     assert _run_cli(["--compare", str(a), str(b)]) != 0
+
+
+def test_with_connection_rejected_off_cylinder(tmp_path, capsys):
+    # the grid route always includes the connection, so the key would be
+    # echoed into spectrum.json without taking effect
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[surface]\nkind = torus\nrho = 1.0\nR = 3.0\n"
+                   "[spectrum]\nwith_connection = false\n")
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["key"] == "with_connection"
+    assert not (out / "spectrum.json").exists()

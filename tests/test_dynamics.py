@@ -10,8 +10,10 @@ from spinsurf.dynamics import (BentCylinderSetup, analytic_force,
                                gaussian_wavepacket, spin_hall_run)
 from spinsurf.errors import (InvalidWindowError, PacketTooNarrowError,
                              SurfaceParameterError)
-from spinsurf.hamiltonian import (Grid, HermitianOperator, assemble_H0,
-                                  assemble_Hso)
+from spinsurf.frames import SIGMA1, SIGMA2
+from spinsurf.hamiltonian import (Grid, GridGeometry, HermitianOperator,
+                                  assemble_H0, assemble_Hso,
+                                  build_h0_operator, build_soi_operator)
 from spinsurf.surfaces import make_surface
 
 SMALL = dict(n_theta=16, n_s=32, s_length=10.0)
@@ -27,15 +29,51 @@ def test_setup_validation():
     BentCylinderSetup(theta0=0.19)             # boundary of the regime
 
 
+def _closed_form_bent_operators(setup):
+    """The bent cylinder's H0 and Hso from its closed-form coefficients.
+
+    With W = (R + rho cos theta)/R on the torus patch (theta, s):
+    sqrt(g) = rho W, sqrt(g) g^{theta theta} = W/rho, sqrt(g) g^{ss} = rho/W,
+    g^{12} = 0, w_theta = 0, w_s = -sin(theta)/(2R),
+    K = cos(theta)/(rho (R + rho cos theta)),
+    M = (1/rho + cos(theta)/(R + rho cos theta))/2,
+    X^theta = -sigma_2/(2 rho^2),
+    X^s = +(R cos theta / (2 (R + rho cos theta)^2)) sigma_1.
+    """
+    rho, R = setup.rho, setup.R
+    grid = setup.grid()
+
+    def width(th):
+        return (R + rho * np.cos(th)) / R
+
+    th = grid.mesh()[0]
+    th_half = [grid.half_mesh(axis)[0] for axis in (0, 1)]
+    X = np.zeros((2, 2, 2) + th.shape, dtype=complex)
+    X[0] = (-SIGMA2 / (2.0 * rho**2))[..., None, None]
+    X[1] = SIGMA1[..., None, None] * (
+        R * np.cos(th) / (2.0 * (R + rho * np.cos(th)) ** 2))
+    geo = GridGeometry(
+        sqrt_g=rho * width(th),
+        K=np.cos(th) / (rho * (R + rho * np.cos(th))),
+        M=0.5 * (1.0 / rho + np.cos(th) / (R + rho * np.cos(th))),
+        c12=np.zeros_like(th), X=X,
+        c=(width(th_half[0]) / rho, rho / width(th_half[1])),
+        phase=(np.zeros_like(th_half[0]),
+               grid.h2 * (-np.sin(th_half[1]) / (2.0 * R))))
+    return (build_h0_operator(grid, geo, label="closed-form H0"),
+            build_soi_operator(grid, X, label="closed-form Hso"))
+
+
 def test_bent_operators_match_general_assembler():
-    setup = BentCylinderSetup(**SMALL)
-    H0b, Hsob, _, _ = bent_cylinder_operators(setup)
-    patch, grid = setup.patch(), setup.grid()
-    H0g = assemble_H0(patch, grid)
-    Hsog = assemble_Hso(patch, grid)
-    scale = abs(H0g.matrix).max()
-    assert abs((H0b.matrix - H0g.matrix)).max() < 1e-11 * scale
-    assert abs((Hsob.matrix - Hsog.matrix)).max() < 1e-11 * scale
+    # the library's bent-cylinder operators (general route) against the
+    # closed-form coefficients fed to the same stencil builders
+    for bc_s in ("wall", "periodic"):
+        setup = BentCylinderSetup(bc_s=bc_s, **SMALL)
+        H0b, Hsob, _, _ = bent_cylinder_operators(setup)
+        H0c, Hsoc = _closed_form_bent_operators(setup)
+        scale = abs(H0c.matrix).max()
+        assert abs((H0b.matrix - H0c.matrix)).max() < 1e-11 * scale
+        assert abs((Hsob.matrix - Hsoc.matrix)).max() < 1e-11 * scale
 
 
 def test_bent_scalar_term_at_outer_equator():

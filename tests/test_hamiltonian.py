@@ -211,3 +211,42 @@ def test_export_coo_roundtrip(tmp_path):
     rebuilt = sp.coo_matrix((np.array(re) + 1j * np.array(im),
                              (rows, cols)), shape=H.matrix.shape).tocsr()
     assert abs((rebuilt - H.matrix)).max() < 1e-15
+
+
+def test_sheared_plane_g12_cross_term():
+    # x = q1 + 0.3 q2, y = q2: g^{11} = 1.09, g^{12} = -0.3, g^{22} = 1 and
+    # sqrt(g) = 1, so H = -(1/2) g^{ab} d_a d_b on plane waves: 2 pi^2 *
+    # (1.09 k1^2 - 0.6 k1 k2 + k2^2).  A wrong g^{12} sign swaps the values.
+    p = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                     domain=((0.0, 1.0), (0.0, 1.0)), periodic=(True, True))
+    g = Grid.for_patch(p, 32, 32)
+    H = assemble_Heff(p, g)
+    Q1, Q2 = g.mesh()
+    for k2, factor in ((+1, 1.49), (-1, 2.69)):
+        wave = np.exp(2j * math.pi * (Q1 + k2 * Q2))
+        for spin in (0, 1):
+            psi = SpinorField.zeros(g)
+            psi.values[:, :, spin] = wave
+            v = psi.flat()
+            out = H.matrix @ v
+            lam = np.vdot(v, out).real / np.vdot(v, v).real
+            resid = np.linalg.norm(out - lam * v) / np.linalg.norm(lam * v)
+            assert resid <= 1e-10
+            assert lam == pytest.approx(2 * math.pi**2 * factor, rel=1e-2)
+
+
+def test_heff_makes_one_geometry_pass(monkeypatch):
+    import spinsurf.hamiltonian as hamiltonian
+    calls = []
+    original = hamiltonian.frame_fields
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "frame_fields", counting)
+    for p in (make_surface("torus", rho=1.0, R=3.0),
+              make_surface("sphere", r=1.0)):
+        calls.clear()
+        assemble_Heff(p, Grid.for_patch(p, 12, 16))
+        assert len(calls) == 3
