@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, ExpansionOrderError, SingularLayerError
-from .surfaces import SurfacePatch, _fd1
+from .surfaces import _FD_OFFSETS, SurfacePatch, _fd4
 
 __all__ = [
     "PAULI",
@@ -164,10 +164,13 @@ def _gram_schmidt(r_a, r_ab, frame_gauge):
     else:
         raise ValueError(f"unknown frame gauge {frame_gauge!r}")
 
+    # n1 * n1 and nu * nu, not **2: on a single point **2 goes through
+    # libm pow, which can round differently from the product that arrays
+    # get, and a point must give the same bits alone or in a batch
     n1 = np.sqrt((v1**2).sum(axis=0))
     e1 = v1 / n1
     dn1 = np.einsum("j...,ja...->a...", v1, dv1) / n1
-    de1 = dv1 / n1 - np.einsum("j...,a...->ja...", v1, dn1) / n1**2
+    de1 = dv1 / n1 - np.einsum("j...,a...->ja...", v1, dn1) / (n1 * n1)
 
     c = np.einsum("j...,j...->...", v2, e1)
     dc = (np.einsum("ja...,j...->a...", dv2, e1)
@@ -177,7 +180,8 @@ def _gram_schmidt(r_a, r_ab, frame_gauge):
     nu = np.sqrt((u**2).sum(axis=0))
     dnu = np.einsum("j...,ja...->a...", u, du) / nu
     e2 = flip * u / nu
-    de2 = flip * (du / nu - np.einsum("j...,a...->ja...", u, dnu) / nu**2)
+    de2 = flip * (du / nu - np.einsum("j...,a...->ja...", u, dnu)
+                  / (nu * nu))
 
     e_hat = np.stack([e1, e2], axis=1)
     return e_hat, de2
@@ -189,10 +193,42 @@ def frame_at(patch: SurfacePatch, point, frame_gauge="gs12") -> FrameFields:
                         frame_gauge=frame_gauge)
 
 
+def _stencil_fields(patch: SurfacePatch, q1, q2, h) -> FrameFields:
+    """frame_fields at (q1, q2) and at its 4th-order stencil, in one call.
+
+    Point 0 of the result (last axis) is the centre; point 1 + 4a + j sits
+    at q_a + _FD_OFFSETS[j] * h[a].  _stencil_d differentiates a quantity
+    listed in that order and _point_fields takes one point out.
+    """
+    off = np.array(_FD_OFFSETS)
+    p1 = np.concatenate(([q1], q1 + off * h[0], np.full(4, q1)))
+    p2 = np.concatenate(([q2], np.full(4, q2), q2 + off * h[1]))
+    return frame_fields(patch, p1, p2)
+
+
+def _stencil_d(values, axis, h):
+    """d/dq_axis at the stencil centre from values[k] at stencil point k."""
+    k = 1 + 4 * axis
+    return _fd4(values[k:k + 4], h[axis])
+
+
+def _point_fields(ff: FrameFields, k) -> FrameFields:
+    """Point k of batched frame fields, laid out as at a scalar point.
+
+    The arrays are contiguous copies, so small matrix products on them
+    round exactly as on a scalar frame_fields call.
+    """
+    return FrameFields(**{name: getattr(ff, name)[..., k].copy()
+                          for name in FrameFields.__slots__})
+
+
 def curvature_radius(patch: SurfacePatch, point) -> float:
     """Local curvature radius 1/max|principal curvature| (patch scale if flat)."""
-    fd = frame_at(patch, point)
-    kappa = np.max(np.abs(np.linalg.eigvals(fd.alpha)))
+    return _curvature_radius(patch, frame_at(patch, point).alpha)
+
+
+def _curvature_radius(patch, alpha):
+    kappa = np.max(np.abs(np.linalg.eigvals(alpha)))
     if kappa < 1e-12 / patch.scale:
         return patch.scale
     return float(1.0 / kappa)
@@ -203,9 +239,21 @@ def curvature_radius(patch: SurfacePatch, point) -> float:
 # Christoffel symbols and spin connection.
 # ----------------------------------------------------------------------
 
-def _metric_block(patch, q1, q2, q3):
-    """Exact 3x3 adapted-frame metric at scalar (q1, q2, q3)."""
-    ff = frame_fields(patch, q1, q2)
+# stencil step of adapted frames and expansion reports, relative to each
+# domain extent
+_ADAPTED_STEP = 1e-3
+
+
+def _adapted_stencil(patch, q1, q2):
+    """Per-point frame fields of the adapted-frame stencil at (q1, q2),
+    from one frame_fields call, and the step h per axis."""
+    h = [max(ext, 1e-12) * _ADAPTED_STEP for ext in patch.extents]
+    ff = _stencil_fields(patch, q1, q2, h)
+    return [_point_fields(ff, k) for k in range(ff.K.size)], h
+
+
+def _metric_block(ff, q3):
+    """Exact 3x3 adapted-frame metric at offset q3 over one point's fields."""
     g = ff.g
     A = ff.alpha
     Ag = A @ g
@@ -215,9 +263,8 @@ def _metric_block(patch, q1, q2, q3):
     return G
 
 
-def _vielbein_block(patch, q1, q2, q3):
+def _vielbein_block(ff, q3):
     """Exact block vielbein E_A^I = diag(e + q3 A e, 1)."""
-    ff = frame_fields(patch, q1, q2)
     E = np.zeros((3, 3))
     E[:2, :2] = (np.eye(2) + q3 * ff.alpha) @ ff.e
     E[2, 2] = 1.0
@@ -248,17 +295,23 @@ class AdaptedFrameData:
     ricci_normal: float
 
 
-def adapted_frame_at(patch: SurfacePatch, point, q3: float,
-                     fd_step=1e-3) -> AdaptedFrameData:
+def adapted_frame_at(patch: SurfacePatch, point,
+                     q3: float) -> AdaptedFrameData:
     """Assemble the adapted-frame data at (point, q3).
 
     Raises SingularLayerError when the rescale factor f reaches zero (the
     normal fibration self-intersects).  Derivatives of the metric and
     vielbein along the surface are taken by 4th-order differences with
-    step fd_step * (domain extent); the q3 derivatives are closed-form.
+    step _ADAPTED_STEP * (domain extent); the q3 derivatives are
+    closed-form.
     """
-    q1, q2 = float(point[0]), float(point[1])
-    ff = frame_fields(patch, q1, q2)
+    pts, h = _adapted_stencil(patch, float(point[0]), float(point[1]))
+    return _adapted_frame(pts, h, q3)
+
+
+def _adapted_frame(pts, h, q3):
+    """adapted_frame_at over the fields of an _adapted_stencil."""
+    ff = pts[0]
     A = ff.alpha
     trA = float(np.trace(A))
     detA = float(np.linalg.det(A))
@@ -268,20 +321,18 @@ def adapted_frame_at(patch: SurfacePatch, point, q3: float,
             f"rescale factor f = {f:.3e} <= 0 at q3 = {q3:g}: the normal "
             f"fibration is singular here")
 
-    G = _metric_block(patch, q1, q2, q3)
-    E = _vielbein_block(patch, q1, q2, q3)
+    G_pts = [_metric_block(p, q3) for p in pts]
+    E_pts = [_vielbein_block(p, q3) for p in pts]
+    G, E = G_pts[0], E_pts[0]
     Minv = np.linalg.inv(np.eye(2) + q3 * A)
     E_inv = np.zeros((3, 3))
     E_inv[:2, :2] = ff.e_inv @ Minv
     E_inv[2, 2] = 1.0
 
-    h = [max(ext, 1e-12) * fd_step for ext in patch.extents]
-
     # dG[A][D,B] = d_A G_{DB}; surface derivatives by FD, d_3 closed form
     dG = np.zeros((3, 3, 3))
     for a in range(2):
-        dG[a] = _fd1(lambda u, v: _metric_block(patch, u, v, q3),
-                     q1, q2, a, h[a])
+        dG[a] = _stencil_d(G_pts, a, h)
     g = ff.g
     Ag = A @ g
     dG[2, :2, :2] = (Ag + Ag.T) + 2.0 * q3 * (A @ g @ A.T)
@@ -300,8 +351,7 @@ def adapted_frame_at(patch: SurfacePatch, point, q3: float,
 
     dE = np.zeros((3, 3, 3))
     for a in range(2):
-        dE[a] = _fd1(lambda u, v: _vielbein_block(patch, u, v, q3),
-                     q1, q2, a, h[a])
+        dE[a] = _stencil_d(E_pts, a, h)
     dE[2, :2, :2] = A @ ff.e
 
     Omega = _spin_connection(E, E_inv, dE, Gamma)
@@ -309,9 +359,9 @@ def adapted_frame_at(patch: SurfacePatch, point, q3: float,
     ric_t, ric_n = _ricci_combinations(ff, q3)
 
     return AdaptedFrameData(
-        q1=q1, q2=q2, q3=q3, f=f, G=G, det_G=float(np.linalg.det(G)),
-        E=E, E_inv=E_inv, Gamma=Gamma, Omega=Omega,
-        ricci_tangential=ric_t, ricci_normal=ric_n)
+        q1=float(ff.q1), q2=float(ff.q2), q3=q3, f=f, G=G,
+        det_G=float(np.linalg.det(G)), E=E, E_inv=E_inv, Gamma=Gamma,
+        Omega=Omega, ricci_tangential=ric_t, ricci_normal=ric_n)
 
 
 def _spin_connection(E, E_inv, dE, Gamma):
@@ -371,21 +421,20 @@ def _ricci_combinations(ff, q3):
 # machine zero faster than any power because the neighborhood is flat.)
 # ----------------------------------------------------------------------
 
-def _truncated_spin_connection(patch, q1, q2, q3, h):
-    ff = frame_fields(patch, q1, q2)
+def _truncated_spin_connection(pts, h, q3):
+    ff = pts[0]
     A = ff.alpha
     g = ff.g
     e = ff.e
 
-    E = np.zeros((3, 3))
-    E[:2, :2] = (np.eye(2) + q3 * A) @ e
-    E[2, 2] = 1.0
+    E_pts = [_vielbein_block(p, q3) for p in pts]
+    E = E_pts[0]
     E_inv = np.zeros((3, 3))
     E_inv[:2, :2] = ff.e_inv - q3 * (ff.e_inv @ A)   # truncated inverse
     E_inv[2, 2] = 1.0
 
     Gamma = np.zeros((3, 3, 3))
-    Gamma[:2, :2, :2] = _christoffel_2d(patch, q1, q2, h)
+    Gamma[:2, :2, :2] = _christoffel_2d(pts, h)
     Ag = A @ g
     Gam3 = -(Ag + q3 * (A @ A @ g))
     Gmix = A - q3 * (A @ A)
@@ -397,20 +446,19 @@ def _truncated_spin_connection(patch, q1, q2, q3, h):
 
     dE = np.zeros((3, 3, 3))
     for a in range(2):
-        dE[a] = _fd1(lambda u, v: _vielbein_block(patch, u, v, q3),
-                     q1, q2, a, h[a])
+        dE[a] = _stencil_d(E_pts, a, h)
     dE[2, :2, :2] = A @ e
 
     return _spin_connection(E, E_inv, dE, Gamma)
 
 
-def _christoffel_2d(patch, q1, q2, h):
-    """Surface Christoffels Gamma^c_{ab} at a scalar point, [c,a,b]."""
-    ff = frame_fields(patch, q1, q2)
+def _christoffel_2d(pts, h):
+    """Surface Christoffels Gamma^c_{ab} at the stencil centre, [c,a,b]."""
+    ff = pts[0]
+    g_pts = [p.g for p in pts]
     dg = np.zeros((2, 2, 2))
     for a in range(2):
-        dg[a] = _fd1(
-            lambda u, v: frame_fields(patch, u, v).g, q1, q2, a, h[a])
+        dg[a] = _stencil_d(g_pts, a, h)
     Gam = np.empty((2, 2, 2))
     for c in range(2):
         for a in range(2):
@@ -478,15 +526,15 @@ def expansion_report(patch: SurfacePatch, point, q3_sequence=None,
     cancellations) are reported as exact zeros and pass by definition.
     """
     q1, q2 = float(point[0]), float(point[1])
+    pts, h = _adapted_stencil(patch, q1, q2)
+    ff = pts[0]
     if q3_sequence is None:
-        rc = curvature_radius(patch, point)
+        rc = _curvature_radius(patch, ff.alpha)
         q3_sequence = rc * np.logspace(-2, -5, 7)
     q3s = np.asarray(q3_sequence, dtype=float)
     if np.any(q3s <= 0) or np.any(np.diff(q3s) >= 0):
         raise ValueError("q3_sequence must be positive and decreasing")
 
-    ff = frame_fields(patch, q1, q2)
-    h = [max(ext, 1e-12) * 1e-3 for ext in patch.extents]
     target_a = np.stack([1j * ff.w[a] * SIGMA3 + 1j * ff.A_so[a]
                          for a in range(2)])
     mag = (np.abs(ff.w).sum() + sum(np.linalg.norm(a) for a in ff.A_so)
@@ -497,7 +545,7 @@ def expansion_report(patch: SurfacePatch, point, q3_sequence=None,
     res_rt = np.empty_like(q3s)
     res_rn = np.empty_like(q3s)
     for k, q3 in enumerate(q3s):
-        Om = _truncated_spin_connection(patch, q1, q2, q3, h)
+        Om = _truncated_spin_connection(pts, h, q3)
         res_a[k] = sum(np.linalg.norm(Om[a] - target_a[a]) for a in range(2))
         res_3[k] = np.linalg.norm(Om[2])
         rt, rn = _ricci_combinations(ff, q3)
@@ -513,7 +561,7 @@ def expansion_report(patch: SurfacePatch, point, q3_sequence=None,
         _fit_check("R_33 combination", 1.0, q3s, res_rn, mag, slope_margin),
     ]
 
-    tet = np.array([_tetrad_residual(patch, q1, q2, q3) for q3 in q3s])
+    tet = np.array([_tetrad_residual(pts, h, q3) for q3 in q3s])
     tet_ok = bool(np.all(tet < tetrad_tol))
 
     return ExpansionReport(point=(q1, q2), checks=checks, tetrad_q3=q3s,
@@ -552,7 +600,7 @@ def _fit_check(name, order, q3s, res, magnitude, margin):
                           passed=slope >= order - margin)
 
 
-def _tetrad_residual(patch, q1, q2, q3):
+def _tetrad_residual(pts, h, q3):
     """Max-norm residual of the covariant constancy of sigma^B at q3.
 
     With this package's connection sign (D_A = d_A + Omega_A matching the
@@ -560,21 +608,20 @@ def _tetrad_residual(patch, q1, q2, q3):
 
         d_A sigma^B - [Omega_A, sigma^B] + Gamma^B_{CA} sigma^C = 0.
     """
-    ad = adapted_frame_at(patch, (q1, q2), q3)
-    ff = frame_fields(patch, q1, q2)
+    ad = _adapted_frame(pts, h, q3)
+    ff = pts[0]
     A = ff.alpha
-    h = [max(ext, 1e-12) * 1e-3 for ext in patch.extents]
 
-    def einv_at(u, v):
-        f2 = frame_fields(patch, u, v)
+    def einv_at(f2):
         Em = np.zeros((3, 3))
         Em[:2, :2] = f2.e_inv @ np.linalg.inv(np.eye(2) + q3 * f2.alpha)
         Em[2, 2] = 1.0
         return Em
 
+    einv_pts = [einv_at(p) for p in pts]
     dEinv = np.zeros((3, 3, 3))
     for a in range(2):
-        dEinv[a] = _fd1(einv_at, q1, q2, a, h[a])
+        dEinv[a] = _stencil_d(einv_pts, a, h)
     Minv = np.linalg.inv(np.eye(2) + q3 * A)
     dEinv[2, :2, :2] = -(ff.e_inv @ A) @ (Minv @ Minv)
 

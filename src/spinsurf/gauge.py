@@ -28,7 +28,8 @@ import numpy as np
 from . import constants
 from .errors import (NotClosedSurfaceError, SurfaceParameterError,
                      WindingMismatchError)
-from .frames import SIGMA1, SIGMA2, SIGMA3, frame_at, frame_fields
+from .frames import (SIGMA1, SIGMA2, SIGMA3, _point_fields, _stencil_d,
+                     _stencil_fields, frame_at, frame_fields)
 from .surfaces import SurfacePatch, _fd1
 
 __all__ = [
@@ -59,15 +60,23 @@ class GaugeFieldSample:
     F_tangential: np.ndarray    # (2,) coordinate components F^a, reported only
 
 
-def _curls(patch, q1, q2, rel_step=1e-5):
-    """Numeric curls of w and A_so at a point; returns (curl_w, curl_A)."""
-    h1 = max(patch.extents[0], 1e-12) * rel_step
-    h2 = max(patch.extents[1], 1e-12) * rel_step
-    d1w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 0, h1)
-    d2w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 1, h2)
-    d1A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 0, h1)
-    d2A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 1, h2)
-    ff = frame_fields(patch, q1, q2)
+# stencil step of the numeric curls, relative to each domain extent
+_CURL_STEP = 1e-5
+
+
+def _curls(patch, q1, q2):
+    """Numeric curls of w and A_so at a point; returns (curl_w, curl_A, ff).
+
+    One frame_fields call covers the point and its stencil; ff holds the
+    fields at the point itself.
+    """
+    h = [max(ext, 1e-12) * _CURL_STEP for ext in patch.extents]
+    st = _stencil_fields(patch, q1, q2, h)
+    w = np.moveaxis(st.w, -1, 0)
+    A = np.moveaxis(st.A_so, -1, 0)
+    d1w, d2w = _stencil_d(w, 0, h), _stencil_d(w, 1, h)
+    d1A, d2A = _stencil_d(A, 0, h), _stencil_d(A, 1, h)
+    ff = _point_fields(st, 0)
     curl_w = (d1w[1] - d2w[0]) / ff.sqrt_g
     comm = ff.A_so[0] @ ff.A_so[1] - ff.A_so[1] @ ff.A_so[0]
     curl_A = (d1A[1] - d2A[0] + 1j * comm) / ff.sqrt_g

@@ -85,14 +85,23 @@ class SurfacePatch:
 # derivatives by nesting the first-derivative stencil.
 # ----------------------------------------------------------------------
 
+_FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
+
+
+def _fd4(samples, h):
+    """4th-order central difference from samples at _FD_OFFSETS * h; the
+    one formula of numeric jets, adapted frames and gauge curls."""
+    f_m2, f_m1, f_p1, f_p2 = samples
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
+
+
 def _fd1(f, q1, q2, axis, h):
-    """4th-order central difference of f(q1, q2) along axis with step h;
-    the one stencil of numeric jets, adapted frames and gauge curls."""
+    """_fd4 of f(q1, q2) along axis with step h."""
     def at(off):
         if axis == 0:
             return np.asarray(f(q1 + off * h, q2))
         return np.asarray(f(q1, q2 + off * h))
-    return (at(-2.0) - 8.0 * at(-1.0) + 8.0 * at(1.0) - at(2.0)) / (12.0 * h)
+    return _fd4([at(off) for off in _FD_OFFSETS], h)
 
 
 def _numeric_jet(embed, q1, q2, extents, rel_step=1e-3):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spinsurf.errors import DegenerateMetricError, SingularLayerError
-from spinsurf.frames import (adapted_frame_at, curvature_radius,
-                             expansion_report, frame_at, frame_fields,
-                             verify_thin_layer_expansions)
+from spinsurf.frames import (FrameFields, adapted_frame_at,
+                             curvature_radius, expansion_report, frame_at,
+                             frame_fields, verify_thin_layer_expansions)
 from spinsurf.surfaces import make_surface
 
 # hand-derived frame values for the built-in shapes, used as oracles below:
@@ -91,6 +91,26 @@ def test_analytic_numeric_paths_agree_on_frames():
             x = np.asarray(getattr(fa, name))
             y = np.asarray(getattr(fg, name))
             assert np.max(np.abs(x - y)) <= 1e-8 * max(1.0, np.max(np.abs(x)))
+
+
+def test_point_gives_same_bits_alone_or_in_a_batch():
+    # at the torus point a lone call once squared |u| through libm pow,
+    # and its w differed from the batched value at rounding level
+    expr_torus = make_surface(
+        "generic", x="(2+cos(q1))*cos(q2)", y="(2+cos(q1))*sin(q2)",
+        z="sin(q1)", domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+        periodic=(True, True))
+    for p, (q1, q2) in (
+            (make_surface("torus", rho=1.0, R=3.0),
+             (-2.1199554993627654, 7.0689068290183945)),
+            (make_surface("sphere", r=1.0), (1.1, 0.7)),
+            (expr_torus, (1.3, 2.2))):
+        batch = frame_fields(p, np.array([0.3, q1, 1.0]),
+                             np.array([1.0, q2, 2.0]))
+        alone = frame_fields(p, q1, q2)
+        for name in FrameFields.__slots__:
+            assert np.array_equal(np.asarray(getattr(alone, name)),
+                                  getattr(batch, name)[..., 1]), name
 
 
 def test_frame_gauge_swap_confined():

@@ -6,10 +6,11 @@ import pytest
 from spinsurf.constants import PhysicalScale
 from spinsurf.errors import (NotClosedSurfaceError, SurfaceParameterError,
                              WindingMismatchError)
+from spinsurf.frames import SIGMA1, SIGMA2, SIGMA3, frame_fields
 from spinsurf.gauge import (curl_matches_w, flux, gauge_transform,
                             pseudo_electric_field, pseudo_field_at, sample_w,
                             soi_radius)
-from spinsurf.surfaces import make_surface
+from spinsurf.surfaces import _fd1, make_surface
 
 
 def test_pseudo_field_is_half_curvature():
@@ -52,6 +53,71 @@ def test_curl_identity_random_points():
             resid, F = curl_matches_w(p, q)
             assert resid < 1e-8
             assert np.all(np.isfinite(F))
+
+
+def _scalar_route_sample(patch, q):
+    """The curls by 17 scalar frame_fields calls: _fd1 over w and A_so,
+    then the point itself; the oracle of the batched stencil."""
+    q1, q2 = q
+    h1 = max(patch.extents[0], 1e-12) * 1e-5
+    h2 = max(patch.extents[1], 1e-12) * 1e-5
+    d1w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 0, h1)
+    d2w = _fd1(lambda u, v: frame_fields(patch, u, v).w, q1, q2, 1, h2)
+    d1A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 0, h1)
+    d2A = _fd1(lambda u, v: frame_fields(patch, u, v).A_so, q1, q2, 1, h2)
+    ff = frame_fields(patch, q1, q2)
+    curl_w = (d1w[1] - d2w[0]) / ff.sqrt_g
+    comm = ff.A_so[0] @ ff.A_so[1] - ff.A_so[1] @ ff.A_so[0]
+    curl_A = (d1A[1] - d2A[0] + 1j * comm) / ff.sqrt_g
+    c1, c2, c3 = (0.5 * np.real(np.trace(s @ curl_A))
+                  for s in (SIGMA1, SIGMA2, SIGMA3))
+    return {"curl_w": float(curl_w), "curl_A_sigma3": float(c3),
+            "K": float(ff.K), "w": ff.w,
+            "F_tangential": ff.e_inv.T @ np.array([c1, c2])}
+
+
+def test_batched_curls_match_scalar_route():
+    rng = np.random.default_rng(29)
+    expr_torus = make_surface(
+        "generic", x="(2+cos(q1))*cos(q2)", y="(2+cos(q1))*sin(q2)",
+        z="sin(q1)", domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+        periodic=(True, True))
+    for p, count in ((make_surface("torus", rho=1.0, R=3.0), 40),
+                     (make_surface("sphere", r=1.0), 40), (expr_torus, 10)):
+        (a0, a1), (b0, b1) = p.domain
+        for _ in range(count):
+            q = (rng.uniform(a0 + 0.12 * (a1 - a0), a1 - 0.12 * (a1 - a0)),
+                 rng.uniform(b0 + 0.12 * (b1 - b0), b1 - 0.12 * (b1 - b0)))
+            s = pseudo_field_at(p, q)
+            for name, ref in _scalar_route_sample(p, q).items():
+                got = np.asarray(getattr(s, name))
+                scale = max(np.max(np.abs(ref)), 1e-300)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * scale, name
+
+
+def test_pointwise_diagnostics_make_one_frame_fields_call(monkeypatch):
+    import spinsurf.frames as frames
+    import spinsurf.gauge as gauge
+    calls = []
+    original = frames.frame_fields
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "frame_fields", counting)
+    monkeypatch.setattr(gauge, "frame_fields", counting)
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    for diagnostic in (pseudo_field_at, curl_matches_w):
+        calls.clear()
+        diagnostic(torus, (0.8, 2.0))
+        assert len(calls) == 1
+    counts = []
+    for q3s in ([1e-2, 1e-3, 1e-4], None):   # None: the default 7 values
+        calls.clear()
+        frames.expansion_report(torus, (0.8, 2.0), q3_sequence=q3s)
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 # ----------------------------------------------------------------------
