@@ -31,7 +31,7 @@ from .gauge import flux
 from .hamiltonian import Grid, assemble_Heff
 from .spectra import (conductance_curve, cylinder_ring_operator,
                       degeneracy_clusters, eigensolve)
-from .surfaces import read_config, surface_from_config
+from .surfaces import _as_bool, _surface_from_section, read_config
 
 __all__ = ["RunConfig", "run", "compare", "main"]
 
@@ -61,9 +61,7 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            if cast is bool:
-                return str(raw).strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return _as_bool(raw) if cast is bool else cast(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}",
                               key=key) from None
@@ -92,8 +90,7 @@ def _surface(cfg: RunConfig):
     sec = cfg.section("surface")
     if not sec:
         raise ConfigError("config needs a [surface] section", key="surface")
-    text = "\n".join(f"{k} = {v}" for k, v in sec.items())
-    return surface_from_config("[surface]\n" + text)
+    return _surface_from_section(sec)
 
 
 def _csv_header(cfg, experiment, columns, units):

@@ -93,10 +93,8 @@ def bent_cylinder_operators(setup: BentCylinderSetup):
     """(H0, Hso, theta_op, p_s op) on the bent-cylinder window grid."""
     patch, grid = setup.patch(), setup.grid()
     geo = _grid_geometry(patch, grid)
-    H0 = build_h0_operator(grid, geo, label="bent H0",
-                           meta={"patch": patch.name})
-    Hso = build_soi_operator(grid, geo.X, label="bent Hso",
-                             meta={"patch": patch.name})
+    H0 = build_h0_operator(grid, geo, label="bent H0")
+    Hso = build_soi_operator(grid, geo.X, label="bent Hso")
     theta_op = _diagonal_operator(grid, grid.mesh()[0])
     ps_op = _momentum_s_operator(grid)
     return H0, Hso, theta_op, ps_op

@@ -21,6 +21,10 @@ class ExpansionOrderError(SpinsurfError, AssertionError):
     """A thin-layer expansion identity failed its fitted-order check."""
 
 
+class HermiticityError(SpinsurfError, AssertionError):
+    """An assembled operator is not Hermitian to rounding (defect > 1e-12)."""
+
+
 class NotClosedSurfaceError(SpinsurfError, ValueError):
     """Flux requested on a patch that is not a closed surface."""
 

@@ -34,14 +34,14 @@ wall); wall grids place nodes strictly inside the open interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import GridError
+from .errors import GridError, HermiticityError
 from .frames import SIGMA1, SIGMA2, frame_fields
 from .surfaces import SurfacePatch
 
@@ -179,7 +179,6 @@ class HermitianOperator:
     matrix: sp.csr_matrix
     grid: Optional[Grid]
     terms: tuple
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -189,8 +188,7 @@ class HermitianOperator:
         return HermitianOperator(
             matrix=(self.matrix + other.matrix).tocsr(),
             grid=self.grid if self.grid is not None else other.grid,
-            terms=self.terms + other.terms,
-            meta={**self.meta, **other.meta})
+            terms=self.terms + other.terms)
 
     def max_norm(self) -> float:
         return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
@@ -225,7 +223,7 @@ def _factor_shifted(mat, shift, scale=1.0):
 def _check_hermitian(mat, label):
     defect = hermiticity_defect(mat)
     if defect > 1e-12:
-        raise AssertionError(
+        raise HermiticityError(
             f"{label} assembly lost hermiticity: defect {defect:.3e}")
 
 
@@ -365,8 +363,8 @@ def _scalar_term(geo, scalar_potential):
 
 
 def build_h0_operator(grid: Grid, geometry: GridGeometry,
-                      scalar_potential="spin-connection", label="H0",
-                      meta=None) -> HermitianOperator:
+                      scalar_potential="spin-connection", label="H0"
+                      ) -> HermitianOperator:
     """Assemble H0 on ``grid`` from a geometry record.
 
     scalar_potential: 'spin-connection' (default) uses +K/4, the value the
@@ -381,8 +379,7 @@ def build_h0_operator(grid: Grid, geometry: GridGeometry,
     H = _interleave_spin_blocks(up, up.conjugate())
     op = HermitianOperator(
         matrix=H, grid=grid,
-        terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"),
-        meta=meta or {})
+        terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"))
     _check_hermitian(op.matrix, label)
     return op
 
@@ -396,22 +393,17 @@ def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connecti
     exp(i sigma_3 theta) exactly (node-phase conjugation of the links),
     so the spectrum is unchanged to solver precision.
     """
-    op = build_h0_operator(
-        grid, _grid_geometry(patch, grid), scalar_potential, label="H0",
-        meta={"patch": patch.name, "gauge_rotated": gauge_theta is not None})
+    op = build_h0_operator(grid, _grid_geometry(patch, grid),
+                           scalar_potential, label="H0")
     if gauge_theta is not None:
-        theta = np.asarray(gauge_theta(*grid.mesh()), dtype=float).ravel()
-        op = HermitianOperator(matrix=_conjugate_matrix(op.matrix, theta),
-                               grid=grid, terms=op.terms, meta=op.meta)
+        op = gauge_conjugate(op, gauge_theta(*grid.mesh()))
     return op
 
 
-def build_soi_operator(grid: Grid, X, label="Hso",
-                       meta=None) -> HermitianOperator:
+def build_soi_operator(grid: Grid, X, label="Hso") -> HermitianOperator:
     """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2)."""
     H = _soi_matrix(grid, np.asarray(X, dtype=complex))
-    op = HermitianOperator(matrix=H, grid=grid, terms=("soi",),
-                           meta=meta or {})
+    op = HermitianOperator(matrix=H, grid=grid, terms=("soi",))
     _check_hermitian(op.matrix, label)
     return op
 
@@ -424,8 +416,7 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     differences for d_b, Hermitian at assembly.
     """
     X = _soi_fields(frame_fields(patch, *grid.mesh()))
-    return build_soi_operator(grid, X, label="Hso",
-                              meta={"patch": patch.name})
+    return build_soi_operator(grid, X, label="Hso")
 
 
 def _soi_fields(ff):
@@ -462,11 +453,8 @@ def assemble_Heff(patch: SurfacePatch, grid: Grid,
                   scalar_potential="spin-connection") -> HermitianOperator:
     """H0 + Hso on the same grid, from one geometry pass."""
     geo = _grid_geometry(patch, grid)
-    return (build_h0_operator(grid, geo, scalar_potential, label="H0",
-                              meta={"patch": patch.name,
-                                    "gauge_rotated": False})
-            + build_soi_operator(grid, geo.X, label="Hso",
-                                 meta={"patch": patch.name}))
+    return (build_h0_operator(grid, geo, scalar_potential, label="H0")
+            + build_soi_operator(grid, geo.X, label="Hso"))
 
 
 # ----------------------------------------------------------------------
@@ -481,27 +469,22 @@ def apply(op: HermitianOperator, fld: SpinorField) -> SpinorField:
     return SpinorField.from_flat(fld.grid, op.matrix @ fld.flat())
 
 
-def _conjugate_matrix(H, theta_per_node):
-    """P H P^dagger with P = diag(exp(i theta sigma_3)) per node."""
-    phases = np.empty(2 * len(theta_per_node), dtype=complex)
-    phases[0::2] = np.exp(1j * theta_per_node)
-    phases[1::2] = np.exp(-1j * theta_per_node)
-    P = sp.diags(phases)
-    return (P @ H @ P.conjugate()).tocsr()
-
-
 def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
     """Exact lattice gauge rotation of an assembled operator.
 
+    P H P^dagger with P = diag(exp(i theta sigma_3)) per node;
     theta_values: array over grid nodes (n1, n2) or flat.  Spectra are
     exactly preserved (unitary similarity).
     """
     theta = np.asarray(theta_values, dtype=float).ravel()
     if 2 * len(theta) != op.dim:
         raise GridError("gauge phase array does not match operator size")
-    return HermitianOperator(
-        matrix=_conjugate_matrix(op.matrix, theta), grid=op.grid,
-        terms=op.terms, meta={**op.meta, "gauge_rotated": True})
+    phases = np.empty(2 * len(theta), dtype=complex)
+    phases[0::2] = np.exp(1j * theta)
+    phases[1::2] = np.exp(-1j * theta)
+    P = sp.diags(phases)
+    return HermitianOperator(matrix=(P @ op.matrix @ P.conjugate()).tocsr(),
+                             grid=op.grid, terms=op.terms)
 
 
 def time_reversal_defect(op: HermitianOperator) -> float:

@@ -49,8 +49,7 @@ class SpectrumResult:
 
 
 def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
-               return_vectors: bool = True, cluster_tol: Optional[float] = None,
-               maxiter: Optional[int] = None, seed: Optional[int] = None
+               return_vectors: bool = True, seed: Optional[int] = None
                ) -> SpectrumResult:
     """Hermitian eigensolve with a residual contract.
 
@@ -88,7 +87,7 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
                        "ordering": None, "fill": None, "opinv_solves": None}
     else:
         vals, vecs, diagnostics = _shift_invert(mat, k, which, target, norm,
-                                                maxiter, seed)
+                                                seed)
 
     residuals = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
                  / np.linalg.norm(vecs, axis=0))
@@ -100,13 +99,13 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
 
     diagnostics.update(norm_inf=norm, contract=contract,
                        max_residual=float(residuals.max(initial=0.0)))
-    clusters = degeneracy_clusters(vals, tol=cluster_tol)
+    clusters = degeneracy_clusters(vals)
     return SpectrumResult(
         values=vals, vectors=vecs if return_vectors else None,
         clusters=clusters, residuals=residuals, diagnostics=diagnostics)
 
 
-def _shift_invert(mat, k, which, target, norm, maxiter, seed):
+def _shift_invert(mat, k, which, target, norm, seed):
     """Lowest / nearest k pairs by ARPACK on the factored H - sigma I."""
     if which == "lowest":
         sigma = _lower_bound(mat) - 0.01 * max(1.0, norm)
@@ -133,7 +132,7 @@ def _shift_invert(mat, k, which, target, norm, maxiter, seed):
         v0 = v0 + 1j * rng.standard_normal(dim)
     try:
         vals, vecs = spla.eigsh(
-            mat, k=k, sigma=sigma, which="LM", v0=v0, maxiter=maxiter,
+            mat, k=k, sigma=sigma, which="LM", v0=v0,
             OPinv=spla.LinearOperator(mat.shape, matvec=opinv, dtype=dtype))
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
@@ -242,21 +241,17 @@ class ConductanceCurve:
     thresholds: np.ndarray
 
 
-def conductance_curve(rho: float, energies, with_connection: bool = True,
-                      thresholds=None) -> ConductanceCurve:
+def conductance_curve(rho: float, energies, with_connection: bool = True
+                      ) -> ConductanceCurve:
     """Channel-count conductance G(E) = N(E) e^2/h on an energy grid.
 
-    Each transverse mode with threshold below (or at) E contributes one
-    unit; thresholds default to the analytic cylinder spectrum but a
-    numeric threshold list (e.g. from a ring solve) can be supplied.
+    Each transverse mode of the analytic cylinder spectrum with threshold
+    below (or at) E contributes one unit.
     """
     e_grid = np.asarray(energies, dtype=float)
     if np.any(np.diff(e_grid) < 0) or np.any(e_grid < 0):
         raise ValueError("energy grid must be ascending and nonnegative")
-    if thresholds is None:
-        thresholds = cylinder_thresholds(rho, float(e_grid.max()),
-                                         with_connection)
-    th = np.sort(np.asarray(thresholds, dtype=float))
+    th = cylinder_thresholds(rho, float(e_grid.max()), with_connection)
     # right-continuous: count thresholds <= E (+ tiny slack for fp ties)
     counts = np.searchsorted(th, e_grid + 1e-12, side="right")
     return ConductanceCurve(
@@ -296,5 +291,5 @@ def cylinder_ring_operator(rho: float, n: int, with_connection: bool = True
     _check_hermitian(H, "ring")
     return HermitianOperator(matrix=H, grid=None,
                              terms=("ring-kinetic",) + (("ring-soi",)
-                                                        if with_connection else ()),
-                             meta={"rho": rho, "n": n})
+                                                        if with_connection else ()))
+

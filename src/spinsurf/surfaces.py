@@ -448,8 +448,11 @@ def surface_from_config(text_or_path) -> SurfacePatch:
     (generic domain), periodic1, periodic2.  A bare key=value file
     without section headers is accepted.
     """
-    section = read_config(text_or_path)
-    surf = section.get("surface", section.get("DEFAULT", {}))
+    return _surface_from_section(read_config(text_or_path).get("surface", {}))
+
+
+def _surface_from_section(surf: dict) -> SurfacePatch:
+    """surface_from_config over an already parsed [surface] section."""
     if "kind" not in surf:
         raise ConfigError("surface config needs a 'kind' key", key="kind")
     kind = surf["kind"].strip()
@@ -477,8 +480,7 @@ def surface_from_config(text_or_path) -> SurfacePatch:
 
 
 def _as_bool(raw):
-    if isinstance(raw, bool):
-        return raw
+    """True for 1/true/yes/on in any case and spacing."""
     return str(raw).strip().lower() in ("1", "true", "yes", "on")
 
 

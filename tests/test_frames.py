@@ -186,6 +186,21 @@ def test_cylinder_christoffel_expansion_oracle():
     assert ad.Gamma[2, 0, 0] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("r, point", [(1.0, (1.1, 0.7)), (2.0, (0.6, 4.0))])
+def test_sphere_christoffel_oracle(r, point):
+    # surface and normal Christoffels of the sphere at q3 = 0, indexed
+    # [C, A, B] = Gamma^C_{AB} with (theta, phi, normal) = (0, 1, 2)
+    th = point[0]
+    Gam = adapted_frame_at(make_surface("sphere", r=r), point, 0.0).Gamma
+    expected = {(0, 1, 1): -math.sin(th) * math.cos(th),
+                (1, 0, 1): 1.0 / math.tan(th), (1, 1, 0): 1.0 / math.tan(th),
+                (2, 0, 0): -r, (2, 1, 1): -r * math.sin(th)**2,
+                (0, 2, 0): 1.0 / r, (1, 2, 1): 1.0 / r,
+                (0, 0, 2): 1.0 / r, (1, 1, 2): 1.0 / r}
+    for idx, value in expected.items():
+        assert abs(Gam[idx] - value) < 1e-9, idx
+
+
 def test_vielbein_block_and_truncated_inverse():
     p = make_surface("torus", rho=1.0, R=3.0)
     fd = frame_at(p, (0.8, 2.0))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spinsurf.errors import GridError
+from spinsurf.errors import GridError, HermiticityError, SpinsurfError
 from spinsurf.frames import SIGMA1, SIGMA2
 from spinsurf.hamiltonian import (Grid, HermitianOperator, SpinorField, apply,
                                   assemble_H0, assemble_Heff, assemble_Hso,
                                   build_soi_operator, export_coo,
-                                  gauge_conjugate, hermiticity_defect,
-                                  time_reversal_defect)
+                                  _check_hermitian, gauge_conjugate,
+                                  hermiticity_defect, time_reversal_defect)
 from spinsurf.surfaces import make_surface
 
 
@@ -49,6 +49,16 @@ def test_hermiticity_at_assembly():
         for op in (assemble_H0(p, grid), assemble_Hso(p, grid),
                    assemble_Heff(p, grid)):
             assert hermiticity_defect(op) <= 1e-12
+
+
+def test_hermiticity_failure_is_a_package_error():
+    # a package error, so the CLI turns it into its JSON error and exit 2;
+    # still an AssertionError, as the check raised before
+    with pytest.raises(HermiticityError) as info:
+        _check_hermitian(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])),
+                         "test")
+    assert isinstance(info.value, SpinsurfError)
+    assert isinstance(info.value, AssertionError)
 
 
 def test_cylinder_heff_levels():

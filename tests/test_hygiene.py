@@ -1,0 +1,77 @@
+"""Source hygiene of the package, checked with the standard-library ast.
+
+* every import in a module is used by that module (``__init__.py``
+  re-exports, so it is exempt);
+* every module-level private name (``_name``) is read somewhere in the
+  package, so a deletion cannot leave an orphaned helper or table behind.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinsurf"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(tree):
+    """Every name a module loads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _module_level_names(tree):
+    """Names bound by the module's top-level statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.For)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = _read_names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_no_orphaned_private_names():
+    modules = _modules()
+    read = set().union(*(_read_names(tree) for tree in modules.values()))
+    orphans = [f"{name}: {ident}" for name, tree in modules.items()
+               for ident in _module_level_names(tree)
+               if ident.startswith("_") and not ident.startswith("__")
+               and ident not in read]
+    assert not orphans, orphans
