@@ -431,8 +431,7 @@ def _ricci_combinations(ff, q3):
 class ExpansionCheck:
     name: str
     expected_order: float
-    q3: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray           # at ExpansionReport.tetrad_q3
     fitted_slope: float
     passed: bool
     exact_zero: bool = False
@@ -465,9 +464,14 @@ class ExpansionReport:
 _CHECKS = (("Omega_a - i sigma3 w_a - i A_so", 1.0), ("Omega_3", 2.0),
            ("G^ab R_ab combination", 1.0), ("R_33 combination", 1.0))
 
+# a fitted slope passes at expected order - _SLOPE_MARGIN; every tetrad
+# residual must stay below _TETRAD_TOL
+_SLOPE_MARGIN = 0.3
+_TETRAD_TOL = 1e-8
 
-def expansion_report(patch: SurfacePatch, point, q3_sequence=None,
-                     slope_margin=0.3, tetrad_tol=1e-8) -> ExpansionReport:
+
+def expansion_report(patch: SurfacePatch, point, q3_sequence=None
+                     ) -> ExpansionReport:
     """Fit the q3-order of every thin-layer identity at one surface point.
 
     Checks performed (residuals fitted on a log-log scale over the given
@@ -506,24 +510,21 @@ def expansion_report(patch: SurfacePatch, point, q3_sequence=None,
         res[:, k] = (sum(np.linalg.norm(Om[a] - target_a[a])
                          for a in range(2)),
                      np.linalg.norm(Om[2]), abs(rt), abs(rn))
-    checks = [_fit_check(name, order, q3s, r, mag, slope_margin)
+    checks = [_fit_check(name, order, q3s, r, mag)
               for (name, order), r in zip(_CHECKS, res)]
 
     tet = np.array([_tetrad_residual(pts, h, q3) for q3 in q3s])
-    tet_ok = bool(np.all(tet < tetrad_tol))
+    tet_ok = bool(np.all(tet < _TETRAD_TOL))
 
     return ExpansionReport(point=(q1, q2), checks=checks, tetrad_q3=q3s,
-                           tetrad_residuals=tet, tetrad_tol=tetrad_tol,
+                           tetrad_residuals=tet, tetrad_tol=_TETRAD_TOL,
                            tetrad_passed=tet_ok)
 
 
 def verify_thin_layer_expansions(patch: SurfacePatch, point,
-                                 q3_sequence=None, slope_margin=0.3,
-                                 tetrad_tol=1e-8) -> ExpansionReport:
+                                 q3_sequence=None) -> ExpansionReport:
     """Run expansion_report and raise ExpansionOrderError on any failure."""
-    report = expansion_report(patch, point, q3_sequence=q3_sequence,
-                              slope_margin=slope_margin,
-                              tetrad_tol=tetrad_tol)
+    report = expansion_report(patch, point, q3_sequence=q3_sequence)
     if not report.passed:
         raise ExpansionOrderError(
             "thin-layer expansion checks failed at point "
@@ -531,16 +532,16 @@ def verify_thin_layer_expansions(patch: SurfacePatch, point,
     return report
 
 
-def _fit_check(name, order, q3s, res, magnitude, margin):
+def _fit_check(name, order, q3s, res, magnitude):
     floor = 1e-11 * (1.0 + magnitude)
     keep = res > max(floor, res.max() * 1e-8)
     # under 3 residuals above the floor is an exact zero: slope inf, passed
     exact_zero = bool(keep.sum() < 3)
     slope = (math.inf if exact_zero else
              float(np.polyfit(np.log(q3s[keep]), np.log(res[keep]), 1)[0]))
-    return ExpansionCheck(name=name, expected_order=order, q3=q3s,
-                          residuals=res, fitted_slope=slope,
-                          passed=slope >= order - margin,
+    return ExpansionCheck(name=name, expected_order=order, residuals=res,
+                          fitted_slope=slope,
+                          passed=slope >= order - _SLOPE_MARGIN,
                           exact_zero=exact_zero)
 
 

@@ -208,16 +208,43 @@ def hermiticity_defect(op) -> float:
 LU_ORDERING = "MMD_AT_PLUS_A"
 
 
-def _factor_shifted(mat, shift, scale=1.0):
+def _factor_shifted(mat, shift, scale=1.0, hermitian=False):
     """SuperLU factor of ``scale * mat + shift * I``.
 
     The one sparse factorization of the package: ``eigensolve`` factors
     H - sigma I for shift-invert and ``evolve`` the Cayley matrix
     I + (i dt/2) H.  SuperLU raises RuntimeError on an exactly singular
     matrix.
+
+    By default SuperLU pivots by rows.  ``hermitian=True`` is for a
+    Hermitian ``mat`` with real ``scale`` and ``shift``: SuperLU then
+    keeps the diagonal pivots of the symmetric ordering
+    (``diag_pivot_thresh=0``, ``SymmetricMode``), so P A P^T = L U with
+    U = D L^H, and by Sylvester's law of inertia ``_inertia`` reads the
+    number of negative eigenvalues of A off the signs of diag(U).
     """
     shifted = scale * mat + shift * sp.identity(mat.shape[0], format="csc")
-    return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING)
+    if not hermitian:
+        return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING)
+    return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING,
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _inertia(lu, tiny):
+    """Negative pivots of a ``hermitian=True`` factor, or None if unusable.
+
+    The count is the number of eigenvalues below zero of the factored
+    matrix only when SuperLU kept the diagonal pivots (``perm_r ==
+    perm_c``) and no pivot is within ``tiny`` of zero.  Reading ``lu.U``
+    makes SuperLU cache CSC copies of L and U for the factor's lifetime.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal().real
+    if not np.all(np.abs(pivots) > tiny):      # NaN pivots fail too
+        return None
+    return int(np.count_nonzero(pivots < 0))
 
 
 def _check_hermitian(mat, label):

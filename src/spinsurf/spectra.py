@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
 from .hamiltonian import (LU_ORDERING, HermitianOperator, _check_hermitian,
-                          _factor_shifted)
+                          _factor_shifted, _inertia)
 
 __all__ = [
     "SpectrumResult",
@@ -38,6 +38,13 @@ __all__ = [
 # 0.21 at 2048.
 _DENSE_CUTOFF = 192
 
+# The lowest-k shift: its first step below the constant-spinor bound,
+# relative to max(1, |bound|) (energies are O(1) in hbar = m = 1; each
+# rejected shift quadruples the step), and the pivot magnitude, relative
+# to ||H||_inf, below which an inertia count is not trusted.
+_FIRST_STEP = 1e-2
+_TINY_PIVOT = 1e-12
+
 
 @dataclass
 class SpectrumResult:
@@ -54,17 +61,28 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     """Hermitian eigensolve with a residual contract.
 
     Dense ``eigh`` up to ``_DENSE_CUTOFF`` rows; above it shift-invert
-    Lanczos (ARPACK) with H - sigma I factored once by the package's
-    sparse LU and passed as ``OPinv``.  ``which`` is 'lowest' (sigma just
-    below the Gershgorin bound) or 'nearest' (sigma = ``target``; a
-    target exactly on an eigenvalue raises EigensolverError).  Every
+    Lanczos (ARPACK) on a factor of H - sigma I from the package's sparse
+    LU, passed as ``OPinv``.  ``which`` is 'nearest' (sigma = ``target``,
+    row-pivoting LU; a target exactly on an eigenvalue raises
+    EigensolverError) or 'lowest': sigma steps down from the least
+    Rayleigh quotient of the two constant spinors until the inertia of
+    the Hermitian factor counts no eigenvalue below it, and after the
+    solve a second count, between the top returned cluster and the value
+    below it, must equal the number of returned values below that
+    cluster.  A miss is retried once with 2k pairs (keeping the lowest
+    k), then raises EigensolverError; an untrustworthy count falls back
+    to the row-pivoting LU just below the Gershgorin bound.  Every
     reported pair satisfies ||H v - lambda v|| <= 1e-10 ||H||_inf,
     otherwise EigensolverError is raised reporting the achieved residual.
 
     ``diagnostics`` records ``method``, ``norm_inf``, ``sigma``,
-    ``ordering``, ``fill`` (L+U nonzeros), ``opinv_solves``,
-    ``max_residual`` and ``contract``; the four factorization fields are
-    None on the dense path.
+    ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
+    ``opinv_solves`` (over every ARPACK run), ``inertia`` (count below
+    sigma), ``check_count`` and ``check_expected`` (the post-solve count
+    and the value it must equal), ``factorizations``, ``retries``,
+    ``fallback``, ``max_residual`` and ``contract``.  The factorization
+    fields are None on the dense path, and the three counts are None
+    for 'nearest' and after a fallback.
     """
     if which not in ("lowest", "nearest"):
         raise ValueError(f"unknown which={which!r}")
@@ -83,8 +101,10 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
             sel = np.sort(np.argsort(np.abs(vals - target))[:k])
         vals = vals[sel]
         vecs = vecs[:, sel]
-        diagnostics = {"method": "dense-eigh", "sigma": None,
-                       "ordering": None, "fill": None, "opinv_solves": None}
+        diagnostics = {"method": "dense-eigh", **dict.fromkeys((
+            "sigma", "ordering", "fill", "opinv_solves", "inertia",
+            "check_count", "check_expected", "factorizations", "retries",
+            "fallback"))}
     else:
         vals, vecs, diagnostics = _shift_invert(mat, k, which, target, norm,
                                                 seed)
@@ -107,16 +127,124 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
 
 def _shift_invert(mat, k, which, target, norm, seed):
     """Lowest / nearest k pairs by ARPACK on the factored H - sigma I."""
+    dim = mat.shape[0]
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(dim)
+    if np.iscomplexobj(mat):
+        v0 = v0 + 1j * rng.standard_normal(dim)
     if which == "lowest":
-        sigma = _lower_bound(mat) - 0.01 * max(1.0, norm)
-    else:
-        sigma = float(target)
+        return _lowest(mat, k, norm, v0)
+    return _pivoting(mat, k, float(target), v0)
+
+
+def _pivoting(mat, k, sigma, v0, factorizations=0, solves=0, retries=0,
+              fallback=False):
+    """ARPACK on the row-pivoting LU of H - sigma I (no inertia count).
+
+    A lowest-k solve that falls back passes the work it already did.
+    """
     try:
         lu = _factor_shifted(mat, -sigma)
     except RuntimeError as exc:
         raise EigensolverError(
             f"H - sigma I is singular at sigma = {sigma!r}: the shift sits "
             f"on an eigenvalue; move the target off it") from exc
+    vals, vecs, n = _arpack(mat, k, sigma, lu, v0)
+    return vals, vecs, {
+        "method": "shift-invert-lanczos", "sigma": sigma,
+        "ordering": LU_ORDERING, "fill": _fill(lu),
+        "opinv_solves": solves + n, "inertia": None, "check_count": None,
+        "check_expected": None, "factorizations": factorizations + 1,
+        "retries": retries, "fallback": fallback}
+
+
+def _lowest(mat, k, norm, v0):
+    """Lowest k pairs with an inertia-guarded shift (see ``eigensolve``).
+
+    Counts and solves use separate factors: a factor whose pivots were
+    read keeps CSC copies of L and U, so ARPACK gets a fresh factor at
+    the accepted sigma (same matrix, so the same fill).
+    """
+    floor = _lower_bound(mat) - 0.01 * max(1.0, norm)
+    tiny = _TINY_PIVOT * max(norm, 1e-300)
+    factorizations = solves = retries = 0
+
+    upper = _constant_spinor_bound(mat)
+    step = _FIRST_STEP * max(1.0, abs(upper))
+    while True:
+        sigma = max(upper - step, floor)
+        inertia, fill = _count_below(mat, sigma, tiny)
+        factorizations += 1
+        if inertia == 0:
+            break
+        if inertia is None or sigma == floor:
+            return _pivoting(mat, k, floor, v0, factorizations, solves,
+                             retries, fallback=True)
+        step *= 4.0
+
+    k_solve = k
+    while True:
+        vals, vecs, n = _arpack(
+            mat, k_solve, sigma,
+            _factor_shifted(mat, -sigma, hermitian=True), v0)
+        solves += n
+        vals, vecs = vals[:k], vecs[:, :k]
+        expected, check_shift = _check_point(vals, sigma)
+        count = _count_below(mat, check_shift, tiny)[0]
+        factorizations += 2
+        if count is None:
+            return _pivoting(mat, k, floor, v0, factorizations, solves,
+                             retries, fallback=True)
+        if count == expected:
+            break
+        if retries:
+            raise EigensolverError(
+                f"lowest {k} pairs incomplete after a retry with {k_solve}: "
+                f"{count} eigenvalues lie below {check_shift!r}, the solve "
+                f"returned {expected}")
+        retries += 1
+        k_solve = min(2 * k, mat.shape[0] - 2)
+    return vals, vecs, {
+        "method": "shift-invert-lanczos", "sigma": sigma,
+        "ordering": LU_ORDERING, "fill": fill, "opinv_solves": solves,
+        "inertia": inertia, "check_count": count, "check_expected": expected,
+        "factorizations": factorizations, "retries": retries,
+        "fallback": False}
+
+
+def _count_below(mat, sigma, tiny):
+    """Eigenvalues below sigma by inertia (None: unusable) and the fill
+    of the Hermitian factor that counted them; the factor is freed."""
+    try:
+        lu = _factor_shifted(mat, -sigma, hermitian=True)
+    except RuntimeError:                # a zero pivot: no count
+        return None, None
+    return _inertia(lu, tiny), _fill(lu)
+
+
+def _constant_spinor_bound(mat) -> float:
+    """Least Rayleigh quotient of the two constant spinors.
+
+    An upper bound on the lowest eigenvalue from one product with two
+    real columns (spin up on even rows, spin down on odd rows).
+    """
+    spinors = np.zeros((mat.shape[0], 2))
+    spinors[0::2, 0] = spinors[1::2, 1] = 1.0
+    quotients = (np.einsum("ij,ij->j", spinors, (mat @ spinors).real)
+                 / spinors.sum(axis=0))
+    return float(quotients.min())
+
+
+def _check_point(vals, sigma):
+    """Values below the top cluster of sorted ``vals``, and a shift
+    between that cluster and the value below it (or sigma)."""
+    below = len(vals) - degeneracy_clusters(vals)[-1][1]
+    lower = vals[below - 1] if below else sigma
+    return below, 0.5 * (lower + vals[below])
+
+
+def _arpack(mat, k, sigma, lu, v0):
+    """The k pairs nearest sigma, sorted, and the solves they took."""
     solves = 0
 
     def opinv(x):
@@ -124,12 +252,7 @@ def _shift_invert(mat, k, which, target, norm, seed):
         solves += 1
         return lu.solve(x)
 
-    dim = mat.shape[0]
     dtype = np.result_type(mat.dtype, np.float64)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    if np.iscomplexobj(mat):
-        v0 = v0 + 1j * rng.standard_normal(dim)
     try:
         vals, vecs = spla.eigsh(
             mat, k=k, sigma=sigma, which="LM", v0=v0,
@@ -139,10 +262,11 @@ def _shift_invert(mat, k, which, target, norm, seed):
             f"ARPACK did not converge: {len(exc.eigenvalues)} of {k} "
             f"pairs found") from exc
     order = np.argsort(vals)
-    return vals[order], vecs[:, order], {
-        "method": "shift-invert-lanczos", "sigma": sigma,
-        "ordering": LU_ORDERING, "fill": int(lu.L.nnz + lu.U.nnz),
-        "opinv_solves": solves}
+    return vals[order], vecs[:, order], solves
+
+
+def _fill(lu) -> int:
+    return int(lu.L.nnz + lu.U.nnz)
 
 
 def _scale(mat) -> float:

@@ -487,8 +487,9 @@ def _as_bool(raw):
 def read_config(text_or_path) -> dict:
     """Parse a key=value config with optional [section] headers.
 
-    Returns {section: {key: value}}.  Raises ConfigError with line
-    information on parse failure.
+    A ``;`` or ``#`` after whitespace starts an inline comment.  Returns
+    {section: {key: value}}.  Raises ConfigError with line information
+    on parse failure.
     """
     if isinstance(text_or_path, str) and "\n" not in text_or_path and (
             text_or_path.endswith(".cfg") or text_or_path.endswith(".ini")
@@ -500,7 +501,8 @@ def read_config(text_or_path) -> dict:
     stripped = text.lstrip()
     if stripped and not stripped.startswith("["):
         text = "[surface]\n" + text
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # shape keys are case-sensitive (R vs r)
     try:
         parser.read_file(io.StringIO(text))

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -21,6 +23,18 @@ def test_bare_cylinder_config_runs(tmp_path):
         idx, e, cid, mult = line.split(",")
         assert cid == "0" and mult == "4"
         assert abs(float(e)) < 1e-3
+
+
+def test_readme_config_example_runs(tmp_path):
+    # the README's ini block, inline comments included, as a run config
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "forces.json").exists()
 
 
 def test_flux_experiment_json(tmp_path):

@@ -3,7 +3,9 @@
 * every import in a module is used by that module (``__init__.py``
   re-exports, so it is exempt);
 * every module-level private name (``_name``) is read somewhere in the
-  package, so a deletion cannot leave an orphaned helper or table behind.
+  package, so a deletion cannot leave an orphaned helper or table behind;
+* no module uses a bare ``assert`` statement: ``python -O`` strips them,
+  so guards on results raise package errors instead.
 """
 
 import ast
@@ -75,3 +77,9 @@ def test_no_orphaned_private_names():
                if ident.startswith("_") and not ident.startswith("__")
                and ident not in read]
     assert not orphans, orphans
+
+
+def test_no_bare_asserts():
+    found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found

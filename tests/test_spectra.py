@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 import spinsurf.spectra as spectra
 from spinsurf.errors import EigensolverError
-from spinsurf.hamiltonian import Grid, HermitianOperator, assemble_Heff
+from spinsurf.hamiltonian import (Grid, HermitianOperator, _factor_shifted,
+                                  _inertia, assemble_H0, assemble_Heff)
 from spinsurf.spectra import (conductance_curve, cylinder_analytic_spectrum,
                               cylinder_ring_operator, cylinder_thresholds,
                               degeneracy_clusters, eigensolve)
@@ -16,6 +17,11 @@ from spinsurf.surfaces import make_surface
 
 def _op(mat):
     return HermitianOperator(sp.csr_matrix(mat.astype(complex)), None, ("t",))
+
+
+def _torus_16x32():
+    p = make_surface("torus", rho=1.0, R=3.0)
+    return assemble_Heff(p, Grid.for_patch(p, 16, 32))
 
 
 def test_eigensolve_two_by_two():
@@ -49,8 +55,7 @@ def test_eigensolve_iterative_repeatable():
 
 def test_shift_invert_matches_dense_below_old_cutoff():
     # dim 1024: above the dense cutoff, far below the former 4096
-    p = make_surface("torus", rho=1.0, R=3.0)
-    H = assemble_Heff(p, Grid.for_patch(p, 16, 32))
+    H = _torus_16x32()
     assert spectra._DENSE_CUTOFF < H.dim < 4096
     res = eigensolve(H, k=16, seed=3, return_vectors=False)
     assert res.diagnostics["method"] == "shift-invert-lanczos"
@@ -72,11 +77,107 @@ def test_eigensolve_diagnostics():
     norm = abs(op.matrix).sum(axis=1).max()
     assert d["contract"] == pytest.approx(1e-10 * norm, rel=1e-12)
     assert d["max_residual"] == res.residuals.max() <= d["contract"]
+    assert d["inertia"] == 0 and d["fallback"] is False
+    assert d["check_count"] == d["check_expected"] == 8 - res.clusters[-1][1]
+    assert d["factorizations"] >= 2 and d["retries"] == 0
 
     dense = eigensolve(cylinder_ring_operator(1.0, 16), k=4).diagnostics
     assert dense["method"] == "dense-eigh"
     assert dense["sigma"] is dense["fill"] is dense["opinv_solves"] is None
+    assert all(dense[key] is None for key in (
+        "inertia", "check_count", "check_expected", "factorizations",
+        "retries", "fallback"))
     assert dense["max_residual"] <= dense["contract"]
+
+
+def test_inertia_counts_match_eigvalsh():
+    # Sylvester counts of the Hermitian factor, below and inside the
+    # spectrum, against dense eigvalsh on a dim-1024 operator
+    mat = _torus_16x32().matrix
+    ref = np.linalg.eigvalsh(mat.toarray())
+    shifts = [ref[0] - 1.0, ref[0] - 1e-3]
+    for i in (2, 16, 100, 512, 1000):   # between Kramers pairs
+        assert ref[i] - ref[i - 1] > 1e-6
+        shifts.append(0.5 * (ref[i - 1] + ref[i]))
+    tiny = spectra._TINY_PIVOT * spectra._scale(mat)
+    for shift in shifts:
+        lu = _factor_shifted(mat, -shift, hermitian=True)
+        assert _inertia(lu, tiny) == np.searchsorted(ref, shift)
+
+
+def test_sphere_lowest_24_keep_the_fourfold_level():
+    # the Gershgorin shift (-3580 here) returned 3 x 6.11527 + 3 x 6.11856
+    p = make_surface("sphere", r=1.0)
+    H = assemble_H0(p, Grid.for_patch(p, 64, 128))
+    res = eigensolve(H, k=24, seed=0, return_vectors=False)
+    (e4, m4), (e2, m2) = res.clusters[-2:]
+    assert (m4, m2) == (4, 2)
+    assert e4 == pytest.approx(6.11527, abs=1e-5)
+    assert e2 == pytest.approx(6.11856, abs=1e-5)
+    d = res.diagnostics
+    assert d["check_count"] == d["check_expected"] == 22
+    assert d["fallback"] is False
+
+
+class _PermutedFactor:
+    """A factor whose row permutation differs from its column one."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.perm_r = np.roll(lu.perm_r, 1)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_unusable_inertia_falls_back_to_pivoting(monkeypatch):
+    def factor(mat, shift, scale=1.0, hermitian=False):
+        lu = _factor_shifted(mat, shift, scale, hermitian)
+        return _PermutedFactor(lu) if hermitian else lu
+
+    monkeypatch.setattr(spectra, "_factor_shifted", factor)
+    H = _torus_16x32()
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    d = res.diagnostics
+    assert d["fallback"] is True and d["inertia"] is None
+    assert d["check_count"] is None and d["factorizations"] == 2
+    norm = spectra._scale(H.matrix)
+    assert d["sigma"] == spectra._lower_bound(H.matrix) - 0.01 * norm
+    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    assert np.abs(res.values - ref).max() < 1e-10
+
+
+def _arpack_missing_lowest(monkeypatch, calls):
+    """ARPACK that drops the lowest pair on its first ``calls`` runs."""
+    arpack = spectra._arpack
+    runs = []
+
+    def missing(mat, k, sigma, lu, v0):
+        runs.append(k)
+        if len(runs) > calls:
+            return arpack(mat, k, sigma, lu, v0)
+        vals, vecs, solves = arpack(mat, k + 1, sigma, lu, v0)
+        return vals[1:], vecs[:, 1:], solves
+
+    monkeypatch.setattr(spectra, "_arpack", missing)
+    return runs
+
+
+def test_missed_pair_is_retried_with_larger_k(monkeypatch):
+    H = _torus_16x32()
+    runs = _arpack_missing_lowest(monkeypatch, calls=1)
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    assert runs == [16, 32]
+    d = res.diagnostics
+    assert d["retries"] == 1 and d["check_count"] == d["check_expected"]
+    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    assert np.abs(res.values - ref).max() < 1e-10
+
+
+def test_missed_pair_after_retry_raises(monkeypatch):
+    _arpack_missing_lowest(monkeypatch, calls=2)
+    with pytest.raises(EigensolverError, match="incomplete"):
+        eigensolve(_torus_16x32(), k=16, seed=3, return_vectors=False)
 
 
 def test_eigensolve_real_matrix_stays_real():
