@@ -29,7 +29,7 @@ from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .frames import SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _factor_shifted, _grid_geometry,
+                          _check_hermitian, _factor_shifted, _grid_geometry,
                           build_h0_operator, build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
@@ -93,8 +93,10 @@ def bent_cylinder_operators(setup: BentCylinderSetup):
     """(H0, Hso, theta_op, p_s op) on the bent-cylinder window grid."""
     patch, grid = setup.patch(), setup.grid()
     geo = _grid_geometry(patch, grid)
-    H0 = build_h0_operator(grid, geo, label="bent H0")
-    Hso = build_soi_operator(grid, geo.X, label="bent Hso")
+    H0 = build_h0_operator(grid, geo)
+    _check_hermitian(H0.matrix, "bent H0")
+    Hso = build_soi_operator(grid, geo.X)
+    _check_hermitian(Hso.matrix, "bent Hso")
     theta_op = _diagonal_operator(grid, grid.mesh()[0])
     ps_op = _momentum_s_operator(grid)
     return H0, Hso, theta_op, ps_op

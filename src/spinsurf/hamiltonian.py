@@ -22,10 +22,12 @@ matrices Hermitian by construction:
   derivative identity.
 
 All surface data come from one geometry pass per grid (``GridGeometry``):
-``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and at
-the half-steps of each axis (sqrt(g) g^{aa} and the link phase h w_a).
-The stencil builders read only that record, so a closed-form geometry
-can be fed to the same builders.
+``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and the
+metric-and-frame first stage of it at the half-steps of each axis
+(sqrt(g) g^{aa} and the link phase h w_a).  The stencil builders read only
+that record, so a closed-form geometry can be fed to the same builders.
+Each assembled operator is checked for hermiticity once, by the function
+that returns it.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -42,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GridError, HermiticityError
-from .frames import SIGMA1, SIGMA2, frame_fields
+from .frames import SIGMA1, SIGMA2, _metric_frame, frame_fields
 from .surfaces import SurfacePatch
 
 __all__ = [
@@ -195,10 +197,13 @@ class HermitianOperator:
 
 
 def hermiticity_defect(op) -> float:
-    """max |H - H^dagger| / max |H|."""
+    """max |H - H^dagger| / max |H| of an operator or a CSR matrix.
+
+    Reads the stored entries of H and of the difference directly.
+    """
     m = op.matrix if isinstance(op, HermitianOperator) else op
-    d = (m - m.getH()).tocoo()
-    top = np.abs(m.tocoo().data).max() if m.nnz else 1.0
+    d = m - m.getH()
+    top = np.abs(m.data).max() if m.nnz else 1.0
     return float(np.abs(d.data).max() / top) if d.nnz else 0.0
 
 
@@ -278,18 +283,19 @@ class GridGeometry:
 
 
 def _grid_geometry(patch: SurfacePatch, grid: Grid) -> GridGeometry:
-    """Evaluate frame_fields once at the nodes and once per axis at the
-    half-steps, keeping only what the stencils read."""
+    """Evaluate frame_fields once at the nodes and its metric-and-frame
+    first stage once per axis at the half-steps, keeping only what the
+    stencils read."""
     ff = frame_fields(patch, *grid.mesh())
     nodes = dict(sqrt_g=ff.sqrt_g, K=ff.K, M=ff.M,
                  c12=ff.sqrt_g * ff.g_inv[0, 1], X=_soi_fields(ff))
-    del ff  # one FrameFields alive at a time bounds the peak memory
+    del ff  # one evaluation alive at a time bounds the peak memory
     c, phase = [], []
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        ff = frame_fields(patch, *grid.half_mesh(axis))
-        c.append(ff.sqrt_g * ff.g_inv[axis, axis])
-        phase.append(h * ff.w[axis])
-        del ff
+        mf = _metric_frame(patch, *grid.half_mesh(axis))
+        c.append(mf.sqrt_g * mf.g_inv[axis, axis])
+        phase.append(h * mf.w[axis])
+        del mf
     return GridGeometry(c=tuple(c), phase=tuple(phase), **nodes)
 
 
@@ -373,12 +379,6 @@ def _centered_covariant(grid, axis, phase):
                          shape=(grid.nodes, grid.nodes)).tocsr()
 
 
-def _interleave_spin_blocks(A_up, A_dn):
-    """Combine node-space spin blocks into the 2N operator (spin fastest)."""
-    order = np.arange(2 * A_up.shape[0]).reshape(2, -1).T.ravel()
-    return sp.block_diag((A_up, A_dn), format="csr")[order][:, order]
-
-
 def _scalar_term(geo, scalar_potential):
     if scalar_potential == "spin-connection":
         return 0.25 * geo.K
@@ -389,26 +389,56 @@ def _scalar_term(geo, scalar_potential):
     raise ValueError(f"unknown scalar_potential {scalar_potential!r}")
 
 
+def _rows(m):
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _interleave_spins(up):
+    """The 2N operator (spin fastest) of a node-space spin-up CSR block.
+
+    Entry (r, c) goes to (2r, 2c); its spin-down copy conj(up[r, c]) goes
+    to (2r + 1, 2c + 1).  Each row keeps the column order of ``up``.
+    """
+    # 64-bit index arithmetic; csr_matrix stores 32-bit indices when they fit
+    ptr = up.indptr.astype(np.int64)
+    indptr = np.empty(2 * len(ptr) - 1, dtype=np.int64)
+    indptr[0::2] = 2 * ptr
+    indptr[1::2] = ptr[:-1] + ptr[1:]
+    rows = _rows(up)
+    pos_up = np.arange(up.nnz) + ptr[rows]
+    pos_dn = np.arange(up.nnz) + ptr[rows + 1]
+    cols = 2 * up.indices.astype(np.int64)
+    indices = np.empty(2 * up.nnz, dtype=np.int64)
+    indices[pos_up] = cols
+    indices[pos_dn] = cols + 1
+    data = np.empty(2 * up.nnz, dtype=complex)
+    data[pos_up] = up.data
+    data[pos_dn] = np.conj(up.data)
+    n = 2 * up.shape[0]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def build_h0_operator(grid: Grid, geometry: GridGeometry,
-                      scalar_potential="spin-connection", label="H0"
+                      scalar_potential="spin-connection"
                       ) -> HermitianOperator:
-    """Assemble H0 on ``grid`` from a geometry record.
+    """Assemble H0 on ``grid`` from a geometry record (unchecked; the
+    assemblers check what they return).
 
     scalar_potential: 'spin-connection' (default) uses +K/4, the value the
     spin connection produces; 'dacosta' uses the scalar-particle form
     -(M^2 - K)/2 for comparison; 'none' drops the term.
     """
     V = _scalar_term(geometry, scalar_potential)
-    rescale = sp.diags(np.asarray(geometry.sqrt_g, float).ravel() ** -0.5)
-    Vd = sp.diags(np.asarray(V, float).ravel())
-    up = (0.5 * rescale @ _kinetic_matrix(grid, geometry) @ rescale
-          + Vd).tocsr()
-    H = _interleave_spin_blocks(up, up.conjugate())
-    op = HermitianOperator(
-        matrix=H, grid=grid,
+    rescale = np.asarray(geometry.sqrt_g, float).ravel() ** -0.5
+    kin = _kinetic_matrix(grid, geometry)
+    # M^{-1/2} A M^{-1/2} / 2 on the stored entries, in the order
+    # ((rescale[row] / 2) A) rescale[col]
+    kin.data = (0.5 * rescale)[_rows(kin)] * kin.data * rescale[kin.indices]
+    up = kin + sp.diags(np.asarray(V, float).ravel())
+    return HermitianOperator(
+        matrix=_interleave_spins(up), grid=grid,
         terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"))
-    _check_hermitian(op.matrix, label)
-    return op
 
 
 def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connection",
@@ -421,18 +451,18 @@ def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connecti
     so the spectrum is unchanged to solver precision.
     """
     op = build_h0_operator(grid, _grid_geometry(patch, grid),
-                           scalar_potential, label="H0")
+                           scalar_potential)
     if gauge_theta is not None:
         op = gauge_conjugate(op, gauge_theta(*grid.mesh()))
+    _check_hermitian(op.matrix, "H0")
     return op
 
 
-def build_soi_operator(grid: Grid, X, label="Hso") -> HermitianOperator:
-    """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2)."""
-    H = _soi_matrix(grid, np.asarray(X, dtype=complex))
-    op = HermitianOperator(matrix=H, grid=grid, terms=("soi",))
-    _check_hermitian(op.matrix, label)
-    return op
+def build_soi_operator(grid: Grid, X) -> HermitianOperator:
+    """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2)
+    (unchecked; the assemblers check what they return)."""
+    return HermitianOperator(matrix=_soi_matrix(grid, np.asarray(X, complex)),
+                             grid=grid, terms=("soi",))
 
 
 def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
@@ -442,8 +472,10 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     X^b = (1/(2 sqrt g)) S^{ab} sigma_a evaluated at nodes and centered
     differences for d_b, Hermitian at assembly.
     """
-    X = _soi_fields(frame_fields(patch, *grid.mesh()))
-    return build_soi_operator(grid, X, label="Hso")
+    op = build_soi_operator(grid, _soi_fields(frame_fields(patch,
+                                                          *grid.mesh())))
+    _check_hermitian(op.matrix, "Hso")
+    return op
 
 
 def _soi_fields(ff):
@@ -478,10 +510,13 @@ def _soi_matrix(grid, X):
 
 def assemble_Heff(patch: SurfacePatch, grid: Grid,
                   scalar_potential="spin-connection") -> HermitianOperator:
-    """H0 + Hso on the same grid, from one geometry pass."""
+    """H0 + Hso on the same grid, from one geometry pass and one
+    hermiticity check of the sum."""
     geo = _grid_geometry(patch, grid)
-    return (build_h0_operator(grid, geo, scalar_potential, label="H0")
-            + build_soi_operator(grid, geo.X, label="Hso"))
+    op = (build_h0_operator(grid, geo, scalar_potential)
+          + build_soi_operator(grid, geo.X))
+    _check_hermitian(op.matrix, "Heff")
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +536,9 @@ def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
 
     P H P^dagger with P = diag(exp(i theta sigma_3)) per node;
     theta_values: array over grid nodes (n1, n2) or flat.  Spectra are
-    exactly preserved (unitary similarity).
+    exactly preserved (unitary similarity).  The CSR entries are scaled
+    in place of the product, (p[row] H) conj(p[col]), in O(nnz) with the
+    sparsity pattern of H.
     """
     theta = np.asarray(theta_values, dtype=float).ravel()
     if 2 * len(theta) != op.dim:
@@ -509,9 +546,14 @@ def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
     phases = np.empty(2 * len(theta), dtype=complex)
     phases[0::2] = np.exp(1j * theta)
     phases[1::2] = np.exp(-1j * theta)
-    P = sp.diags(phases)
-    return HermitianOperator(matrix=(P @ op.matrix @ P.conjugate()).tocsr(),
-                             grid=op.grid, terms=op.terms)
+    m = op.matrix.tocsr()
+    data = phases[_rows(m)]
+    data *= m.data
+    data *= np.conj(phases)[m.indices]
+    return HermitianOperator(
+        matrix=sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()),
+                             shape=m.shape),
+        grid=op.grid, terms=op.terms)
 
 
 def time_reversal_defect(op: HermitianOperator) -> float:
@@ -519,13 +561,16 @@ def time_reversal_defect(op: HermitianOperator) -> float:
 
     T conjugates amplitudes and link phases; on the interleaved spin
     layout T H T^{-1} = S_y conj(H) S_y with S_y = I_nodes x sigma_y.
+    Each 2x2 node block B = [[a, b], [c, d]] maps to
+    sigma_y conj(B) sigma_y = [[d*, -c*], [-b*, a*]], so the defect is
+    read off the blocks in O(nnz): the diagonal pair differs from B by
+    |d* - a| and the off-diagonal pair by |c* + b|, each twice.
     """
-    n = op.dim // 2
-    sy = sp.kron(sp.eye(n), sp.csr_matrix(np.array([[0.0, -1.0j],
-                                                    [1.0j, 0.0]])))
-    transformed = (sy @ op.matrix.conjugate() @ sy).tocsr()
-    diff = (transformed - op.matrix).tocoo()
-    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    B = op.matrix.tobsr((2, 2)).data          # (blocks, 2, 2)
+    if not len(B):
+        return 0.0
+    return float(max(np.abs(np.conj(B[:, 1, 1]) - B[:, 0, 0]).max(),
+                     np.abs(np.conj(B[:, 1, 0]) + B[:, 0, 1]).max()))
 
 
 def export_coo(op: HermitianOperator, path) -> None:

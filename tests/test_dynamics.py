@@ -60,8 +60,7 @@ def _closed_form_bent_operators(setup):
         c=(width(th_half[0]) / rho, rho / width(th_half[1])),
         phase=(np.zeros_like(th_half[0]),
                grid.h2 * (-np.sin(th_half[1]) / (2.0 * R))))
-    return (build_h0_operator(grid, geo, label="closed-form H0"),
-            build_soi_operator(grid, X, label="closed-form Hso"))
+    return build_h0_operator(grid, geo), build_soi_operator(grid, X)
 
 
 def test_bent_operators_match_general_assembler():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spinsurf.frames as frames
 from spinsurf.errors import DegenerateMetricError, SingularLayerError
 from spinsurf.frames import (FrameFields, adapted_frame_at,
                              curvature_radius, expansion_report, frame_at,
@@ -267,3 +268,41 @@ def test_curvature_radius():
         == pytest.approx(2.0, rel=1e-9)
     p = make_surface("plane")
     assert curvature_radius(p, (0.5, 0.5)) == p.scale
+
+
+def test_expansion_slopes_stable_under_stencil_rounding(monkeypatch):
+    # an algebraically equal reordering of the 4th-order stencil moves the
+    # residuals by rounding only; the fitted slopes, which the expansions
+    # artifact writes, must move by at most 1e-9 relative
+    points = ((make_surface("sphere", r=1.0), (1.1, 0.7)),
+              (make_surface("torus", rho=1.0, R=3.0), (0.8, 2.0)),
+              (make_surface("torus", rho=1.0, R=3.0), (2.4, 7.0)))
+    before = [expansion_report(p, q) for p, q in points]
+
+    def reordered(samples, h):
+        f_m2, f_m1, f_p1, f_p2 = samples
+        return ((f_m2 - f_p2) + 8.0 * (f_p1 - f_m1)) / (12.0 * h)
+
+    monkeypatch.setattr(frames, "_fd4", reordered)
+    after = [expansion_report(p, q) for p, q in points]
+    moved, worst = False, 0.0
+    for rb, ra in zip(before, after):
+        for cb, ca in zip(rb.checks, ra.checks):
+            moved |= not np.array_equal(cb.residuals, ca.residuals)
+            assert cb.exact_zero == ca.exact_zero and ca.passed
+            if not cb.exact_zero:
+                worst = max(worst, abs(ca.fitted_slope - cb.fitted_slope)
+                            / abs(cb.fitted_slope))
+    assert moved
+    assert worst <= 1e-9
+
+
+def test_weakly_curved_fit_uses_every_nonzero_residual():
+    # on a cylinder of radius 1e3 every R_33 residual (<= 2e-8) sits below
+    # the fit floor; the slope is then fitted through all nonzero ones
+    rep = expansion_report(make_surface("cylinder", rho=1e3, length=1.0),
+                           (0.3, 0.5))
+    r33 = {c.name: c for c in rep.checks}["R_33 combination"]
+    assert r33.residuals.max() < frames._FIT_FLOOR
+    assert not r33.exact_zero
+    assert r33.fitted_slope == pytest.approx(1.0, abs=0.01)

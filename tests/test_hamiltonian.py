@@ -4,14 +4,49 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import spinsurf.hamiltonian as hamiltonian
+from spinsurf.dynamics import BentCylinderSetup
 from spinsurf.errors import GridError, HermiticityError, SpinsurfError
-from spinsurf.frames import SIGMA1, SIGMA2
+from spinsurf.frames import SIGMA1, SIGMA2, frame_fields
 from spinsurf.hamiltonian import (Grid, HermitianOperator, SpinorField, apply,
                                   assemble_H0, assemble_Heff, assemble_Hso,
                                   build_soi_operator, export_coo,
-                                  _check_hermitian, gauge_conjugate,
-                                  hermiticity_defect, time_reversal_defect)
-from spinsurf.surfaces import make_surface
+                                  _check_hermitian, _grid_geometry,
+                                  gauge_conjugate, hermiticity_defect,
+                                  time_reversal_defect)
+from spinsurf.surfaces import SurfacePatch, make_surface
+
+
+def _expression_torus():
+    # the torus (rho = 1, R = 2) written out, so its jet is numeric
+    return make_surface("generic", x="(2+cos(q1))*cos(q2)",
+                        y="(2+cos(q1))*sin(q2)", z="sin(q1)",
+                        domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                        periodic=(True, True))
+
+
+def _time_reversal_oracle(op):
+    """max |S_y conj(H) S_y - H| by sparse products, S_y = I_nodes x sigma_y."""
+    n = op.dim // 2
+    sy = sp.kron(sp.eye(n), sp.csr_matrix(np.array([[0.0, -1.0j],
+                                                    [1.0j, 0.0]])))
+    diff = ((sy @ op.matrix.conjugate() @ sy).tocsr() - op.matrix).tocoo()
+    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+
+
+def _gauge_oracle(op, theta):
+    """P H P^dagger by sparse products, P = diag(exp(i theta sigma_3))."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    phases = np.empty(2 * len(theta), dtype=complex)
+    phases[0::2] = np.exp(1j * theta)
+    phases[1::2] = np.exp(-1j * theta)
+    P = sp.diags(phases)
+    return (P @ op.matrix @ P.conjugate()).tocsr()
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def test_grid_layouts():
@@ -246,17 +281,115 @@ def test_sheared_plane_g12_cross_term():
 
 
 def test_heff_makes_one_geometry_pass(monkeypatch):
-    import spinsurf.hamiltonian as hamiltonian
-    calls = []
-    original = hamiltonian.frame_fields
+    # one geometry pass: three jet evaluations per assembly, of which only
+    # the nodes run the whole frame_fields; the half-steps stop after the
+    # metric and the frame
+    jets, frames_calls = [], []
+    jet, full = SurfacePatch.jet, hamiltonian.frame_fields
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_jet(self, q1, q2):
+        jets.append(1)
+        return jet(self, q1, q2)
 
-    monkeypatch.setattr(hamiltonian, "frame_fields", counting)
+    def counting_frames(*args, **kwargs):
+        frames_calls.append(1)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
+    monkeypatch.setattr(hamiltonian, "frame_fields", counting_frames)
     for p in (make_surface("torus", rho=1.0, R=3.0),
               make_surface("sphere", r=1.0)):
-        calls.clear()
+        jets.clear()
+        frames_calls.clear()
         assemble_Heff(p, Grid.for_patch(p, 12, 16))
-        assert len(calls) == 3
+        assert len(jets) == 3
+        assert len(frames_calls) == 1
+
+
+def test_half_step_geometry_matches_frame_fields():
+    # the half-step coefficients from the metric-and-frame stage carry the
+    # same bits as the whole frame_fields at Grid.half_mesh
+    bent = BentCylinderSetup()
+    for patch, grid in (
+            (make_surface("torus", rho=1.0, R=3.0), None),
+            (make_surface("sphere", r=1.0), None),
+            (_expression_torus(), None),
+            (bent.patch(), bent.grid())):
+        grid = grid or Grid.for_patch(patch, 12, 16)
+        geo = _grid_geometry(patch, grid)
+        for axis, h in ((0, grid.h1), (1, grid.h2)):
+            ff = frame_fields(patch, *grid.half_mesh(axis))
+            assert _same_bits(geo.c[axis], ff.sqrt_g * ff.g_inv[axis, axis])
+            assert _same_bits(geo.phase[axis], h * ff.w[axis])
+
+
+def test_one_hermiticity_check_per_assembly(monkeypatch):
+    labels = []
+    original = hamiltonian._check_hermitian
+
+    def counting(mat, label):
+        labels.append(label)
+        return original(mat, label)
+
+    monkeypatch.setattr(hamiltonian, "_check_hermitian", counting)
+    p = make_surface("torus", rho=1.0, R=3.0)
+    g = Grid.for_patch(p, 10, 12)
+    for assemble, label in ((assemble_Heff, "Heff"), (assemble_H0, "H0"),
+                            (assemble_Hso, "Hso")):
+        labels.clear()
+        assemble(p, g)
+        assert labels == [label]
+
+
+def test_non_hermitian_term_raises_through_assemblers(monkeypatch):
+    def skewed(build):
+        def broken(*args):
+            m = build(*args)
+            return (m + sp.csr_matrix(([0.5], ([0], [1])),
+                                      shape=m.shape)).tocsr()
+        return broken
+
+    p = make_surface("torus", rho=1.0, R=3.0)
+    g = Grid.for_patch(p, 10, 12)
+    for stencil, assemblers in (("_kinetic_matrix", (assemble_H0,
+                                                     assemble_Heff)),
+                                ("_soi_matrix", (assemble_Hso,
+                                                 assemble_Heff))):
+        with monkeypatch.context() as m:
+            m.setattr(hamiltonian, stencil,
+                      skewed(getattr(hamiltonian, stencil)))
+            for assemble in assemblers:
+                with pytest.raises(HermiticityError):
+                    assemble(p, g)
+
+
+def _operator_cases():
+    sheared = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                           domain=((0.0, 1.0), (0.0, 1.0)),
+                           periodic=(False, False))
+    for p in (make_surface("torus", rho=1.0, R=3.0),
+              make_surface("sphere", r=1.0), _expression_torus(), sheared):
+        g = Grid.for_patch(p, 10, 12)
+        yield g, assemble_Heff(p, g)
+
+
+def test_time_reversal_defect_matches_product_oracle():
+    for g, H in _operator_cases():
+        assert time_reversal_defect(H) == _time_reversal_oracle(H)
+        # a sigma_3 Zeeman term b(q) breaks T: both forms see the same defect
+        b = 0.2 + 0.1 * np.sin(g.mesh()[0]).ravel()
+        zeeman = sp.diags(np.repeat(b, 2) * np.tile([1.0, -1.0], g.nodes))
+        Hz = HermitianOperator((H.matrix + zeeman).tocsr(), g, H.terms)
+        new, oracle = time_reversal_defect(Hz), _time_reversal_oracle(Hz)
+        assert new > 0.0 and oracle > 0.0
+        assert abs(new - oracle) <= 1e-14 * oracle
+
+
+def test_gauge_conjugate_matches_product_oracle():
+    rng = np.random.default_rng(5)
+    for g, H in _operator_cases():
+        theta = rng.uniform(-math.pi, math.pi, (g.n1, g.n2))
+        oracle = _gauge_oracle(H, theta)
+        new = gauge_conjugate(H, theta).matrix
+        # numpy's and scipy's complex products may round differently
+        assert abs(new - oracle).max() <= 1e-15 * abs(oracle).max()
