@@ -65,24 +65,27 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     LU, passed as ``OPinv``.  ``which`` is 'nearest' (sigma = ``target``,
     row-pivoting LU; a target exactly on an eigenvalue raises
     EigensolverError) or 'lowest': sigma steps down from the least
-    Rayleigh quotient of the two constant spinors until the inertia of
-    the Hermitian factor counts no eigenvalue below it, and after the
-    solve a second count, between the top returned cluster and the value
-    below it, must equal the number of returned values below that
-    cluster.  A miss is retried once with 2k pairs (keeping the lowest
-    k), then raises EigensolverError; an untrustworthy count falls back
-    to the row-pivoting LU just below the Gershgorin bound.  Every
-    reported pair satisfies ||H v - lambda v|| <= 1e-10 ||H||_inf,
-    otherwise EigensolverError is raised reporting the achieved residual.
+    Rayleigh quotient of four real spinors (the two constant ones and
+    their |diag H|^(-1/2)-weighted forms) until the Hermitian factor
+    that ARPACK solved on counts, by its inertia, no eigenvalue below
+    sigma.  After the solve a second count, between the top returned
+    cluster and the value below it, must equal the number of returned
+    values below that cluster.  A miss is retried once with 2k pairs
+    (keeping the lowest k), then raises EigensolverError; an
+    untrustworthy count falls back to the row-pivoting LU just below
+    the Gershgorin bound.  Every reported pair satisfies
+    ||H v - lambda v|| <= 1e-10 ||H||_inf, otherwise EigensolverError is
+    raised reporting the achieved residual.
 
     ``diagnostics`` records ``method``, ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
-    ``opinv_solves`` (over every ARPACK run), ``inertia`` (count below
-    sigma), ``check_count`` and ``check_expected`` (the post-solve count
-    and the value it must equal), ``factorizations``, ``retries``,
-    ``fallback``, ``max_residual`` and ``contract``.  The factorization
-    fields are None on the dense path, and the three counts are None
-    for 'nearest' and after a fallback.
+    ``opinv_solves`` (over every ARPACK run that returned, rejected
+    shifts included), ``inertia`` (count below sigma), ``check_count``
+    and ``check_expected`` (the post-solve count and the value it must
+    equal), ``factorizations``, ``retries``, ``fallback``,
+    ``max_residual`` and ``contract``.  The factorization fields are
+    None on the dense path, and the three counts are None for 'nearest'
+    and after a fallback.
     """
     if which not in ("lowest", "nearest"):
         raise ValueError(f"unknown which={which!r}")
@@ -161,9 +164,9 @@ def _pivoting(mat, k, sigma, v0, factorizations=0, solves=0, retries=0,
 def _lowest(mat, k, norm, v0):
     """Lowest k pairs with an inertia-guarded shift (see ``eigensolve``).
 
-    Counts and solves use separate factors: a factor whose pivots were
-    read keeps CSC copies of L and U, so ARPACK gets a fresh factor at
-    the accepted sigma (same matrix, so the same fill).
+    Each trial sigma gets one Hermitian factor, which ``_solve_counted``
+    solves on, counts and frees, so one factor is alive at a time.  The
+    2k retry refactors at the accepted sigma (same matrix, same fill).
     """
     floor = _lower_bound(mat) - 0.01 * max(1.0, norm)
     tiny = _TINY_PIVOT * max(norm, 1e-300)
@@ -173,8 +176,9 @@ def _lowest(mat, k, norm, v0):
     step = _FIRST_STEP * max(1.0, abs(upper))
     while True:
         sigma = max(upper - step, floor)
-        inertia, fill = _count_below(mat, sigma, tiny)
+        vals, vecs, n, inertia, fill = _solve_counted(mat, k, sigma, v0, tiny)
         factorizations += 1
+        solves += n
         if inertia == 0:
             break
         if inertia is None or sigma == floor:
@@ -182,16 +186,11 @@ def _lowest(mat, k, norm, v0):
                              retries, fallback=True)
         step *= 4.0
 
-    k_solve = k
     while True:
-        vals, vecs, n = _arpack(
-            mat, k_solve, sigma,
-            _factor_shifted(mat, -sigma, hermitian=True), v0)
-        solves += n
         vals, vecs = vals[:k], vecs[:, :k]
         expected, check_shift = _check_point(vals, sigma)
-        count = _count_below(mat, check_shift, tiny)[0]
-        factorizations += 2
+        count = _count_below(mat, check_shift, tiny)
+        factorizations += 1
         if count is None:
             return _pivoting(mat, k, floor, v0, factorizations, solves,
                              retries, fallback=True)
@@ -204,6 +203,11 @@ def _lowest(mat, k, norm, v0):
                 f"returned {expected}")
         retries += 1
         k_solve = min(2 * k, mat.shape[0] - 2)
+        vals, vecs, n = _arpack(
+            mat, k_solve, sigma,
+            _factor_shifted(mat, -sigma, hermitian=True), v0)
+        factorizations += 1
+        solves += n
     return vals, vecs, {
         "method": "shift-invert-lanczos", "sigma": sigma,
         "ordering": LU_ORDERING, "fill": fill, "opinv_solves": solves,
@@ -212,26 +216,56 @@ def _lowest(mat, k, norm, v0):
         "fallback": False}
 
 
-def _count_below(mat, sigma, tiny):
-    """Eigenvalues below sigma by inertia (None: unusable) and the fill
-    of the Hermitian factor that counted them; the factor is freed."""
+def _solve_counted(mat, k, sigma, v0, tiny):
+    """ARPACK on the Hermitian factor of H - sigma I, then its inertia.
+
+    Returns ``(vals, vecs, solves, inertia, fill)`` and frees the factor.
+    The pivots are read after the solve because reading them makes
+    SuperLU cache CSC copies of L and U for the factor's lifetime.
+    ``inertia`` is None when the count is unusable or the factor
+    singular.  An ARPACK error is raised at a shift that counts 0 and
+    otherwise returns no pairs (the shift is rejected either way).
+    """
     try:
         lu = _factor_shifted(mat, -sigma, hermitian=True)
     except RuntimeError:                # a zero pivot: no count
-        return None, None
-    return _inertia(lu, tiny), _fill(lu)
+        return None, None, 0, None, None
+    try:
+        vals, vecs, solves = _arpack(mat, k, sigma, lu, v0)
+    except EigensolverError:
+        if _inertia(lu, tiny) == 0:
+            raise
+        vals, vecs, solves = None, None, 0
+    return vals, vecs, solves, _inertia(lu, tiny), _fill(lu)
+
+
+def _count_below(mat, sigma, tiny):
+    """Eigenvalues below sigma by inertia (None: unusable)."""
+    try:
+        lu = _factor_shifted(mat, -sigma, hermitian=True)
+    except RuntimeError:                # a zero pivot: no count
+        return None
+    return _inertia(lu, tiny)
 
 
 def _constant_spinor_bound(mat) -> float:
-    """Least Rayleigh quotient of the two constant spinors.
+    """Least Rayleigh quotient of four real spinors.
 
-    An upper bound on the lowest eigenvalue from one product with two
-    real columns (spin up on even rows, spin down on odd rows).
+    An upper bound on the lowest eigenvalue from one product with four
+    real columns: the two constant spinors (spin up on even rows, spin
+    down on odd rows) and the same two weighted by |diag H|^(-1/2), which
+    keeps rows with a large diagonal (the sphere's chart poles) from
+    lifting the bound.  A zero diagonal gets the least nonzero one.
     """
-    spinors = np.zeros((mat.shape[0], 2))
+    diag = np.abs(mat.diagonal())
+    nonzero = diag > 0
+    diag[~nonzero] = diag[nonzero].min() if nonzero.any() else 1.0
+    spinors = np.zeros((mat.shape[0], 4))
     spinors[0::2, 0] = spinors[1::2, 1] = 1.0
+    spinors[0::2, 2] = diag[0::2] ** -0.5
+    spinors[1::2, 3] = diag[1::2] ** -0.5
     quotients = (np.einsum("ij,ij->j", spinors, (mat @ spinors).real)
-                 / spinors.sum(axis=0))
+                 / np.einsum("ij,ij->j", spinors, spinors))
     return float(quotients.min())
 
 
@@ -261,6 +295,8 @@ def _arpack(mat, k, sigma, lu, v0):
         raise EigensolverError(
             f"ARPACK did not converge: {len(exc.eigenvalues)} of {k} "
             f"pairs found") from exc
+    except spla.ArpackError as exc:
+        raise EigensolverError(f"ARPACK failed: {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order], solves
 

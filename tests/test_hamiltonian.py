@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,3 +394,56 @@ def test_gauge_conjugate_matches_product_oracle():
         new = gauge_conjugate(H, theta).matrix
         # numpy's and scipy's complex products may round differently
         assert abs(new - oracle).max() <= 1e-15 * abs(oracle).max()
+
+
+def _hermiticity_oracle(m):
+    """max |H - H^dagger| / max |H| from the sparse difference."""
+    top = abs(m).max()
+    return float(abs(m - m.getH()).max() / top) if top else 0.0
+
+
+def _unsorted(m):
+    """The same matrix with each row's stored entries reversed."""
+    order = np.concatenate([np.arange(a, b)[::-1]
+                            for a, b in zip(m.indptr[:-1], m.indptr[1:])])
+    return sp.csr_matrix((m.data[order], m.indices[order], m.indptr),
+                         shape=m.shape)
+
+
+def test_hermiticity_defect_matches_difference_oracle():
+    rng = np.random.default_rng(7)
+    for g, H in _operator_cases():
+        theta = rng.uniform(-math.pi, math.pi, (g.n1, g.n2))
+        rotated = gauge_conjugate(H, theta).matrix
+        skewed = rotated.copy()                    # same pattern, one
+        skewed.data[skewed.indptr[1] - 1] += 0.5   # entry off its mirror
+        zeroed = H.matrix.copy()                   # explicit zeros off
+        row0 = slice(0, zeroed.indptr[1])          # the diagonal of row 0
+        zeroed.data[row0][zeroed.indices[row0] != 0] = 0.0
+        unsorted = _unsorted(skewed)
+        assert not unsorted.has_sorted_indices
+        for m in (H.matrix, rotated, skewed, zeroed, unsorted):
+            assert hermiticity_defect(m) == _hermiticity_oracle(m)
+        assert hermiticity_defect(H) <= 1e-12
+        assert hermiticity_defect(rotated) <= 1e-12
+        assert hermiticity_defect(skewed) > 1e-6
+        assert hermiticity_defect(zeroed) > 1e-6
+    # structurally asymmetric, stored zeros only, and sigma_1 stored as
+    # duplicates whose pattern equals that of its transpose
+    lower = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    zeros = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [0, 2, 1])), shape=(3, 3))
+    dups = sp.csr_matrix(([1.0, 0.0, 0.0, 1.0], [1, 1, 0, 0], [0, 2, 4]),
+                         shape=(2, 2))
+    for m in (lower, lower + lower.T, zeros, dups):
+        assert hermiticity_defect(m) == _hermiticity_oracle(m)
+    assert hermiticity_defect(lower) == 1.0
+    assert hermiticity_defect(zeros) == hermiticity_defect(dups) == 0.0
+
+
+def test_hermiticity_defect_of_a_zero_operator():
+    p = make_surface("plane")
+    H = assemble_Hso(p, Grid.for_patch(p, 8, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermiticity_defect(H) == 0.0
+        assert hermiticity_defect(sp.csr_matrix((4, 4))) == 0.0

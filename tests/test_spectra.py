@@ -119,6 +119,120 @@ def test_sphere_lowest_24_keep_the_fourfold_level():
     assert d["fallback"] is False
 
 
+def _record_factors(monkeypatch):
+    """Every factor ``_factor_shifted`` returns, and the factors that
+    ``_arpack`` and ``_inertia`` were given, in call order."""
+    factors, solved, counted = [], [], []
+    factor, arpack, inertia = (spectra._factor_shifted, spectra._arpack,
+                               spectra._inertia)
+
+    def recording_factor(*args, **kwargs):
+        factors.append(factor(*args, **kwargs))
+        return factors[-1]
+
+    def recording_arpack(mat, k, sigma, lu, v0):
+        solved.append(lu)
+        return arpack(mat, k, sigma, lu, v0)
+
+    def recording_inertia(lu, tiny):
+        counted.append(lu)
+        return inertia(lu, tiny)
+
+    monkeypatch.setattr(spectra, "_factor_shifted", recording_factor)
+    monkeypatch.setattr(spectra, "_arpack", recording_arpack)
+    monkeypatch.setattr(spectra, "_inertia", recording_inertia)
+    return factors, solved, counted
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_lowest_solves_on_the_factor_it_counts(monkeypatch):
+    # one factor at the accepted shift serves ARPACK and the inertia
+    # count; one more counts at the post-solve check point
+    factors, solved, counted = _record_factors(monkeypatch)
+    H = _torus_16x32()
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    d = res.diagnostics
+    assert len(factors) == d["factorizations"] == 2
+    assert _same(solved, factors[:1]) and _same(counted, factors)
+    assert d["inertia"] == 0 and d["retries"] == 0
+    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    assert np.abs(res.values - ref).max() < 1e-10
+
+
+def _bound_above_lowest(monkeypatch, H):
+    """A first shift 1.0 above the lowest eigenvalue: it is rejected."""
+    ref = np.linalg.eigvalsh(H.matrix.toarray())
+    monkeypatch.setattr(spectra, "_constant_spinor_bound",
+                        lambda mat: float(ref[0]) + 1.0)
+    return ref
+
+
+def test_rejected_shifts_step_down_to_count_zero(monkeypatch):
+    H = _torus_16x32()
+    ref = _bound_above_lowest(monkeypatch, H)
+    factors, solved, counted = _record_factors(monkeypatch)
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    d = res.diagnostics
+    assert d["inertia"] == 0 and d["fallback"] is False
+    assert d["sigma"] < ref[0]
+    # each trial shift solves on its own factor, then counts on it
+    assert len(factors) == d["factorizations"] > 2
+    assert _same(solved, factors[:-1]) and _same(counted, factors)
+    assert np.abs(res.values - ref[:16]).max() < 1e-10
+
+
+def test_arpack_error_at_a_rejected_shift_steps_on(monkeypatch):
+    H = _torus_16x32()
+    ref = _bound_above_lowest(monkeypatch, H)
+    eigsh = spectra.spla.eigsh
+    sigmas = []
+
+    def failing_first(*args, **kwargs):
+        sigmas.append(kwargs["sigma"])
+        if len(sigmas) == 1:
+            raise spectra.spla.ArpackError(-9999)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra.spla, "eigsh", failing_first)
+    res = eigensolve(H, k=16, seed=3, return_vectors=False)
+    assert len(sigmas) > 2 and sigmas == sorted(sigmas, reverse=True)
+    assert res.diagnostics["inertia"] == 0
+    assert np.abs(res.values - ref[:16]).max() < 1e-10
+
+    # at a shift that counts 0 the error is the result
+    def failing(*args, **kwargs):
+        raise spectra.spla.ArpackError(-9999)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(spectra.spla, "eigsh", failing)
+    with pytest.raises(EigensolverError, match="ARPACK failed"):
+        eigensolve(H, k=16, seed=3, return_vectors=False)
+
+
+def test_sphere_lowest_factorization_count():
+    # cost guard (the torus count of 2 is pinned above): the sphere's
+    # Jacobi-weighted bound lands one step above its lowest pair, where
+    # the constant-spinor bound took 7 factorizations
+    p = make_surface("sphere", r=1.0)
+    res = eigensolve(assemble_H0(p, Grid.for_patch(p, 32, 64)), k=8,
+                     seed=0, return_vectors=False)
+    d = res.diagnostics
+    assert d["factorizations"] <= 3 and d["fallback"] is False
+    assert d["check_count"] == d["check_expected"]
+
+
+def test_constant_spinor_bound_is_finite_on_a_zero_diagonal():
+    mat = sp.csr_matrix(np.diag(np.arange(300.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = spectra._constant_spinor_bound(mat)
+        assert spectra._constant_spinor_bound(sp.csr_matrix((4, 4))) == 0.0
+    assert 0.0 <= bound < 149.0      # below both constant spinors
+
+
 class _PermutedFactor:
     """A factor whose row permutation differs from its column one."""
 
