@@ -5,9 +5,11 @@ Usage:
     spinsurf --compare a.csv b.csv --tol 1e-9
 
 Config format is key=value with [section] headers (a bare key=value file
-is treated as the [surface] section).  Every experiment runs off defaults
-when only `kind = cylinder` is given.  CSV artifacts carry a '#'-prefixed
-header with units and the config hash; scalar results are JSON.
+is treated as the [surface] section).  Every key is declared in _SCHEMA,
+and every experiment runs off defaults when only `kind = cylinder` is
+given.  An unknown section or key, or a badly typed value, exits 2 before
+any experiment runs.  CSV artifacts carry a '#'-prefixed header with
+units and the config hash; scalar results are JSON.
 """
 
 from __future__ import annotations
@@ -31,18 +33,43 @@ from .gauge import flux
 from .hamiltonian import Grid, assemble_Heff
 from .spectra import (conductance_curve, cylinder_ring_operator,
                       degeneracy_clusters, eigensolve)
-from .surfaces import _as_bool, _surface_from_section, read_config
+from .surfaces import (SurfacePatch, _as_bool, _surface_from_section,
+                       read_config)
 
 __all__ = ["RunConfig", "run", "compare", "main"]
 
-EXPERIMENTS = ("geometry-report", "field-map", "flux", "spectrum",
-               "conductance", "forces", "evolve", "expansions")
+# section -> key -> (type, default).  A None default is filled in by the
+# experiment that reads it: the grid size (48 / 32 / 24 by experiment),
+# the packet widths (from the grid spacing), the expansion point (from
+# the domain).  [surface] is checked by make_surface.
+_SCHEMA = {
+    "run": {"experiment": (str, "spectrum")},
+    "scale": {"length_nm": (float, 1.0), "mass_ratio": (float, 1.0)},
+    "grid": {"n1": (int, None), "n2": (int, None)},
+    "flux": {"n1": (int, 96), "n2": (int, 96)},
+    "spectrum": {"k": (int, 16), "n": (int, 256),
+                 "with_connection": (bool, True)},
+    "conductance": {"e_max": (float, 8.0), "n_points": (int, 400)},
+    "forces": {"rho": (float, 1.0), "R": (float, 20.0),
+               "theta0": (float, 0.1), "theta_c": (float, 0.0),
+               "s_length": (float, 30.0), "n_theta": (int, 40),
+               "n_s": (int, 384), "k_s": (float, 8.0),
+               "width_theta": (float, None), "width_s": (float, None)},
+    "evolve": {"dt": (float, 8e-4), "steps": (int, 400),
+               "record_every": (int, 5)},
+    "expansions": {"q1": (float, None), "q2": (float, None)},
+}
+
+# keys read only by the cylinder's 1D ring route; the grid route of any
+# other surface always assembles the connection on its own grid
+_CYLINDER_ONLY = (("spectrum", "n"), ("spectrum", "with_connection"))
 
 
 @dataclass
 class RunConfig:
     raw_text: str
-    sections: dict
+    values: dict  # section -> key -> value, every _SCHEMA key resolved
+    patch: SurfacePatch
     experiment: str = "spectrum"
     out_dir: str = "."
     seed: int = 0
@@ -53,18 +80,28 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:12]
 
-    def section(self, name) -> dict:
-        return self.sections.get(name, {})
 
-    def get(self, section, key, cast, default):
-        raw = self.section(section).get(key)
-        if raw is None:
-            return default
-        try:
-            return _as_bool(raw) if cast is bool else cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}",
-                              key=key) from None
+def _resolve(sections) -> dict:
+    """Every _SCHEMA value, typed, with defaults filled in.  ConfigError
+    names an unknown section, an unknown key or a badly typed value."""
+    for name in sections:
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{name}]; expected "
+                              f"one of {['surface', *_SCHEMA]}", key=name)
+    values = {}
+    for name, keys in _SCHEMA.items():
+        values[name] = {key: default for key, (_, default) in keys.items()}
+        for key, raw in sections.get(name, {}).items():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{name}]; "
+                                  f"expected one of {list(keys)}", key=key)
+            cast = keys[key][0]
+            try:
+                values[name][key] = _as_bool(raw) if cast is bool else cast(raw)
+            except ValueError:
+                raise ConfigError(f"bad value for [{name}] {key}: {raw!r}",
+                                  key=key) from None
+    return values
 
 
 def load_config(path, experiment=None, out_dir=".", seed=0, si=False
@@ -72,38 +109,34 @@ def load_config(path, experiment=None, out_dir=".", seed=0, si=False
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     sections = read_config(text)
-    cfg = RunConfig(raw_text=text, sections=sections, out_dir=out_dir,
-                    seed=seed, si=si)
-    cfg.experiment = experiment or cfg.get("run", "experiment", str, "spectrum")
-    if cfg.experiment not in EXPERIMENTS:
+    surface = sections.pop("surface", None)
+    values = _resolve(sections)
+    experiment = experiment or values["run"]["experiment"]
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {cfg.experiment!r}; choose from "
+            f"unknown experiment {experiment!r}; choose from "
             f"{EXPERIMENTS}", key="experiment")
-    length_nm = cfg.get("scale", "length_nm", float, 1.0)
-    mass_ratio = cfg.get("scale", "mass_ratio", float, 1.0)
-    cfg.scale = PhysicalScale(length_m=length_nm * 1e-9,
-                              mass_kg=mass_ratio * constants.M_ELECTRON)
-    return cfg
-
-
-def _surface(cfg: RunConfig):
-    sec = cfg.section("surface")
-    if not sec:
+    if not surface:
         raise ConfigError("config needs a [surface] section", key="surface")
-    return _surface_from_section(sec)
+    patch = _surface_from_section(surface)
+    for name, key in _CYLINDER_ONLY:
+        if patch.kind != "cylinder" and key in sections.get(name, {}):
+            raise ConfigError(f"[{name}] {key} applies only to a cylinder, "
+                              f"not a {patch.kind}", key=key)
+    scale = values["scale"]
+    return RunConfig(
+        raw_text=text, values=values, patch=patch, experiment=experiment,
+        out_dir=out_dir, seed=seed, si=si,
+        scale=PhysicalScale(length_m=scale["length_nm"] * 1e-9,
+                            mass_kg=scale["mass_ratio"] * constants.M_ELECTRON))
 
 
-def _csv_header(cfg, experiment, columns, units):
-    return [f"# spinsurf {experiment}",
-            f"# config_hash={cfg.config_hash} seed={cfg.seed}",
-            f"# units: {units}",
-            "# columns: " + ",".join(columns)]
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, cfg, columns, units, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(line + "\n")
+        fh.write(f"# spinsurf {cfg.experiment}\n"
+                 f"# config_hash={cfg.config_hash} seed={cfg.seed}\n"
+                 f"# units: {units}\n"
+                 f"# columns: {','.join(columns)}\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
@@ -121,36 +154,33 @@ def _write_json(path, payload):
 
 
 # ----------------------------------------------------------------------
-# Experiments
+# Experiments: each returns ([(file name, artifact)], summary line), an
+# artifact being a JSON payload or a CSV's (columns, units, rows).
 # ----------------------------------------------------------------------
 
-def _exp_geometry(cfg, patch):
-    n1 = cfg.get("grid", "n1", int, 48)
-    n2 = cfg.get("grid", "n2", int, 48)
-    grid = Grid.for_patch(patch, n1, n2)
-    Q1, Q2 = grid.mesh()
-    ff = frame_fields(patch, Q1, Q2)
+def _grid(cfg, n):
+    """The [grid] of cfg.patch; an unset size defaults to n."""
+    n1, n2 = (n if v is None else v for v in cfg.values["grid"].values())
+    return Grid.for_patch(cfg.patch, n1, n2)
+
+
+def _exp_geometry(cfg):
+    Q1, Q2 = _grid(cfg, 48).mesh()
+    ff = frame_fields(cfg.patch, Q1, Q2)
     rows = zip(Q1.ravel(), Q2.ravel(), ff.g[0, 0].ravel(), ff.g[0, 1].ravel(),
                ff.g[1, 1].ravel(), ff.sqrt_g.ravel(), ff.K.ravel(),
                ff.M.ravel())
-    path = os.path.join(cfg.out_dir, "geometry_report.csv")
-    _write_csv(path, _csv_header(cfg, "geometry-report",
-                                 ["q1", "q2", "g11", "g12", "g22", "sqrtg",
-                                  "K", "M"],
-                                 "lengths in L0, curvatures in 1/L0^n"),
-               rows)
-    summary = {"kind": patch.kind, "params": patch.params,
+    columns = ["q1", "q2", "g11", "g12", "g22", "sqrtg", "K", "M"]
+    summary = {"kind": cfg.patch.kind, "params": cfg.patch.params,
                "K_min": float(ff.K.min()), "K_max": float(ff.K.max())}
-    jpath = os.path.join(cfg.out_dir, "geometry_report.json")
-    _write_json(jpath, summary)
-    return [path, jpath], f"geometry-report: K in [{ff.K.min():.4g}, {ff.K.max():.4g}]"
+    return ([("geometry_report.csv",
+              (columns, "lengths in L0, curvatures in 1/L0^n", rows)),
+             ("geometry_report.json", summary)],
+            f"geometry-report: K in [{ff.K.min():.4g}, {ff.K.max():.4g}]")
 
-def _exp_field_map(cfg, patch):
-    n1 = cfg.get("grid", "n1", int, 32)
-    n2 = cfg.get("grid", "n2", int, 32)
-    grid = Grid.for_patch(patch, n1, n2)
-    Q1, Q2 = grid.mesh()
-    ff = frame_fields(patch, Q1, Q2)
+def _exp_field_map(cfg):
+    Q1, Q2 = _grid(cfg, 32).mesh()
+    ff = frame_fields(cfg.patch, Q1, Q2)
     B = 0.5 * ff.K
     cols = ["q1", "q2", "K", "B", "w1", "w2"]
     arrays = [Q1.ravel(), Q2.ravel(), ff.K.ravel(), B.ravel(),
@@ -160,126 +190,83 @@ def _exp_field_map(cfg, patch):
         cols.append("B_tesla")
         arrays.append(cfg.scale.b_tesla(B).ravel())
         units += f"; SI at L0 = {cfg.scale.length_m:g} m"
-    path = os.path.join(cfg.out_dir, "field_map.csv")
-    _write_csv(path, _csv_header(cfg, "field-map", cols, units),
-               zip(*arrays))
-    return [path], f"field-map: B in [{B.min():.4g}, {B.max():.4g}]"
+    return ([("field_map.csv", (cols, units, zip(*arrays)))],
+            f"field-map: B in [{B.min():.4g}, {B.max():.4g}]")
 
-def _exp_flux(cfg, patch):
-    n1 = cfg.get("flux", "n1", int, 96)
-    n2 = cfg.get("flux", "n2", int, 96)
-    res = flux(patch, n1=n1, n2=n2)
+def _exp_flux(cfg):
+    res = flux(cfg.patch, **cfg.values["flux"])
     payload = {"phi_over_phi0": res.phi_over_phi0, "genus": res.genus,
                "error_estimate": res.error_estimate}
-    path = os.path.join(cfg.out_dir, "flux.json")
-    _write_json(path, payload)
-    return [path], (f"flux: Phi/Phi0 = {res.phi_over_phi0:.6f} "
-                    f"(genus {res.genus}, err ~ {res.error_estimate:.2e})")
+    return [("flux.json", payload)], (
+        f"flux: Phi/Phi0 = {res.phi_over_phi0:.6f} "
+        f"(genus {res.genus}, err ~ {res.error_estimate:.2e})")
 
-def _exp_spectrum(cfg, patch):
-    k = cfg.get("spectrum", "k", int, 16)
-    with_conn = cfg.get("spectrum", "with_connection", bool, True)
-    if patch.kind == "cylinder":
-        n = cfg.get("spectrum", "n", int, 256)
-        rho = patch.params["rho"]
-        op = cylinder_ring_operator(rho, n, with_connection=with_conn)
+def _exp_spectrum(cfg):
+    opts = cfg.values["spectrum"]
+    if cfg.patch.kind == "cylinder":
+        op = cylinder_ring_operator(cfg.patch.params["rho"], opts["n"],
+                                    with_connection=opts["with_connection"])
     else:
-        if "with_connection" in cfg.section("spectrum"):
-            # the grid route always assembles the connection
-            raise ConfigError(
-                f"[spectrum] with_connection applies only to a cylinder, "
-                f"not a {patch.kind}", key="with_connection")
-        n1 = cfg.get("grid", "n1", int, 24)
-        n2 = cfg.get("grid", "n2", int, 24)
-        grid = Grid.for_patch(patch, n1, n2)
-        op = assemble_Heff(patch, grid)
-    result = eigensolve(op, k, which="lowest", return_vectors=False,
+        op = assemble_Heff(cfg.patch, _grid(cfg, 24))
+    result = eigensolve(op, opts["k"], which="lowest", return_vectors=False,
                         seed=cfg.seed)
     # grid-aware clustering for discretized spectra
     spread = max(result.values[-1] - result.values[0], 1e-300)
     clusters = degeneracy_clusters(result.values, tol=1e-3 * spread)
-    rows = []
-    cid = 0
-    count = 0
-    for i, v in enumerate(result.values):
-        if count >= clusters[cid][1]:
-            cid += 1
-            count = 0
-        rows.append((i, v, cid, clusters[cid][1]))
-        count += 1
-    path = os.path.join(cfg.out_dir, "spectrum.csv")
+    mult = np.array([m for _, m in clusters])
+    cid = np.repeat(np.arange(len(clusters)), mult)
     units = "E in hbar^2/(m L0^2)"
     if cfg.si:
         units += f"; 1 unit = {cfg.scale.energy_ev:.6e} eV"
-    _write_csv(path, _csv_header(cfg, "spectrum",
-                                 ["index", "energy", "cluster_id",
-                                  "multiplicity"], units), rows)
-    jpath = os.path.join(cfg.out_dir, "spectrum.json")
-    _write_json(jpath, {"clusters": [[v, m] for v, m in clusters],
-                        "with_connection": with_conn})
-    return [path, jpath], (f"spectrum: lowest {k}, first cluster "
-                           f"multiplicity {clusters[0][1]}")
+    rows = zip(range(len(cid)), result.values, cid, mult[cid])
+    return ([("spectrum.csv",
+              (["index", "energy", "cluster_id", "multiplicity"], units,
+               rows)),
+             ("spectrum.json", {"clusters": [[v, m] for v, m in clusters],
+                                "with_connection": opts["with_connection"]})],
+            f"spectrum: lowest {opts['k']}, first cluster "
+            f"multiplicity {clusters[0][1]}")
 
-def _exp_conductance(cfg, patch):
-    rho = patch.params.get("rho", 1.0)
-    e_max = cfg.get("conductance", "e_max", float, 8.0)
-    n_pts = cfg.get("conductance", "n_points", int, 400)
-    e_grid = np.linspace(0.0, e_max, n_pts)
-    paths = []
+def _exp_conductance(cfg):
+    rho = cfg.patch.params.get("rho", 1.0)
+    opts = cfg.values["conductance"]
+    e_grid = np.linspace(0.0, opts["e_max"], opts["n_points"])
+    artifacts = []
     summary = {}
     for with_conn, tag in ((True, "with"), (False, "without")):
         curve = conductance_curve(rho, e_grid, with_connection=with_conn)
-        path = os.path.join(cfg.out_dir, f"conductance_{tag}.csv")
-        _write_csv(path, _csv_header(cfg, "conductance",
-                                     ["E", "N", "G_over_e2h"],
-                                     "E in hbar^2/(m L0^2), G in e^2/h"),
-                   zip(curve.energies, curve.channels, curve.g_over_e2h))
-        paths.append(path)
+        artifacts.append((f"conductance_{tag}.csv", (
+            ["E", "N", "G_over_e2h"], "E in hbar^2/(m L0^2), G in e^2/h",
+            zip(curve.energies, curve.channels, curve.g_over_e2h))))
         summary[tag] = {"thresholds": curve.thresholds.tolist(),
                         "variant": curve.variant}
-    jpath = os.path.join(cfg.out_dir, "conductance.json")
-    _write_json(jpath, summary)
-    paths.append(jpath)
-    return paths, "conductance: with/without curves written"
+    artifacts.append(("conductance.json", summary))
+    return artifacts, "conductance: with/without curves written"
 
 def _bent_setup(cfg):
-    return BentCylinderSetup(
-        rho=cfg.get("forces", "rho", float, 1.0),
-        R=cfg.get("forces", "R", float, 20.0),
-        theta0=cfg.get("forces", "theta0", float, 0.1),
-        theta_c=cfg.get("forces", "theta_c", float, 0.0),
-        s_length=cfg.get("forces", "s_length", float, 30.0),
-        n_theta=cfg.get("forces", "n_theta", int, 40),
-        n_s=cfg.get("forces", "n_s", int, 384),
-    )
-
-def _packet_widths(cfg, setup):
-    """Packet widths from config, defaulting to grid-resolvable values."""
+    """The [forces] bent cylinder, packet momentum k_s and packet widths
+    (which default to grid-resolvable values)."""
+    opts = cfg.values["forces"]
+    setup = BentCylinderSetup(**{key: opts[key] for key in (
+        "rho", "R", "theta0", "theta_c", "s_length", "n_theta", "n_s")})
     grid = setup.grid()
-    w_th = cfg.get("forces", "width_theta", float, max(0.02, 4.5 * grid.h1))
-    w_s = cfg.get("forces", "width_s", float, max(2.0, 4.5 * grid.h2))
-    return (w_th, w_s)
+    widths = (max(0.02, 4.5 * grid.h1) if opts["width_theta"] is None
+              else opts["width_theta"],
+              max(2.0, 4.5 * grid.h2) if opts["width_s"] is None
+              else opts["width_s"])
+    return setup, opts["k_s"], widths
 
 
-def _exp_forces(cfg, patch):
-    setup = _bent_setup(cfg)
-    rep = force_equality_report(setup,
-                                k_s=cfg.get("forces", "k_s", float, 8.0),
-                                widths=_packet_widths(cfg, setup))
-    path = os.path.join(cfg.out_dir, "forces.json")
-    _write_json(path, rep.as_dict())
+def _exp_forces(cfg):
+    setup, k_s, widths = _bent_setup(cfg)
+    rep = force_equality_report(setup, k_s=k_s, widths=widths)
     eq = rep.rel_pm_vs_so[+1]
-    return [path], f"forces: |F_pm - F_so|/|F_pm| = {eq:.3e}"
+    return ([("forces.json", rep.as_dict())],
+            f"forces: |F_pm - F_so|/|F_pm| = {eq:.3e}")
 
-def _exp_evolve(cfg, patch):
-    setup = _bent_setup(cfg)
-    out = spin_hall_run(
-        setup,
-        k_s=cfg.get("forces", "k_s", float, 8.0),
-        widths=_packet_widths(cfg, setup),
-        dt=cfg.get("evolve", "dt", float, 8e-4),
-        steps=cfg.get("evolve", "steps", int, 400),
-        record_every=cfg.get("evolve", "record_every", int, 5))
+def _exp_evolve(cfg):
+    setup, k_s, widths = _bent_setup(cfg)
+    out = spin_hall_run(setup, k_s=k_s, widths=widths, **cfg.values["evolve"])
     up = out["trajectories"]["up"]
     dn = out["trajectories"]["down"]
     n = min(len(up.times), len(dn.times))
@@ -287,27 +274,22 @@ def _exp_evolve(cfg, patch):
                up.observables["theta"][:n], dn.observables["theta"][:n],
                up.observables["p_s"][:n],
                up.observables["sigma3"][:n], dn.observables["sigma3"][:n])
-    path = os.path.join(cfg.out_dir, "evolve.csv")
-    _write_csv(path, _csv_header(cfg, "evolve",
-                                 ["t", "mean_theta_up", "mean_theta_down",
-                                  "mean_ps", "sigma3_up", "sigma3_down"],
-                                 "t in m L0^2/hbar"), rows)
-    jpath = os.path.join(cfg.out_dir, "evolve.json")
-    _write_json(jpath, {"deflection": out["deflection"],
-                        "opposite_sign": bool(out["opposite_sign"]),
-                        "asymmetry": out["asymmetry"]})
-    return [path, jpath], (f"evolve: deflections "
-                           f"{out['deflection']['up']:.3e} / "
-                           f"{out['deflection']['down']:.3e}")
+    columns = ["t", "mean_theta_up", "mean_theta_down", "mean_ps",
+               "sigma3_up", "sigma3_down"]
+    return ([("evolve.csv", (columns, "t in m L0^2/hbar", rows)),
+             ("evolve.json", {"deflection": out["deflection"],
+                              "opposite_sign": bool(out["opposite_sign"]),
+                              "asymmetry": out["asymmetry"]})],
+            f"evolve: deflections {out['deflection']['up']:.3e} / "
+            f"{out['deflection']['down']:.3e}")
 
-def _exp_expansions(cfg, patch):
-    q1 = cfg.get("expansions", "q1", float, None)
-    q2 = cfg.get("expansions", "q2", float, None)
+def _exp_expansions(cfg):
+    q1, q2 = cfg.values["expansions"].values()
     if q1 is None or q2 is None:
-        (a0, a1), (b0, b1) = patch.domain
+        (a0, a1), (b0, b1) = cfg.patch.domain
         q1 = a0 + 0.37 * (a1 - a0)
         q2 = b0 + 0.53 * (b1 - b0)
-    rep = expansion_report(patch, (q1, q2))
+    rep = expansion_report(cfg.patch, (q1, q2))
     payload = {
         "point": list(rep.point),
         "passed": rep.passed,
@@ -319,9 +301,7 @@ def _exp_expansions(cfg, patch):
         "tetrad_max_residual": float(rep.tetrad_residuals.max()),
         "tetrad_tol": rep.tetrad_tol,
     }
-    path = os.path.join(cfg.out_dir, "expansions.json")
-    _write_json(path, payload)
-    return [path], f"expansions: passed={rep.passed}"
+    return [("expansions.json", payload)], f"expansions: passed={rep.passed}"
 
 
 _RUNNERS = {
@@ -334,13 +314,22 @@ _RUNNERS = {
     "evolve": _exp_evolve,
     "expansions": _exp_expansions,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig):
-    """Execute the configured experiment; returns (paths, summary line)."""
+    """Execute the configured experiment and write its artifacts; returns
+    (paths, summary line)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    patch = _surface(cfg)
-    paths, summary = _RUNNERS[cfg.experiment](cfg, patch)
+    artifacts, summary = _RUNNERS[cfg.experiment](cfg)
+    paths = []
+    for name, artifact in artifacts:
+        path = os.path.join(cfg.out_dir, name)
+        if name.endswith(".json"):
+            _write_json(path, artifact)
+        else:
+            _write_csv(path, cfg, *artifact)
+        paths.append(path)
     return paths, summary
 
 

@@ -310,20 +310,21 @@ class ForceReport:
         }
 
 
+_S_START_DIVISOR = 3.0  # packets start at s = s_length / 3
+
+
 def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
-                          widths=(0.02, 2.0), s_center: Optional[float] = None
-                          ) -> ForceReport:
+                          widths=(0.02, 2.0)) -> ForceReport:
     """Compare <F_pm> and <F_so> on sigma_3-polarized packets.
 
     Builds the four operators, prepares one packet per spin species at
-    the window center, and reports the matrix expectation values next to
-    the closed-form prediction evaluated at (<theta>, <p_s>).
+    (theta_c, s_length / 3), and reports the matrix expectation values
+    next to the closed-form prediction evaluated at (<theta>, <p_s>).
     """
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
     grid = H0.grid
-    if s_center is None:
-        s_center = setup.s_length / 3.0
+    s_center = setup.s_length / _S_START_DIVISOR
 
     f_pm, f_so, ana_each, ana_tot = {}, {}, {}, {}
     rel_eq, rel_ana, mean_th, mean_ps = {}, {}, {}, {}
@@ -353,7 +354,7 @@ def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
 
 def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
                   widths=(0.02, 2.0), dt: float = 8e-4, steps: int = 400,
-                  record_every: int = 5, s_center: Optional[float] = None):
+                  record_every: int = 5):
     """Evolve spin-up and spin-down packets; report the theta deflections.
 
     The measured interval follows the ballistic-window rule: recording
@@ -364,8 +365,7 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     """
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     grid = H0.grid
-    if s_center is None:
-        s_center = setup.s_length / 3.0
+    s_center = setup.s_length / _S_START_DIVISOR
     s_op = _diagonal_operator(grid, grid.mesh()[1])
     sigma3_op = HermitianOperator(
         matrix=sp.kron(sp.eye(grid.nodes), sp.csr_matrix(SIGMA3)).tocsr(),

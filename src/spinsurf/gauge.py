@@ -213,7 +213,10 @@ def sample_w(patch: SurfacePatch, n1: int, n2: int) -> WField:
                           b1 - b0 if patch.periodic[1] else None))
 
 
-def gauge_transform(wf: WField, theta: Callable, winding_tol=1e-9) -> WField:
+_WINDING_TOL = 1e-9  # in turns: how far a seam jump may miss 2*pi*n
+
+
+def gauge_transform(wf: WField, theta: Callable) -> WField:
     """Apply w'_a = w_a - d_a theta on the sampled grid.
 
     theta(q1, q2) must be smooth and single-valued; on periodic
@@ -233,7 +236,7 @@ def gauge_transform(wf: WField, theta: Callable, winding_tol=1e-9) -> WField:
             else:
                 jump = theta(q_other, wf.q2[0] + period) - theta(q_other, wf.q2[0])
             frac = jump / (2.0 * math.pi)
-            if abs(frac - round(frac)) > winding_tol:
+            if abs(frac - round(frac)) > _WINDING_TOL:
                 raise WindingMismatchError(
                     f"gauge phase winds by {jump:.6g} (not a multiple of "
                     f"2*pi) around periodic direction {axis + 1}")

@@ -86,6 +86,7 @@ class SurfacePatch:
 # ----------------------------------------------------------------------
 
 _FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
+_FD_REL_STEP = 1e-3  # numeric-jet step, relative to the domain extent
 
 
 def _fd4(samples, h):
@@ -104,10 +105,11 @@ def _fd1(f, q1, q2, axis, h):
     return _fd4([at(off) for off in _FD_OFFSETS], h)
 
 
-def _numeric_jet(embed, q1, q2, extents, rel_step=1e-3):
+def _numeric_jet(embed, q1, q2, extents):
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    h = (max(extents[0], 1e-12) * rel_step, max(extents[1], 1e-12) * rel_step)
+    h = (max(extents[0], 1e-12) * _FD_REL_STEP,
+         max(extents[1], 1e-12) * _FD_REL_STEP)
     r = np.asarray(embed(q1, q2), dtype=float)
     shape = np.broadcast_shapes(q1.shape, q2.shape)
     r = np.broadcast_to(r, (3,) + shape).copy()
@@ -195,7 +197,7 @@ def _cylinder_factory(params):
 
 
 def _sphere_factory(params):
-    r0 = float(params.get("r", params.get("rho", 1.0)))
+    r0 = float(params.get("r", 1.0))
     if r0 <= 0:
         raise SurfaceParameterError("sphere requires r > 0")
 
@@ -322,31 +324,36 @@ def _generic_factory(params):
         name="generic")
 
 
+# kind -> (factory, the parameters it reads)
 _FACTORIES = {
-    "plane": _plane_factory,
-    "cylinder": _cylinder_factory,
-    "sphere": _sphere_factory,
-    "torus": _torus_factory,
-    "bent-cylinder": _torus_factory,
-    "generic": _generic_factory,
+    "plane": (_plane_factory, ("lx", "ly")),
+    "cylinder": (_cylinder_factory, ("rho", "length")),
+    "sphere": (_sphere_factory, ("r",)),
+    "torus": (_torus_factory, ("rho", "R")),
+    "generic": (_generic_factory, ("x", "y", "z", "domain", "periodic")),
 }
 
 
 def make_surface(kind: str, **params) -> SurfacePatch:
     """Construct a surface patch by name.
 
-    kinds: plane | cylinder | sphere | torus (alias bent-cylinder) | generic.
-    Raises SurfaceParameterError for inadmissible parameters, e.g. a torus
-    with R <= rho.  The returned patch is checked for regularity
+    kinds: plane | cylinder | sphere | torus | generic.  Raises
+    SurfaceParameterError for an unknown kind or inadmissible values,
+    e.g. a torus with R <= rho, and ConfigError naming a parameter the
+    kind does not read.  The returned patch is checked for regularity
     (d1 r x d2 r != 0, unit normal to 1e-12) on a coarse sample of the
     domain interior.
     """
     try:
-        factory = _FACTORIES[kind]
+        factory, accepted = _FACTORIES[kind]
     except KeyError:
         raise SurfaceParameterError(
             f"unknown surface kind {kind!r}; expected one of "
             f"{sorted(_FACTORIES)}") from None
+    for key in params:
+        if key not in accepted:
+            raise ConfigError(f"a {kind} surface takes no parameter {key!r}; "
+                              f"expected one of {list(accepted)}", key=key)
     patch = factory(params)
     _check_regularity(patch)
     return patch
@@ -436,19 +443,21 @@ def parse_surface_expression(text: str) -> Callable:
 # Plain-text surface configuration
 # ----------------------------------------------------------------------
 
-_FLOAT_KEYS = {"rho", "r", "R", "length", "lx", "ly",
-               "q1_min", "q1_max", "q2_min", "q2_max"}
-
-
 def surface_from_config(text_or_path) -> SurfacePatch:
-    """Build a patch from a key=value config (string or file path).
+    """Build a patch from a key=value config (text, or a file path: one
+    line with a .cfg/.ini suffix or no '=').
 
-    Recognized keys in the [surface] section: kind, rho, r, R, length,
-    lx, ly, x, y, z (generic expressions), q1_min/q1_max/q2_min/q2_max
-    (generic domain), periodic1, periodic2.  A bare key=value file
-    without section headers is accepted.
+    The [surface] section holds kind and the parameters make_surface
+    takes for it; a generic surface gives its domain as q1_min/q1_max/
+    q2_min/q2_max and its periodicity as periodic1/periodic2.  A bare
+    key=value file without section headers is accepted.
     """
-    return _surface_from_section(read_config(text_or_path).get("surface", {}))
+    text = str(text_or_path)
+    if "\n" not in text and (text.endswith((".cfg", ".ini"))
+                             or "=" not in text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return _surface_from_section(read_config(text).get("surface", {}))
 
 
 def _surface_from_section(surf: dict) -> SurfacePatch:
@@ -458,17 +467,15 @@ def _surface_from_section(surf: dict) -> SurfacePatch:
     kind = surf["kind"].strip()
     params = {}
     for key, raw in surf.items():
-        if key == "kind":
-            continue
-        if key in _FLOAT_KEYS:
+        if key in ("x", "y", "z", "periodic1", "periodic2"):
+            params[key] = raw
+        elif key != "kind":
             try:
                 params[key] = float(raw)
             except ValueError:
                 raise ConfigError(
                     f"surface key {key!r} must be a number, got {raw!r}",
                     key=key) from None
-        else:
-            params[key] = raw
     if kind == "generic":
         dom = ((params.pop("q1_min", 0.0), params.pop("q1_max", 1.0)),
                (params.pop("q2_min", 0.0), params.pop("q2_max", 1.0)))
@@ -484,20 +491,14 @@ def _as_bool(raw):
     return str(raw).strip().lower() in ("1", "true", "yes", "on")
 
 
-def read_config(text_or_path) -> dict:
-    """Parse a key=value config with optional [section] headers.
+def read_config(text: str) -> dict:
+    """Parse the text of a key=value config with optional [section]
+    headers; text without a leading header is the [surface] section.
 
     A ``;`` or ``#`` after whitespace starts an inline comment.  Returns
     {section: {key: value}}.  Raises ConfigError with line information
     on parse failure.
     """
-    if isinstance(text_or_path, str) and "\n" not in text_or_path and (
-            text_or_path.endswith(".cfg") or text_or_path.endswith(".ini")
-            or "=" not in text_or_path):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = str(text_or_path)
     stripped = text.lstrip()
     if stripped and not stripped.startswith("["):
         text = "[surface]\n" + text

@@ -204,3 +204,85 @@ def test_with_connection_rejected_off_cylinder(tmp_path, capsys):
     assert payload["error"]["type"] == "ConfigError"
     assert payload["error"]["key"] == "with_connection"
     assert not (out / "spectrum.json").exists()
+
+
+# Each config once exited 0 and ran something other than what it asked
+# for; now each exits 2 with the offending key named.
+_DEFECT_CONFIGS = {
+    "unknown flux key": (
+        "[surface]\nkind = sphere\nr = 1.0\n[run]\nexperiment = flux\n"
+        "[flux]\nn_2 = 64\n", "n_2"),
+    "unknown section": ("kind = cylinder\n[grids]\nn1 = 8\n", "grids"),
+    "ring size off the cylinder": (
+        "[surface]\nkind = torus\nrho = 1.0\nR = 3.0\n"
+        "[grid]\nn1 = 8\nn2 = 8\n[spectrum]\nn = 64\n", "n"),
+    "sphere radius on a torus": (
+        "[surface]\nkind = torus\nr = 2.0\n[run]\nexperiment = flux\n", "r"),
+    "tube radius on a plane": (
+        "[surface]\nkind = plane\nrho = 3\n"
+        "[run]\nexperiment = geometry-report\n", "rho"),
+    "badly typed key of another experiment": (
+        "[surface]\nkind = sphere\nr = 1.0\n[run]\nexperiment = flux\n"
+        "[forces]\nn_s = abc\n", "n_s"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFECT_CONFIGS))
+def test_defect_config_exits_2_naming_the_key(name, tmp_path, capsys):
+    text, key = _DEFECT_CONFIGS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["key"] == key
+    assert not out.exists()
+
+
+def test_one_line_config_without_newline_is_text(tmp_path):
+    # the file's content is parsed, never taken for another path
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind: cylinder")
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "spectrum.csv").exists()
+
+
+def test_readme_lists_every_config_key():
+    # README "Command line" table rows: | `[section]` | `key` | type | default |
+    from spinsurf.cli import _SCHEMA
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (\w+) \| (.*?) \|$",
+                      readme.read_text(encoding="utf-8"), re.M)
+    listed = {(sec, key): (typ, default) for sec, key, typ, default in rows}
+    assert len(listed) == len(rows)
+    table = {(sec, key): (cast.__name__, default)
+             for sec, keys in _SCHEMA.items()
+             for key, (cast, default) in keys.items()}
+    assert set(listed) == set(table)
+    for entry, (typ, default) in table.items():
+        assert listed[entry][0] == typ, entry
+        if default is not None:
+            assert listed[entry][1] == f"`{default}`", entry
+
+
+def test_spectrum_cluster_columns_follow_the_clusters(tmp_path):
+    # the per-row loop the cluster columns came from, kept as the oracle
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[surface]\nkind = torus\nrho = 1.0\nR = 3.0\n"
+                   "[grid]\nn1 = 8\nn2 = 8\n")
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "spectrum.csv").read_text()
+            .splitlines() if not l.startswith("#")]
+    clusters = json.loads((out / "spectrum.json").read_text())["clusters"]
+    expected, cid, count = [], 0, 0
+    for _ in rows:
+        if count >= clusters[cid][1]:
+            cid += 1
+            count = 0
+        expected.append((str(cid), str(clusters[cid][1])))
+        count += 1
+    assert len(clusters) > 1
+    assert [(row[2], row[3]) for row in rows] == expected

@@ -108,3 +108,12 @@ def test_surface_config_errors():
         surface_from_config("rho = 1.0\n")   # no kind
     with pytest.raises(ConfigError):
         surface_from_config("kind = sphere\nr = huge\n")
+
+
+def test_parameter_the_kind_does_not_read_is_rejected():
+    # the torus reads rho and R; r would be silently ignored
+    with pytest.raises(ConfigError) as info:
+        make_surface("torus", r=2.0)
+    assert info.value.key == "r"
+    with pytest.raises(ConfigError):
+        surface_from_config("kind = plane\nrho = 3\n")
