@@ -132,19 +132,23 @@ def load_config(path, experiment=None, out_dir=".", seed=0, si=False
 
 
 def _write_csv(path, cfg, columns, units, rows):
+    formats = {}   # the row format per tuple of value types
+
+    def line(row):
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:   # ints as ints, the rest as floats
+            formats[kinds] = ",".join(
+                "%d" if issubclass(k, (int, np.integer)) else "%.12e"
+                for k in kinds) + "\n"
+        return formats[kinds] % row
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# spinsurf {cfg.experiment}\n"
                  f"# config_hash={cfg.config_hash} seed={cfg.seed}\n"
                  f"# units: {units}\n"
                  f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12e}"
+        fh.write("".join(map(line, rows)))
 
 
 def _write_json(path, payload):
@@ -377,8 +381,7 @@ def compare(path_a, path_b, tol=1e-9):
             diffs.append(("shape", math.inf,
                           f"{data_a.shape} vs {data_b.shape}"))
         else:
-            denom = np.maximum(np.abs(data_a), 1.0)
-            rel = np.abs(data_a - data_b) / denom
+            rel = _rel_diff(data_a, data_b)
             for j in range(data_a.shape[1] if data_a.ndim == 2 else 0):
                 worst = float(rel[:, j].max()) if len(rel) else 0.0
                 if worst > tol:
@@ -389,6 +392,18 @@ def compare(path_a, path_b, tol=1e-9):
     return {"passed": not diffs, "max_rel_diff": max_rel,
             "diffs": [{"field": d[0], "rel_diff": d[1], "where": d[2]}
                       for d in diffs]}
+
+
+def _rel_diff(a, b):
+    """|a - b| / max(|a|, 1), elementwise.  A non-finite value matches
+    only the same non-finite value (rel 0); any other pairing is inf."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    return np.where(np.isfinite(a) & np.isfinite(b), rel,
+                    np.where(same, 0.0, math.inf))
 
 
 def _json_diffs(a, b, prefix, out, tol):
@@ -405,7 +420,7 @@ def _json_diffs(a, b, prefix, out, tol):
         for i, (x, y) in enumerate(zip(a, b)):
             _json_diffs(x, y, f"{prefix}{i}.", out, tol)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        rel = abs(a - b) / max(abs(a), 1.0)
+        rel = float(_rel_diff(a, b))
         if rel > tol:
             out.append((prefix.rstrip("."), rel, "value"))
     elif a != b:

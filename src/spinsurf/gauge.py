@@ -83,19 +83,40 @@ def _curls(patch, q1, q2):
     return float(curl_w), curl_A, ff
 
 
+# (patch, (q1, q2), sample) of the last pseudo_field_at evaluation; the
+# patch itself is held, so no other patch can come to share its id
+_last_sample = None
+
+
 def pseudo_field_at(patch: SurfacePatch, point) -> GaugeFieldSample:
-    """Evaluate w, B = K/2, A_so, and the curl decomposition at a point."""
+    """Evaluate w, B = K/2, A_so, and the curl decomposition at a point.
+
+    The last evaluation is kept: a call with the same patch object and
+    equal coordinates returns its sample, so curl_matches_w followed by
+    pseudo_field_at at one point evaluates the geometry once.  One entry
+    only, so a pass over many points costs the same each time.  The
+    sample's arrays are read-only, as the next caller may share them.
+    """
+    global _last_sample
     q1, q2 = float(point[0]), float(point[1])
+    last = _last_sample
+    if last is not None and last[0] is patch and last[1] == (q1, q2):
+        return last[2]
     curl_w, curl_A, ff = _curls(patch, q1, q2)
     c1 = 0.5 * np.real(np.trace(SIGMA1 @ curl_A))
     c2 = 0.5 * np.real(np.trace(SIGMA2 @ curl_A))
     c3 = 0.5 * np.real(np.trace(SIGMA3 @ curl_A))
     # frame coefficients -> coordinate components F^a = e_i^a c_i
     F = ff.e_inv.T @ np.array([c1, c2])
-    return GaugeFieldSample(
-        point=(q1, q2), K=float(ff.K), w=np.array(ff.w, dtype=float),
-        B=0.5 * float(ff.K), A_so=ff.A_so, curl_w=curl_w,
-        curl_A_sigma3=float(c3), F_tangential=F)
+    w = np.array(ff.w, dtype=float)
+    for arr in (w, ff.A_so, F):
+        arr.flags.writeable = False
+    sample = GaugeFieldSample(
+        point=(q1, q2), K=float(ff.K), w=w, B=0.5 * float(ff.K),
+        A_so=ff.A_so, curl_w=curl_w, curl_A_sigma3=float(c3),
+        F_tangential=F)
+    _last_sample = (patch, (q1, q2), sample)
+    return sample
 
 
 def curl_matches_w(patch: SurfacePatch, point):

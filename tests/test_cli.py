@@ -1,7 +1,9 @@
 import json
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from spinsurf.cli import compare, main
@@ -286,3 +288,93 @@ def test_spectrum_cluster_columns_follow_the_clusters(tmp_path):
         count += 1
     assert len(clusters) > 1
     assert [(row[2], row[3]) for row in rows] == expected
+
+
+def _fmt(x):
+    """One CSV value as the writer formats it: the per-value oracle."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12e}"
+
+
+def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
+    import spinsurf.cli as cli
+    written = []
+    original = cli._write_csv
+
+    def capture(path, cfg, columns, units, rows):
+        rows = [tuple(row) for row in rows]
+        written.append((path, rows))
+        original(path, cfg, columns, units, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    for kind in ("cylinder", "torus", "sphere"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"kind = {kind}\n[grid]\nn1 = 12\nn2 = 12\n"
+                       "[conductance]\nn_points = 50\n")
+        for exp in ("geometry-report", "field-map", "spectrum",
+                    "conductance"):
+            assert _run_cli(["--config", str(cfg), "--out",
+                             str(tmp_path / kind / exp),
+                             "--experiment", exp]) == 0
+    # the spectrum's index, cluster_id and multiplicity are integers
+    assert any(isinstance(row[2], (int, np.integer))
+               for path, rows in written if path.endswith("spectrum.csv")
+               for row in rows)
+    mixed = [(3, np.int64(-4), 0.5, np.float64(-0.0), float("nan"),
+              np.float32(0.1), True, math.inf)]
+    path = str(tmp_path / "mixed.csv")
+    cli._write_csv(path, cli.load_config(str(tmp_path / "torus.cfg")),
+                   list("abcdefgh"), "none", mixed)
+    written.append((path, mixed))
+    for path, rows in written:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        body = [line for line in text.splitlines(keepends=True)
+                if not line.startswith("#")]
+        assert body == [",".join(map(_fmt, row)) + "\n" for row in rows]
+
+
+def _nonfinite_pair(tmp_path, name, text_a, text_b):
+    a, b = tmp_path / f"a_{name}", tmp_path / f"b_{name}"
+    a.write_text(text_a)
+    b.write_text(text_b)
+    return str(a), str(b)
+
+
+@pytest.mark.parametrize("x,y", [("NaN", "1.5"), ("1.5", "NaN"),
+                                 ("Infinity", "-Infinity"),
+                                 ("NaN", "Infinity")])
+def test_compare_json_nonfinite_mismatch_fails(tmp_path, x, y):
+    a, b = _nonfinite_pair(tmp_path, "flux.json",
+                           '{"genus": 0, "phi_over_phi0": %s}' % x,
+                           '{"genus": 0, "phi_over_phi0": %s}' % y)
+    rep = compare(a, b)
+    assert not rep["passed"]
+    assert rep["diffs"] == [{"field": "phi_over_phi0",
+                             "rel_diff": math.inf, "where": "value"}]
+    assert _run_cli(["--compare", a, b]) == 1
+
+
+@pytest.mark.parametrize("x,y", [("nan", "1.5"), ("1.5", "nan"),
+                                 ("inf", "-inf"), ("nan", "inf")])
+def test_compare_csv_nonfinite_mismatch_fails(tmp_path, x, y):
+    head = "# spinsurf field-map\n# columns: q1,B\n"
+    a, b = _nonfinite_pair(tmp_path, "field_map.csv",
+                           head + f"0.0,2.0\n1.0,{x}\n",
+                           head + f"0.0,2.0\n1.0,{y}\n")
+    rep = compare(a, b)
+    assert not rep["passed"]
+    assert rep["diffs"] == [{"field": "B", "rel_diff": math.inf,
+                             "where": "row 1"}]
+    assert _run_cli(["--compare", a, b]) == 1
+
+
+def test_compare_identical_nonfinite_passes(tmp_path):
+    head = "# spinsurf field-map\n# columns: q1,B\n"
+    csv = head + "nan,2.0\n1.0,inf\n-inf,nan\n"
+    text = '{"a": NaN, "b": [Infinity, -Infinity, 1.0]}'
+    for name, body in (("field_map.csv", csv), ("flux.json", text)):
+        a, b = _nonfinite_pair(tmp_path, name, body, body)
+        rep = compare(a, b)
+        assert rep["passed"] and rep["max_rel_diff"] == 0.0
+        assert _run_cli(["--compare", a, b]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_batched_curls_match_scalar_route():
                 assert np.max(np.abs(got - ref)) <= 1e-14 * scale, name
 
 
-def test_pointwise_diagnostics_make_one_frame_fields_call(monkeypatch):
+def _counting_frame_fields(monkeypatch):
     import spinsurf.frames as frames
     import spinsurf.gauge as gauge
     calls = []
@@ -107,17 +108,81 @@ def test_pointwise_diagnostics_make_one_frame_fields_call(monkeypatch):
 
     monkeypatch.setattr(frames, "frame_fields", counting)
     monkeypatch.setattr(gauge, "frame_fields", counting)
+    return calls
+
+
+def test_pointwise_diagnostics_make_one_frame_fields_call(monkeypatch):
+    import spinsurf.frames as frames
+    calls = _counting_frame_fields(monkeypatch)
     torus = make_surface("torus", rho=1.0, R=3.0)
-    for diagnostic in (pseudo_field_at, curl_matches_w):
+    for diagnostic, point in ((pseudo_field_at, (0.8, 2.0)),
+                              (curl_matches_w, (0.9, 2.1))):
         calls.clear()
-        diagnostic(torus, (0.8, 2.0))
+        diagnostic(torus, point)
         assert len(calls) == 1
+    # the second diagnostic at the same point reuses the first's evaluation
+    calls.clear()
+    pseudo_field_at(torus, (0.9, 2.1))
+    assert len(calls) == 0
     counts = []
     for q3s in ([1e-2, 1e-3, 1e-4], None):   # None: the default 7 values
         calls.clear()
         frames.expansion_report(torus, (0.8, 2.0), q3_sequence=q3s)
         counts.append(len(calls))
     assert counts == [1, 1]
+
+
+def test_pointwise_memo_holds_one_entry(monkeypatch):
+    calls = _counting_frame_fields(monkeypatch)
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    points = [(0.31, 1.7), (0.47, 2.9)]
+    for _ in range(2):
+        for q in points:
+            calls.clear()
+            pseudo_field_at(torus, q)
+            assert len(calls) == 1
+
+
+def test_pointwise_memo_keys_on_the_patch_object(monkeypatch):
+    calls = _counting_frame_fields(monkeypatch)
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    twin = dataclasses.replace(torus)
+    assert twin == torus and twin is not torus
+    pseudo_field_at(torus, (0.52, 1.1))
+    calls.clear()
+    pseudo_field_at(twin, (0.52, 1.1))
+    assert len(calls) == 1
+    calls.clear()
+    pseudo_field_at(twin, np.array([0.52, 1.1]))   # equal float coordinates
+    assert len(calls) == 0
+
+
+def _fields(sample):
+    return {f.name: getattr(sample, f.name)
+            for f in dataclasses.fields(sample)}
+
+
+def test_pointwise_memo_hit_equals_a_fresh_evaluation():
+    expr_torus = make_surface(
+        "generic", x="(2+cos(q1))*cos(q2)", y="(2+cos(q1))*sin(q2)",
+        z="sin(q1)", domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+        periodic=(True, True))
+    for p, q in ((make_surface("sphere", r=1.0), (1.1, 0.6)),
+                 (expr_torus, (2.2, 4.1))):
+        curl_matches_w(p, q)
+        hit = pseudo_field_at(p, q)
+        pseudo_field_at(p, (q[0] + 0.1, q[1]))     # evicts the entry
+        fresh = pseudo_field_at(p, q)
+        assert fresh is not hit
+        for name, value in _fields(hit).items():
+            assert np.array_equal(value, _fields(fresh)[name]), name
+
+
+def test_pointwise_sample_arrays_are_read_only():
+    s = pseudo_field_at(make_surface("torus", rho=1.0, R=3.0), (0.7, 1.9))
+    for arr in (s.w, s.A_so, s.F_tangential):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spinsurf.errors import ConfigError, SurfaceParameterError
-from spinsurf.surfaces import (make_surface, parse_surface_expression,
-                               surface_from_config)
+from spinsurf.surfaces import (_fd1, _numeric_jet, make_surface,
+                               parse_surface_expression, surface_from_config)
 
 
 def test_cylinder_standard_parametrization():
@@ -117,3 +117,56 @@ def test_parameter_the_kind_does_not_read_is_rejected():
     assert info.value.key == "r"
     with pytest.raises(ConfigError):
         surface_from_config("kind = plane\nrho = 3\n")
+
+
+def _nested_jet(embed, q1, q2, extents):
+    """The numeric jet by _fd1 per derivative, nested for second
+    derivatives: 73 embed calls, the oracle of the batched jet."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    h = (max(extents[0], 1e-12) * 1e-3, max(extents[1], 1e-12) * 1e-3)
+    shape = np.broadcast_shapes(q1.shape, q2.shape)
+    r = np.broadcast_to(np.asarray(embed(q1, q2), dtype=float),
+                        (3,) + shape).copy()
+    r_a = np.empty((3, 2) + shape)
+    r_ab = np.empty((3, 2, 2) + shape)
+    for a in range(2):
+        r_a[:, a] = _fd1(embed, q1, q2, a, h[a])
+    for b in range(2):
+        def db(u, v, _b=b):
+            return _fd1(embed, u, v, _b, h[_b])
+        for a in range(2):
+            r_ab[:, a, b] = _fd1(db, q1, q2, a, h[a])
+    mixed = 0.5 * (r_ab[:, 0, 1] + r_ab[:, 1, 0])
+    r_ab[:, 0, 1] = mixed
+    r_ab[:, 1, 0] = mixed
+    return r, r_a, r_ab
+
+
+def test_batched_numeric_jet_equals_nested_stencils():
+    p = make_surface("generic", x="(2+cos(q1))*cos(q2)",
+                     y="(2+cos(q1))*sin(q2)", z="sin(q1)",
+                     domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                     periodic=(True, True))
+    calls = []
+
+    def embed(q1, q2):
+        calls.append(1)
+        return p.embed(q1, q2)
+
+    rng = np.random.default_rng(11)
+    stencil = rng.uniform(0.0, 2 * math.pi, (2, 9))
+    grid = np.meshgrid(np.linspace(0.0, 2 * math.pi, 128, endpoint=False),
+                       np.linspace(0.0, 2 * math.pi, 128, endpoint=False),
+                       indexing="ij")
+    # the grid goes in blocks of 16384 stacked points: 1 + 2*4 + 4*16 calls
+    for q1, q2, batched_calls in ((0.7, 4.3, 7), (*stencil, 7),
+                                  (*grid, 73)):
+        calls.clear()
+        want = _nested_jet(embed, q1, q2, p.extents)
+        assert len(calls) == 73
+        calls.clear()
+        got = _numeric_jet(embed, q1, q2, p.extents)
+        assert len(calls) == batched_calls
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and np.array_equal(x, y)
