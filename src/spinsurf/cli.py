@@ -123,12 +123,31 @@ def load_config(path, experiment=None, out_dir=".", seed=0, si=False
         if patch.kind != "cylinder" and key in sections.get(name, {}):
             raise ConfigError(f"[{name}] {key} applies only to a cylinder, "
                               f"not a {patch.kind}", key=key)
+    if experiment in ("forces", "evolve"):
+        _check_bent_surface(surface, patch, values["forces"], experiment)
     scale = values["scale"]
     return RunConfig(
         raw_text=text, values=values, patch=patch, experiment=experiment,
         out_dir=out_dir, seed=seed, si=si,
         scale=PhysicalScale(length_m=scale["length_nm"] * 1e-9,
                             mass_kg=scale["mass_ratio"] * constants.M_ELECTRON))
+
+
+def _check_bent_surface(surface, patch, forces, experiment):
+    """forces and evolve run the bent cylinder of [forces]: a shape key
+    written in [surface] must be rho or R and equal the [forces] value."""
+    for key in surface:
+        if key == "kind":
+            continue
+        if key not in ("rho", "R"):
+            raise ConfigError(
+                f"[surface] {key} does not apply to {experiment}, which runs "
+                f"the bent cylinder of [forces] (rho, R)", key=key)
+        if patch.params[key] != forces[key]:
+            raise ConfigError(
+                f"[surface] {key} = {patch.params[key]:g} differs from "
+                f"[forces] {key} = {forces[key]:g}, the bent cylinder "
+                f"{experiment} runs", key=key)
 
 
 def _write_csv(path, cfg, columns, units, rows):

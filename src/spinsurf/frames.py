@@ -114,9 +114,10 @@ def _metric_frame(patch: SurfacePatch, q1, q2, frame_gauge="gs12"
     g = np.einsum("ja...,jb...->ab...", r_a, r_a)
     det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     scale2 = 0.5 * (g[0, 0] + g[1, 1])
-    if np.any(det_g <= 1e-14 * scale2**2):
+    if not np.all(det_g > 1e-14 * scale2**2):   # NaN fails too
         raise DegenerateMetricError(
-            "metric is numerically degenerate: det g <= 1e-14 * scale^2")
+            "metric is numerically degenerate or not finite: "
+            "det g <= 1e-14 * scale^2")
 
     e_hat, de_hat2 = _gram_schmidt(r_a, r_ab, frame_gauge)
     # w_a = -1/2 e_hat_1 . d_a e_hat_2 ; fixed so that curl w = -K/2

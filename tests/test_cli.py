@@ -226,6 +226,16 @@ _DEFECT_CONFIGS = {
     "badly typed key of another experiment": (
         "[surface]\nkind = sphere\nr = 1.0\n[run]\nexperiment = flux\n"
         "[forces]\nn_s = abc\n", "n_s"),
+    # forces/evolve run the [forces] bent cylinder, R = 20 by default
+    "torus radius forces would not run": (
+        "[surface]\nkind = torus\nrho = 1.0\nR = 10.0\n"
+        "[run]\nexperiment = forces\n", "R"),
+    "tube radius evolve would not run": (
+        "[surface]\nkind = torus\nrho = 0.5\nR = 20.0\n"
+        "[run]\nexperiment = evolve\n", "rho"),
+    "cylinder length on forces": (
+        "[surface]\nkind = cylinder\nlength = 30.0\n"
+        "[run]\nexperiment = forces\n", "length"),
 }
 
 
@@ -334,7 +344,7 @@ def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
         assert body == [",".join(map(_fmt, row)) + "\n" for row in rows]
 
 
-def _nonfinite_pair(tmp_path, name, text_a, text_b):
+def _artifact_pair(tmp_path, name, text_a, text_b):
     a, b = tmp_path / f"a_{name}", tmp_path / f"b_{name}"
     a.write_text(text_a)
     b.write_text(text_b)
@@ -345,7 +355,7 @@ def _nonfinite_pair(tmp_path, name, text_a, text_b):
                                  ("Infinity", "-Infinity"),
                                  ("NaN", "Infinity")])
 def test_compare_json_nonfinite_mismatch_fails(tmp_path, x, y):
-    a, b = _nonfinite_pair(tmp_path, "flux.json",
+    a, b = _artifact_pair(tmp_path, "flux.json",
                            '{"genus": 0, "phi_over_phi0": %s}' % x,
                            '{"genus": 0, "phi_over_phi0": %s}' % y)
     rep = compare(a, b)
@@ -359,7 +369,7 @@ def test_compare_json_nonfinite_mismatch_fails(tmp_path, x, y):
                                  ("inf", "-inf"), ("nan", "inf")])
 def test_compare_csv_nonfinite_mismatch_fails(tmp_path, x, y):
     head = "# spinsurf field-map\n# columns: q1,B\n"
-    a, b = _nonfinite_pair(tmp_path, "field_map.csv",
+    a, b = _artifact_pair(tmp_path, "field_map.csv",
                            head + f"0.0,2.0\n1.0,{x}\n",
                            head + f"0.0,2.0\n1.0,{y}\n")
     rep = compare(a, b)
@@ -374,7 +384,56 @@ def test_compare_identical_nonfinite_passes(tmp_path):
     csv = head + "nan,2.0\n1.0,inf\n-inf,nan\n"
     text = '{"a": NaN, "b": [Infinity, -Infinity, 1.0]}'
     for name, body in (("field_map.csv", csv), ("flux.json", text)):
-        a, b = _nonfinite_pair(tmp_path, name, body, body)
+        a, b = _artifact_pair(tmp_path, name, body, body)
         rep = compare(a, b)
         assert rep["passed"] and rep["max_rel_diff"] == 0.0
         assert _run_cli(["--compare", a, b]) == 0
+
+
+def test_evolve_experiment_artifacts_and_compare(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # a [surface] rho equal to the [forces] one is accepted
+    cfg.write_text("kind = cylinder\nrho = 1.0\n[run]\nexperiment = evolve\n"
+                   "[forces]\nn_theta = 20\nn_s = 160\n"
+                   "[evolve]\nsteps = 20\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    lines = (outs[0] / "evolve.csv").read_text().splitlines()
+    assert "# columns: t,mean_theta_up,mean_theta_down,mean_ps," \
+           "sigma3_up,sigma3_down" in lines
+    rows = [l for l in lines if not l.startswith("#")]
+    assert len(rows) == 20 // 5 + 1
+    assert all(len(l.split(",")) == 6 for l in rows)
+    payload = json.loads((outs[0] / "evolve.json").read_text())
+    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign"]
+    assert sorted(payload["deflection"]) == ["down", "up"]
+    for name in ("evolve.csv", "evolve.json"):
+        assert _run_cli(["--compare", str(outs[0] / name),
+                         str(outs[1] / name)]) == 0
+
+
+_COMPARE_MISMATCHES = {
+    "csv shape": ("field_map.csv",
+                  "# spinsurf field-map\n# columns: q1,B\n0.0,2.0\n1.0,3.0\n",
+                  "# spinsurf field-map\n# columns: q1,B\n0.0,2.0\n",
+                  "shape"),
+    "json missing key": ("flux.json", '{"genus": 0, "phi_over_phi0": 1.0}',
+                         '{"genus": 0}', "phi_over_phi0"),
+    "json list length": ("spectrum.json", '{"clusters": [[0.5, 4], [2.0, 8]]}',
+                         '{"clusters": [[0.5, 4]]}', "clusters"),
+    "json string": ("conductance.json", '{"with": {"variant": "spin"}}',
+                    '{"with": {"variant": "scalar"}}', "with.variant"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPARE_MISMATCHES))
+def test_compare_structural_mismatch_fails(name, tmp_path):
+    file_name, text_a, text_b, field = _COMPARE_MISMATCHES[name]
+    a, b = _artifact_pair(tmp_path, file_name, text_a, text_b)
+    rep = compare(a, b)
+    assert not rep["passed"]
+    assert rep["max_rel_diff"] == math.inf
+    assert [(d["field"], d["rel_diff"]) for d in rep["diffs"]] == [
+        (field, math.inf)]
+    assert _run_cli(["--compare", a, b]) == 1

@@ -150,6 +150,17 @@ def test_degenerate_metric_raises():
         frame_at(p, (0.5, 0.5))
 
 
+def test_non_finite_metric_raises():
+    # sqrt(q1 - 2) is finite on the domain, NaN at q1 = 1 outside it; a NaN
+    # det g compares False both ways and must not pass as regular
+    p = make_surface("generic", x="sqrt(q1-2)", y="q2", z="q1*q2",
+                     domain=((2.5, 3.5), (0.0, 1.0)))
+    assert np.isfinite(frame_at(p, (3.0, 0.5)).K)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DegenerateMetricError, match="not finite"):
+        frame_at(p, (1.0, 0.5))
+
+
 # ----------------------------------------------------------------------
 # Adapted frame
 # ----------------------------------------------------------------------

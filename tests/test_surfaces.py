@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spinsurf.errors import ConfigError, SurfaceParameterError
+from spinsurf.errors import (ConfigError, DegenerateMetricError,
+                             SurfaceParameterError)
 from spinsurf.surfaces import (_fd1, _numeric_jet, make_surface,
                                parse_surface_expression, surface_from_config)
 
@@ -110,6 +111,30 @@ def test_surface_config_errors():
         surface_from_config("kind = sphere\nr = huge\n")
 
 
+def test_generic_surface_from_config_roundtrip(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("[surface]\nkind = generic\nx = (2+cos(q1))*cos(q2)\n"
+                   "y = (2+cos(q1))*sin(q2)\nz = sin(q1)\n"
+                   "q1_min = -1.5\nq1_max = 1.5\nq2_min = 0\n"
+                   "q2_max = 6.25\nperiodic1 = no\nperiodic2 = Yes\n")
+    p = surface_from_config(str(cfg))
+    assert p.kind == "generic"
+    assert p.domain == ((-1.5, 1.5), (0.0, 6.25))
+    assert p.periodic == (False, True)
+    assert p.params["z"] == "sin(q1)"
+    assert np.allclose(p.position(0.5, 1.0),
+                       [(2 + math.cos(0.5)) * math.cos(1.0),
+                        (2 + math.cos(0.5)) * math.sin(1.0), math.sin(0.5)],
+                       rtol=0, atol=1e-15)
+
+
+def test_non_finite_parametrization_is_rejected():
+    # sqrt(q1 - 2) is NaN over the whole default domain [0, 1]^2
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DegenerateMetricError, match="non-finite"):
+        make_surface("generic", x="sqrt(q1-2)", y="q2", z="q1*q2")
+
+
 def test_parameter_the_kind_does_not_read_is_rejected():
     # the torus reads rho and R; r would be silently ignored
     with pytest.raises(ConfigError) as info:
@@ -170,3 +195,167 @@ def test_batched_numeric_jet_equals_nested_stencils():
         assert len(calls) == batched_calls
         for x, y in zip(got, want):
             assert x.shape == y.shape and np.array_equal(x, y)
+
+
+# The hand-written embed and jet of each built-in shape, as they stood
+# before the shapes shared one closed-form helper: the bitwise oracle of
+# the built-in jets and positions.
+
+def _oracle_plane(params):
+    def embed(q1, q2):
+        q1, q2 = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+        return np.stack([q1, q2, np.zeros_like(q1)])
+
+    def jet(q1, q2):
+        q1 = np.asarray(q1, float)
+        q2 = np.asarray(q2, float)
+        shape = np.broadcast_shapes(q1.shape, q2.shape)
+        r = np.broadcast_to(embed(q1, q2), (3,) + shape).copy()
+        r_a = np.zeros((3, 2) + shape)
+        r_a[0, 0] = 1.0
+        r_a[1, 1] = 1.0
+        r_ab = np.zeros((3, 2, 2) + shape)
+        return r, r_a, r_ab
+
+    return embed, jet
+
+
+def _oracle_cylinder(params):
+    rho = params["rho"]
+
+    def embed(q1, q2):
+        q1, q2 = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+        return np.stack([rho * np.cos(q1), rho * np.sin(q1), q2])
+
+    def jet(q1, q2):
+        q1 = np.asarray(q1, float)
+        q2 = np.asarray(q2, float)
+        shape = np.broadcast_shapes(q1.shape, q2.shape)
+        c, s = np.cos(q1), np.sin(q1)
+        c = np.broadcast_to(c, shape)
+        s = np.broadcast_to(s, shape)
+        r = np.broadcast_to(embed(q1, q2), (3,) + shape).copy()
+        r_a = np.zeros((3, 2) + shape)
+        r_a[0, 0] = -rho * s
+        r_a[1, 0] = rho * c
+        r_a[2, 1] = 1.0
+        r_ab = np.zeros((3, 2, 2) + shape)
+        r_ab[0, 0, 0] = -rho * c
+        r_ab[1, 0, 0] = -rho * s
+        return r, r_a, r_ab
+
+    return embed, jet
+
+
+def _oracle_sphere(params):
+    r0 = params["r"]
+
+    def embed(q1, q2):
+        q1, q2 = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+        st, ct = np.sin(q1), np.cos(q1)
+        return np.stack([r0 * st * np.cos(q2), r0 * st * np.sin(q2), r0 * ct])
+
+    def jet(q1, q2):
+        q1 = np.asarray(q1, float)
+        q2 = np.asarray(q2, float)
+        shape = np.broadcast_shapes(q1.shape, q2.shape)
+        st = np.broadcast_to(np.sin(q1), shape)
+        ct = np.broadcast_to(np.cos(q1), shape)
+        cp = np.broadcast_to(np.cos(q2), shape)
+        sp = np.broadcast_to(np.sin(q2), shape)
+        r = np.broadcast_to(embed(q1, q2), (3,) + shape).copy()
+        r_a = np.empty((3, 2) + shape)
+        r_a[0, 0] = r0 * ct * cp
+        r_a[1, 0] = r0 * ct * sp
+        r_a[2, 0] = -r0 * st
+        r_a[0, 1] = -r0 * st * sp
+        r_a[1, 1] = r0 * st * cp
+        r_a[2, 1] = 0.0
+        r_ab = np.empty((3, 2, 2) + shape)
+        r_ab[0, 0, 0] = -r0 * st * cp
+        r_ab[1, 0, 0] = -r0 * st * sp
+        r_ab[2, 0, 0] = -r0 * ct
+        r_ab[0, 0, 1] = -r0 * ct * sp
+        r_ab[1, 0, 1] = r0 * ct * cp
+        r_ab[2, 0, 1] = 0.0
+        r_ab[:, 1, 0] = r_ab[:, 0, 1]
+        r_ab[0, 1, 1] = -r0 * st * cp
+        r_ab[1, 1, 1] = -r0 * st * sp
+        r_ab[2, 1, 1] = 0.0
+        return r, r_a, r_ab
+
+    return embed, jet
+
+
+def _oracle_torus(params):
+    rho, big_r = params["rho"], params["R"]
+
+    def embed(q1, q2):
+        q1, q2 = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+        w = big_r + rho * np.cos(q1)
+        phi = q2 / big_r
+        return np.stack([w * np.cos(phi), w * np.sin(phi), -rho * np.sin(q1)])
+
+    def jet(q1, q2):
+        q1 = np.asarray(q1, float)
+        q2 = np.asarray(q2, float)
+        shape = np.broadcast_shapes(q1.shape, q2.shape)
+        ct = np.broadcast_to(np.cos(q1), shape)
+        st = np.broadcast_to(np.sin(q1), shape)
+        phi = q2 / big_r
+        cp = np.broadcast_to(np.cos(phi), shape)
+        sp = np.broadcast_to(np.sin(phi), shape)
+        w = big_r + rho * ct
+        r = np.broadcast_to(embed(q1, q2), (3,) + shape).copy()
+        r_a = np.empty((3, 2) + shape)
+        r_a[0, 0] = -rho * st * cp
+        r_a[1, 0] = -rho * st * sp
+        r_a[2, 0] = -rho * ct
+        r_a[0, 1] = -w * sp / big_r
+        r_a[1, 1] = w * cp / big_r
+        r_a[2, 1] = 0.0
+        r_ab = np.empty((3, 2, 2) + shape)
+        r_ab[0, 0, 0] = -rho * ct * cp
+        r_ab[1, 0, 0] = -rho * ct * sp
+        r_ab[2, 0, 0] = rho * st
+        r_ab[0, 0, 1] = rho * st * sp / big_r
+        r_ab[1, 0, 1] = -rho * st * cp / big_r
+        r_ab[2, 0, 1] = 0.0
+        r_ab[:, 1, 0] = r_ab[:, 0, 1]
+        r_ab[0, 1, 1] = -w * cp / big_r**2
+        r_ab[1, 1, 1] = -w * sp / big_r**2
+        r_ab[2, 1, 1] = 0.0
+        return r, r_a, r_ab
+
+    return embed, jet
+
+
+_ORACLES = {"plane": _oracle_plane, "cylinder": _oracle_cylinder,
+            "sphere": _oracle_sphere, "torus": _oracle_torus}
+
+
+def _bitwise_equal(x, y):
+    # array_equal with the sign of zero: -0.0 and 0.0 differ in bits
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and x.tobytes() == y.tobytes())
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("plane", {"lx": 2.0, "ly": 0.5}), ("cylinder", {"rho": 1.3}),
+    ("sphere", {"r": 0.8}), ("torus", {"rho": 1.0, "R": 3.0})])
+def test_builtin_jets_equal_the_hand_written_oracle(kind, params):
+    p = make_surface(kind, **params)
+    embed, jet = _ORACLES[kind](p.params)
+    (a0, a1), (b0, b1) = p.domain
+    rng = np.random.default_rng(5)
+    stencil = (rng.uniform(a0, a1, 9), rng.uniform(b0, b1, 9))
+    grid = np.meshgrid(np.linspace(a0, a1, 384), np.linspace(b0, b1, 384),
+                       indexing="ij")
+    # the domain corners give exact zeros of sin, where signs of zero show
+    for q1, q2 in ((a0 + 0.43 * (a1 - a0), b0 + 0.61 * (b1 - b0)),
+                   (a0, b0), stencil, grid,
+                   (grid[0][:, :1], grid[1][:1, :])):
+        for got, want in zip(p.jet(q1, q2), jet(q1, q2)):
+            assert _bitwise_equal(got, want)
+        assert _bitwise_equal(p.position(q1, q2),
+                              np.asarray(embed(q1, q2), dtype=float))
