@@ -7,9 +7,10 @@ Usage:
 Config format is key=value with [section] headers (a bare key=value file
 is treated as the [surface] section).  Every key is declared in _SCHEMA,
 and every experiment runs off defaults when only `kind = cylinder` is
-given.  An unknown section or key, or a badly typed value, exits 2 before
-any experiment runs.  CSV artifacts carry a '#'-prefixed header with
-units and the config hash; scalar results are JSON.
+given.  An unknown section or key, a badly typed value, or a numeric
+value below its least, exits 2 before any experiment runs.  CSV
+artifacts carry a '#'-prefixed header with units and the config hash;
+scalar results are JSON.
 """
 
 from __future__ import annotations
@@ -38,26 +39,31 @@ from .surfaces import (SurfacePatch, _as_bool, _surface_from_section,
 
 __all__ = ["RunConfig", "run", "compare", "main"]
 
-# section -> key -> (type, default).  A None default is filled in by the
-# experiment that reads it: the grid size (48 / 32 / 24 by experiment),
-# the packet widths (from the grid spacing), the expansion point (from
-# the domain).  [surface] is checked by make_surface.
+# section -> key -> (type, default, least).  A None default is filled in
+# by the experiment that reads it: the grid size (48 / 32 / 24 by
+# experiment), the packet widths (from the grid spacing), the expansion
+# point (from the domain).  least bounds a numeric value from below: an
+# int must be >= least, a float > least (None: no bound here).  [surface]
+# is checked by make_surface.
 _SCHEMA = {
-    "run": {"experiment": (str, "spectrum")},
-    "scale": {"length_nm": (float, 1.0), "mass_ratio": (float, 1.0)},
-    "grid": {"n1": (int, None), "n2": (int, None)},
-    "flux": {"n1": (int, 96), "n2": (int, 96)},
-    "spectrum": {"k": (int, 16), "n": (int, 256),
-                 "with_connection": (bool, True)},
-    "conductance": {"e_max": (float, 8.0), "n_points": (int, 400)},
-    "forces": {"rho": (float, 1.0), "R": (float, 20.0),
-               "theta0": (float, 0.1), "theta_c": (float, 0.0),
-               "s_length": (float, 30.0), "n_theta": (int, 40),
-               "n_s": (int, 384), "k_s": (float, 8.0),
-               "width_theta": (float, None), "width_s": (float, None)},
-    "evolve": {"dt": (float, 8e-4), "steps": (int, 400),
-               "record_every": (int, 5)},
-    "expansions": {"q1": (float, None), "q2": (float, None)},
+    "run": {"experiment": (str, "spectrum", None)},
+    "scale": {"length_nm": (float, 1.0, 0.0),
+              "mass_ratio": (float, 1.0, 0.0)},
+    "grid": {"n1": (int, None, 8), "n2": (int, None, 8)},
+    "flux": {"n1": (int, 96, 16), "n2": (int, 96, 16)},
+    "spectrum": {"k": (int, 16, 1), "n": (int, 256, 8),
+                 "with_connection": (bool, True, None)},
+    "conductance": {"e_max": (float, 8.0, 0.0),
+                    "n_points": (int, 400, 1)},
+    "forces": {"rho": (float, 1.0, None), "R": (float, 20.0, None),
+               "theta0": (float, 0.1, None), "theta_c": (float, 0.0, None),
+               "s_length": (float, 30.0, None), "n_theta": (int, 40, 8),
+               "n_s": (int, 384, 8), "k_s": (float, 8.0, None),
+               "width_theta": (float, None, None),
+               "width_s": (float, None, None)},
+    "evolve": {"dt": (float, 8e-4, 0.0), "steps": (int, 400, 1),
+               "record_every": (int, 5, 1)},
+    "expansions": {"q1": (float, None, None), "q2": (float, None, None)},
 }
 
 # keys read only by the cylinder's 1D ring route; the grid route of any
@@ -83,25 +89,37 @@ class RunConfig:
 
 def _resolve(sections) -> dict:
     """Every _SCHEMA value, typed, with defaults filled in.  ConfigError
-    names an unknown section, an unknown key or a badly typed value."""
+    names an unknown section, an unknown key, a badly typed value or a
+    value below its least."""
     for name in sections:
         if name not in _SCHEMA:
             raise ConfigError(f"unknown config section [{name}]; expected "
                               f"one of {['surface', *_SCHEMA]}", key=name)
     values = {}
     for name, keys in _SCHEMA.items():
-        values[name] = {key: default for key, (_, default) in keys.items()}
+        values[name] = {key: default for key, (_, default, _) in keys.items()}
         for key, raw in sections.get(name, {}).items():
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in [{name}]; "
                                   f"expected one of {list(keys)}", key=key)
-            cast = keys[key][0]
+            cast, _, least = keys[key]
             try:
-                values[name][key] = _as_bool(raw) if cast is bool else cast(raw)
+                value = _as_bool(raw) if cast is bool else cast(raw)
             except ValueError:
                 raise ConfigError(f"bad value for [{name}] {key}: {raw!r}",
                                   key=key) from None
+            if least is not None and not (
+                    value >= least if cast is int else value > least):
+                raise ConfigError(
+                    f"[{name}] {key} = {value} is out of range; it must be "
+                    f"{_range(cast, least)}", key=key)
+            values[name][key] = value
     return values
+
+
+def _range(cast, least):
+    """The valid range of a numeric key, as the README table writes it."""
+    return f"{'>=' if cast is int else '>'} {least}"
 
 
 def load_config(path, experiment=None, out_dir=".", seed=0, si=False

@@ -241,7 +241,15 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     name -> operator; ``stop_when(obs_snapshot)`` may end a packet's run
     early (the ballistic-window rule) while the others keep stepping.
     Returns a Trajectory, or Trajectories for a sequence of fields.
+    Raises ValueError unless dt > 0, steps >= 1 and record_every >= 1.
     """
+    if not dt > 0.0:   # NaN fails too
+        raise ValueError(f"evolve needs dt > 0, got dt = {dt}")
+    if steps < 1:
+        raise ValueError(f"evolve needs steps >= 1, got steps = {steps}")
+    if record_every < 1:
+        raise ValueError(f"evolve needs record_every >= 1, got "
+                         f"record_every = {record_every}")
     single = isinstance(fields, SpinorField)
     fields = [fields] if single else list(fields)
     lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)

@@ -23,13 +23,30 @@ Conventions fixed here and used by every downstream module:
 Spinor components always live in the local orthonormal frame: sigma_3 is
 the normal spin direction everywhere, and all position dependence sits in
 (e_a^i, w_a, S^{ab}).
+
+``frame_fields`` computes its fields in stages, each on the first read of
+one of its fields, so a caller pays only for the stages it reads:
+
+* metric (on the call): the jet r, d_a r, d_a d_b r; g, g^{-1}, sqrt(g),
+  and the check that g is regular and finite;
+* curvature: n, alpha_ab, alpha_a^b, K, M;
+* connection: the Gram-Schmidt frame and w_a;
+* vielbein: e_a^i, then e^{-1} on its own read;
+* spin: S^{ab}, then A_so on its own read.
+
+The jet's second derivatives are dropped once the curvature and the
+connection stages have both run.  Each stage evaluates the same
+expressions whichever stage ran first, so every field has the same bits
+however the fields are read.  The gauge flux reads the metric and
+curvature stages, a grid's half-steps the metric and connection stages,
+its nodes everything except e^{-1} and A_so, and a pointwise stencil
+everything.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,30 +100,111 @@ class FrameFields:
             setattr(self, k, kw[k])
 
 
-class _MetricFrame(NamedTuple):
-    """First stage of frame_fields: the jet, the metric, the Gram-Schmidt
-    frame e_hat (3, 2, ...) and the spin connection w (2, ...)."""
+class _StagedFields(FrameFields):
+    """The FrameFields that frame_fields returns: the metric stage is set on
+    construction, every other field is computed on its first read by the
+    stage _STAGES names for it.  A stage runs at most once, and fields a
+    caller never reads are never computed."""
 
-    q1: np.ndarray
-    q2: np.ndarray
-    r: np.ndarray
-    r_a: np.ndarray
-    r_ab: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_g: np.ndarray
-    e_hat: np.ndarray
-    w: np.ndarray
+    __slots__ = ("_r_ab", "_jet_readers", "_frame_gauge", "_e_hat")
+
+    def __init__(self, q1, q2, r, r_a, r_ab, g, g_inv, sqrt_g, frame_gauge):
+        self.q1, self.q2, self.r, self.r_a = q1, q2, r, r_a
+        self.g, self.g_inv, self.sqrt_g = g, g_inv, sqrt_g
+        self._r_ab = r_ab
+        self._jet_readers = 2   # the curvature and connection stages
+        self._frame_gauge = frame_gauge
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set (or an unknown name)
+        stage = _STAGES.get(name)
+        if stage is None:
+            raise AttributeError(name)
+        stage(self)
+        return getattr(self, name)
+
+    def _take_r_ab(self):
+        """The jet's second derivatives, dropped after their last reader."""
+        r_ab = self._r_ab
+        self._jet_readers -= 1
+        if not self._jet_readers:
+            self._r_ab = None
+        return r_ab
 
 
-def _metric_frame(patch: SurfacePatch, q1, q2, frame_gauge="gs12"
-                  ) -> _MetricFrame:
-    """The jet, g, g^{-1}, sqrt(g), the Gram-Schmidt frame and w at array
-    points: everything of frame_fields that needs no normal or curvature.
+def _curvature(ff):
+    r_a = ff.r_a
+    cross = np.cross(r_a[:, 0], r_a[:, 1], axisa=0, axisb=0, axis=0)
+    ff.n_hat = cross / np.sqrt((cross**2).sum(axis=0))
+    # alpha_ab = d_a r . d_b n = -n . d_a d_b r  (equal because r_a . n = 0)
+    ff.alpha_lower = -np.einsum("j...,jab...->ab...", ff.n_hat,
+                                ff._take_r_ab())
+    alpha = ff.alpha = np.einsum("ac...,cb...->ab...", ff.alpha_lower,
+                                 ff.g_inv)
+    ff.K = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
+    ff.M = 0.5 * (alpha[0, 0] + alpha[1, 1])
 
-    frame_fields continues from it; the half-steps of a grid geometry read
-    only sqrt(g), g^{aa} and w_a, so they stop here.
+
+def _connection(ff):
+    e_hat, de_hat2 = _gram_schmidt(ff.r_a, ff._take_r_ab(), ff._frame_gauge)
+    ff._e_hat = e_hat
+    # w_a = -1/2 e_hat_1 . d_a e_hat_2 ; fixed so that curl w = -K/2
+    ff.w = -0.5 * np.einsum("j...,ja...->a...", e_hat[:, 0], de_hat2)
+
+
+def _vielbein(ff):
+    ff.e = np.einsum("ja...,ji...->ai...", ff.r_a, ff._e_hat)
+
+
+def _vielbein_inverse(ff):
+    ff.e_inv = _inv22(ff.e)
+
+
+def _coupling(ff):
+    # S^{ab} = eps^{ac} alpha_c^b with the Levi-Civita symbol
+    ff.S = np.stack([ff.alpha[1], -ff.alpha[0]])
+
+
+def _spin_orbit_field(ff):
+    e, alpha_lower = ff.e, ff.alpha_lower
+    # tangential Pauli matrices sigma_b = e_b^1 sigma_1 + e_b^2 sigma_2,
+    # shape (b, 2, 2, ...)
+    sigma_tan = (np.einsum("b...,st->bst...", e[:, 0], SIGMA1)
+                 + np.einsum("b...,st->bst...", e[:, 1], SIGMA2))
+    # (A_so)_a = (sigma_2tan alpha_a1 - sigma_1tan alpha_a2) / (2 sqrt g)
+    ff.A_so = (np.einsum("a...,st...->ast...", alpha_lower[:, 0],
+                         sigma_tan[1])
+               - np.einsum("a...,st...->ast...", alpha_lower[:, 1],
+                           sigma_tan[0])
+               ) / (2.0 * ff.sqrt_g)
+
+
+# field -> the stage that computes it; a stage reads the fields of the
+# stages before it, which runs them first when they have not yet run
+_STAGES = {
+    **dict.fromkeys(("n_hat", "alpha_lower", "alpha", "K", "M"), _curvature),
+    "w": _connection, "_e_hat": _connection,
+    "e": _vielbein, "e_inv": _vielbein_inverse,
+    "S": _coupling, "A_so": _spin_orbit_field,
+}
+
+
+def frame_fields(patch: SurfacePatch, q1, q2, frame_gauge="gs12") -> FrameFields:
+    """Evaluate the first-fundamental-frame quantities at array points.
+
+    Only the metric stage runs here: the jet, g, g^{-1} and sqrt(g), with
+    the check that g is regular.  The other fields are computed on first
+    read, each by its stage (see the module docstring), so a caller pays
+    only for what it reads; the values are the same either way.
+
+    ``frame_gauge`` selects the vielbein construction: "gs12" (default)
+    orthonormalizes (d1 r, d2 r) in that order; "gs21" orthonormalizes
+    (d2 r, d1 r) and flips the second leg to keep the frame right-handed
+    with the same normal.  Gauge-dependent outputs (e, w, A_so) change
+    between the two by a local rotation; g, alpha, K, M, S do not.
     """
+    if frame_gauge not in ("gs12", "gs21"):
+        raise ValueError(f"unknown frame gauge {frame_gauge!r}")
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     r, r_a, r_ab = patch.jet(q1, q2)
@@ -118,55 +216,9 @@ def _metric_frame(patch: SurfacePatch, q1, q2, frame_gauge="gs12"
         raise DegenerateMetricError(
             "metric is numerically degenerate or not finite: "
             "det g <= 1e-14 * scale^2")
-
-    e_hat, de_hat2 = _gram_schmidt(r_a, r_ab, frame_gauge)
-    # w_a = -1/2 e_hat_1 . d_a e_hat_2 ; fixed so that curl w = -K/2
-    w = -0.5 * np.einsum("j...,ja...->a...", e_hat[:, 0], de_hat2)
-    return _MetricFrame(q1=q1, q2=q2, r=r, r_a=r_a, r_ab=r_ab, g=g,
-                        g_inv=_inv22(g), sqrt_g=np.sqrt(det_g), e_hat=e_hat,
-                        w=w)
-
-
-def frame_fields(patch: SurfacePatch, q1, q2, frame_gauge="gs12") -> FrameFields:
-    """Evaluate all first-fundamental-frame quantities at array points.
-
-    ``frame_gauge`` selects the vielbein construction: "gs12" (default)
-    orthonormalizes (d1 r, d2 r) in that order; "gs21" orthonormalizes
-    (d2 r, d1 r) and flips the second leg to keep the frame right-handed
-    with the same normal.  Gauge-dependent outputs (e, w, A_so) change
-    between the two by a local rotation; g, alpha, K, M, S do not.
-    """
-    m = _metric_frame(patch, q1, q2, frame_gauge)
-    r_a, g_inv, sqrt_g = m.r_a, m.g_inv, m.sqrt_g
-
-    cross = np.cross(r_a[:, 0], r_a[:, 1], axisa=0, axisb=0, axis=0)
-    n_hat = cross / np.sqrt((cross**2).sum(axis=0))
-
-    # alpha_ab = d_a r . d_b n = -n . d_a d_b r  (equal because r_a . n = 0)
-    alpha_lower = -np.einsum("j...,jab...->ab...", n_hat, m.r_ab)
-    alpha = np.einsum("ac...,cb...->ab...", alpha_lower, g_inv)
-    K = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
-    M = 0.5 * (alpha[0, 0] + alpha[1, 1])
-
-    e = np.einsum("ja...,ji...->ai...", r_a, m.e_hat)
-    e_inv = _inv22(e)
-
-    # S^{ab} = eps^{ac} alpha_c^b with the Levi-Civita symbol
-    S = np.stack([alpha[1], -alpha[0]])
-
-    # tangential Pauli matrices sigma_b = e_b^1 sigma_1 + e_b^2 sigma_2,
-    # shape (b, 2, 2, ...)
-    sigma_tan = (np.einsum("b...,st->bst...", e[:, 0], SIGMA1)
-                 + np.einsum("b...,st->bst...", e[:, 1], SIGMA2))
-    # (A_so)_a = (sigma_2tan alpha_a1 - sigma_1tan alpha_a2) / (2 sqrt g)
-    A_so = (np.einsum("a...,st...->ast...", alpha_lower[:, 0], sigma_tan[1])
-            - np.einsum("a...,st...->ast...", alpha_lower[:, 1], sigma_tan[0])
-            ) / (2.0 * sqrt_g)
-
-    return FrameFields(q1=m.q1, q2=m.q2, r=m.r, r_a=r_a, n_hat=n_hat, g=m.g,
-                       g_inv=g_inv, sqrt_g=sqrt_g, alpha_lower=alpha_lower,
-                       alpha=alpha, K=K, M=M, e=e, e_inv=e_inv, w=m.w,
-                       S=S, A_so=A_so)
+    return _StagedFields(q1=q1, q2=q2, r=r, r_a=r_a, r_ab=r_ab, g=g,
+                         g_inv=_inv22(g), sqrt_g=np.sqrt(det_g),
+                         frame_gauge=frame_gauge)
 
 
 def _gram_schmidt(r_a, r_ab, frame_gauge):
@@ -180,13 +232,11 @@ def _gram_schmidt(r_a, r_ab, frame_gauge):
         dv1 = r_ab[:, 0]  # (3,2,...) second index is d_a
         dv2 = r_ab[:, 1]
         flip = 1.0
-    elif frame_gauge == "gs21":
+    else:  # "gs21"
         v1, v2 = r_a[:, 1], r_a[:, 0]
         dv1 = r_ab[:, 1]
         dv2 = r_ab[:, 0]
         flip = -1.0  # keep e1 x e2 along +n
-    else:
-        raise ValueError(f"unknown frame gauge {frame_gauge!r}")
 
     # n1 * n1 and nu * nu, not **2: on a single point **2 goes through
     # libm pow, which can round differently from the product that arrays

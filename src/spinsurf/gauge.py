@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import constants
-from .errors import (NotClosedSurfaceError, SurfaceParameterError,
+from .errors import (GridError, NotClosedSurfaceError, SurfaceParameterError,
                      WindingMismatchError)
 from .frames import (SIGMA1, SIGMA2, SIGMA3, _point_fields, _stencil_d,
                      _stencil_fields, frame_at, frame_fields)
@@ -133,6 +133,11 @@ def curl_matches_w(patch: SurfacePatch, point):
 # Flux quantization
 # ----------------------------------------------------------------------
 
+# least flux resolution per direction: the error estimate reruns at half
+# of it, and 8 is the least grid elsewhere (Grid.for_patch)
+_FLUX_MIN_N = 16
+
+
 @dataclass(frozen=True)
 class FluxResult:
     phi_over_phi0: float
@@ -149,9 +154,16 @@ def flux(patch: SurfacePatch, n1: int = 96, n2: int = 96,
     accurate); the polar direction of the sphere chart uses composite
     Gauss-Legendre panels with the pole caps added by the exact spherical
     cap formula.  The error estimate is the difference against a
-    half-resolution evaluation.  Raises NotClosedSurfaceError for open
-    patches.
+    half-resolution evaluation (n1 // 2, n2 // 2).  Raises GridError
+    unless n1, n2 >= 16 and gl_order >= 1, and NotClosedSurfaceError for
+    open patches.
     """
+    for name, value, least in (("n1", n1, _FLUX_MIN_N),
+                               ("n2", n2, _FLUX_MIN_N),
+                               ("gl_order", gl_order, 1)):
+        if value < least:
+            raise GridError(f"flux needs {name} >= {least}, got {value}")
+
     def run(m1, m2):
         if patch.kind == "sphere":
             return _flux_sphere(patch, m1, m2, gl_order)
@@ -161,7 +173,7 @@ def flux(patch: SurfacePatch, n1: int = 96, n2: int = 96,
             f"flux needs a closed surface; {patch.kind} patch is open")
 
     phi = run(n1, n2)
-    phi_coarse = run(max(n1 // 2, 8), max(n2 // 2, 8))
+    phi_coarse = run(n1 // 2, n2 // 2)
     genus = patch.genus if patch.genus is not None else 0
     return FluxResult(
         phi_over_phi0=phi / constants.PHI0_NATURAL,

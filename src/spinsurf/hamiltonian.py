@@ -22,10 +22,11 @@ matrices Hermitian by construction:
   derivative identity.
 
 All surface data come from one geometry pass per grid (``GridGeometry``):
-``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and the
-metric-and-frame first stage of it at the half-steps of each axis
-(sqrt(g) g^{aa} and the link phase h w_a).  The stencil builders read only
-that record, so a closed-form geometry can be fed to the same builders.
+``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and at
+the half-steps of each axis (sqrt(g) g^{aa} and the link phase h w_a),
+each computing only the stages of the fields read there.  The stencil
+builders read only that record, so a closed-form geometry can be fed to
+the same builders.
 Each assembled operator is checked for hermiticity once, by the function
 that returns it.
 
@@ -44,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GridError, HermiticityError
-from .frames import SIGMA1, SIGMA2, _metric_frame, frame_fields
+from .frames import SIGMA1, SIGMA2, frame_fields
 from .surfaces import SurfacePatch
 
 __all__ = [
@@ -295,19 +296,18 @@ class GridGeometry:
 
 
 def _grid_geometry(patch: SurfacePatch, grid: Grid) -> GridGeometry:
-    """Evaluate frame_fields once at the nodes and its metric-and-frame
-    first stage once per axis at the half-steps, keeping only what the
-    stencils read."""
+    """Evaluate frame_fields once at the nodes and once per axis at the
+    half-steps, reading only what the stencils use."""
     ff = frame_fields(patch, *grid.mesh())
     nodes = dict(sqrt_g=ff.sqrt_g, K=ff.K, M=ff.M,
                  c12=ff.sqrt_g * ff.g_inv[0, 1], X=_soi_fields(ff))
     del ff  # one evaluation alive at a time bounds the peak memory
     c, phase = [], []
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        mf = _metric_frame(patch, *grid.half_mesh(axis))
-        c.append(mf.sqrt_g * mf.g_inv[axis, axis])
-        phase.append(h * mf.w[axis])
-        del mf
+        ff = frame_fields(patch, *grid.half_mesh(axis))
+        c.append(ff.sqrt_g * ff.g_inv[axis, axis])
+        phase.append(h * ff.w[axis])
+        del ff
     return GridGeometry(c=tuple(c), phase=tuple(phase), **nodes)
 
 

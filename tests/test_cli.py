@@ -236,6 +236,38 @@ _DEFECT_CONFIGS = {
     "cylinder length on forces": (
         "[surface]\nkind = cylinder\nlength = 30.0\n"
         "[run]\nexperiment = forces\n", "length"),
+    # numeric values below their least, each of which once exited 0 or
+    # exited 1 with a raw traceback
+    "flux resolution below 16": (
+        "[surface]\nkind = torus\n[run]\nexperiment = flux\n"
+        "[flux]\nn1 = 8\n", "n1"),
+    "negative flux resolution": (
+        "[surface]\nkind = torus\n[run]\nexperiment = flux\n"
+        "[flux]\nn2 = -5\n", "n2"),
+    "zero eigenpairs": ("kind = cylinder\n[spectrum]\nk = 0\n", "k"),
+    "ring below 8 nodes": ("kind = cylinder\n[spectrum]\nn = 4\n", "n"),
+    "grid below 8 nodes": (
+        "[surface]\nkind = torus\n[run]\nexperiment = geometry-report\n"
+        "[grid]\nn1 = 4\nn2 = 8\n", "n1"),
+    "empty conductance grid": (
+        "kind = cylinder\n[run]\nexperiment = conductance\n"
+        "[conductance]\nn_points = 0\n", "n_points"),
+    "negative conductance range": (
+        "kind = cylinder\n[run]\nexperiment = conductance\n"
+        "[conductance]\ne_max = -1.0\n", "e_max"),
+    "forces grid below 8 nodes": (
+        "kind = cylinder\n[forces]\nn_theta = 4\n", "n_theta"),
+    "forces s grid of zero nodes": (
+        "kind = cylinder\n[forces]\nn_s = 0\n", "n_s"),
+    "negative evolve steps": (
+        "kind = cylinder\n[evolve]\nsteps = -3\n", "steps"),
+    "zero time step": ("kind = cylinder\n[evolve]\ndt = 0.0\n", "dt"),
+    "zero recording interval": (
+        "kind = cylinder\n[evolve]\nrecord_every = 0\n", "record_every"),
+    "zero length scale": (
+        "kind = cylinder\n[scale]\nlength_nm = 0.0\n", "length_nm"),
+    "negative mass ratio": (
+        "kind = cylinder\n[scale]\nmass_ratio = -1.0\n", "mass_ratio"),
 }
 
 
@@ -262,21 +294,26 @@ def test_one_line_config_without_newline_is_text(tmp_path):
 
 
 def test_readme_lists_every_config_key():
-    # README "Command line" table rows: | `[section]` | `key` | type | default |
-    from spinsurf.cli import _SCHEMA
+    # README "Command line" table rows:
+    # | `[section]` | `key` | type | default | valid |
+    from spinsurf.cli import _SCHEMA, _range
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (\w+) \| (.*?) \|$",
-                      readme.read_text(encoding="utf-8"), re.M)
-    listed = {(sec, key): (typ, default) for sec, key, typ, default in rows}
+    rows = re.findall(
+        r"^\| `\[(\w+)\]` \| `(\w+)` \| (\w+) \| (.*?) \| (.*?) \|$",
+        readme.read_text(encoding="utf-8"), re.M)
+    listed = {(sec, key): (typ, default, valid)
+              for sec, key, typ, default, valid in rows}
     assert len(listed) == len(rows)
-    table = {(sec, key): (cast.__name__, default)
+    table = {(sec, key): (cast, default, least)
              for sec, keys in _SCHEMA.items()
-             for key, (cast, default) in keys.items()}
+             for key, (cast, default, least) in keys.items()}
     assert set(listed) == set(table)
-    for entry, (typ, default) in table.items():
-        assert listed[entry][0] == typ, entry
+    for entry, (cast, default, least) in table.items():
+        assert listed[entry][0] == cast.__name__, entry
         if default is not None:
             assert listed[entry][1] == f"`{default}`", entry
+        assert listed[entry][2] == ("-" if least is None
+                                    else f"`{_range(cast, least)}`"), entry
 
 
 def test_spectrum_cluster_columns_follow_the_clusters(tmp_path):

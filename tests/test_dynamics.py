@@ -245,6 +245,22 @@ def test_evolve_zero_hamiltonian_constant():
     assert np.allclose(traj.observables["n"], 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("arg,value", [("dt", 0.0), ("dt", -1e-3),
+                                       ("dt", float("nan")), ("steps", 0),
+                                       ("steps", -3), ("record_every", 0)])
+def test_evolve_rejects_invalid_stepping(arg, value):
+    # steps = -3 once returned the initial state, dt = 0 a frozen one and
+    # record_every = 0 a ZeroDivisionError
+    setup = BentCylinderSetup(**SMALL)
+    grid = setup.grid()
+    pkt = gaussian_wavepacket(grid, (0.0, 5.0), (0.05, 1.5), 2.0, "up")
+    zero = HermitianOperator(
+        sp.csr_matrix((grid.dim, grid.dim), dtype=complex), grid, ("zero",))
+    kwargs = {"dt": 0.01, "steps": 20, "record_every": 5, arg: value}
+    with pytest.raises(ValueError, match=arg):
+        evolve(zero, pkt, **kwargs)
+
+
 def test_free_packet_drift():
     # flat strip: <q2> moves at the lattice group velocity ~ k within 1%
     p = make_surface("plane", lx=1.0, ly=40.0)

@@ -161,6 +161,171 @@ def test_non_finite_metric_raises():
         frame_at(p, (1.0, 0.5))
 
 
+def test_unknown_frame_gauge_raises_on_the_call():
+    with pytest.raises(ValueError, match="frame gauge"):
+        frame_fields(make_surface("sphere"), 1.0, 1.0, frame_gauge="gs13")
+
+
+# ----------------------------------------------------------------------
+# Staged frame fields
+# ----------------------------------------------------------------------
+
+def _eager_frame_fields(patch, q1, q2, frame_gauge="gs12"):
+    """Every frame field at once, in one fixed order: frame_fields as it was
+    before its stages ran on first read, kept as the oracle of the staged
+    fields."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    r, r_a, r_ab = patch.jet(q1, q2)
+    g = np.einsum("ja...,jb...->ab...", r_a, r_a)
+    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    e_hat, de_hat2 = frames._gram_schmidt(r_a, r_ab, frame_gauge)
+    w = -0.5 * np.einsum("j...,ja...->a...", e_hat[:, 0], de_hat2)
+    g_inv = frames._inv22(g)
+    sqrt_g = np.sqrt(det_g)
+
+    cross = np.cross(r_a[:, 0], r_a[:, 1], axisa=0, axisb=0, axis=0)
+    n_hat = cross / np.sqrt((cross**2).sum(axis=0))
+    alpha_lower = -np.einsum("j...,jab...->ab...", n_hat, r_ab)
+    alpha = np.einsum("ac...,cb...->ab...", alpha_lower, g_inv)
+    K = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
+    M = 0.5 * (alpha[0, 0] + alpha[1, 1])
+    e = np.einsum("ja...,ji...->ai...", r_a, e_hat)
+    e_inv = frames._inv22(e)
+    S = np.stack([alpha[1], -alpha[0]])
+    sigma_tan = (np.einsum("b...,st->bst...", e[:, 0], frames.SIGMA1)
+                 + np.einsum("b...,st->bst...", e[:, 1], frames.SIGMA2))
+    A_so = (np.einsum("a...,st...->ast...", alpha_lower[:, 0], sigma_tan[1])
+            - np.einsum("a...,st...->ast...", alpha_lower[:, 1], sigma_tan[0])
+            ) / (2.0 * sqrt_g)
+    return dict(q1=q1, q2=q2, r=r, r_a=r_a, n_hat=n_hat, g=g, g_inv=g_inv,
+                sqrt_g=sqrt_g, alpha_lower=alpha_lower, alpha=alpha, K=K,
+                M=M, e=e, e_inv=e_inv, w=w, S=S, A_so=A_so)
+
+
+def _expression_torus():
+    # the torus (rho = 1, R = 2) written out, so its jet is numeric
+    return make_surface("generic", x="(2+cos(q1))*cos(q2)",
+                        y="(2+cos(q1))*sin(q2)", z="sin(q1)",
+                        domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                        periodic=(True, True))
+
+
+def _oracle_points(patch):
+    """A scalar point, its 9-point stencil and a 384^2 grid, inside the
+    domain (clear of the sphere's poles)."""
+    (a0, a1), (b0, b1) = patch.domain
+    q1, q2 = a0 + 0.37 * (a1 - a0), b0 + 0.53 * (b1 - b0)
+    off = np.array([0.0, -2.0, -1.0, 1.0, 2.0]) * 1e-3
+    s1 = np.concatenate((q1 + off * (a1 - a0), np.full(4, q1)))
+    s2 = np.concatenate((np.full(5, q2), q2 + off[1:] * (b1 - b0)))
+    g1, g2 = np.meshgrid(np.linspace(a0 + 0.02 * (a1 - a0),
+                                     a1 - 0.02 * (a1 - a0), 384),
+                         np.linspace(b0, b1, 384), indexing="ij")
+    return ((q1, q2), (s1, s2), (g1, g2))
+
+
+@pytest.mark.parametrize("frame_gauge", ["gs12", "gs21"])
+@pytest.mark.parametrize("kind", ["plane", "cylinder", "sphere", "torus",
+                                  "expression torus"])
+def test_staged_fields_equal_the_eager_oracle(kind, frame_gauge):
+    # every field keeps its bits, whichever stage a caller reads first
+    patch = (_expression_torus() if kind == "expression torus"
+             else make_surface(kind))
+    orders = (FrameFields.__slots__, ("w", "K", "A_so", "e_inv", "e", "S"),
+              FrameFields.__slots__[::-1])
+    for (q1, q2), reads in zip(_oracle_points(patch),
+                               (orders, orders, orders[-1:])):
+        want = _eager_frame_fields(patch, q1, q2, frame_gauge)
+        for order in reads:
+            ff = frame_fields(patch, q1, q2, frame_gauge=frame_gauge)
+            for name in order:
+                got = np.asarray(getattr(ff, name))
+                assert got.dtype == want[name].dtype, name
+                assert got.shape == np.shape(want[name]), name
+                assert got.tobytes() == np.asarray(want[name]).tobytes(), name
+            # the jet's second derivatives go once their readers have run
+            assert ff._r_ab is None
+
+
+def _count_stages(monkeypatch):
+    """Record each stage run of frame_fields, by stage function name."""
+    runs = []
+    wrapped = {}
+    for name, stage in list(frames._STAGES.items()):
+        if stage not in wrapped:
+            def counting(ff, stage=stage):
+                runs.append(stage.__name__)
+                stage(ff)
+            wrapped[stage] = counting
+        monkeypatch.setitem(frames._STAGES, name, wrapped[stage])
+    return runs
+
+
+def test_sphere_flux_reads_no_frame(monkeypatch):
+    # B = K/2 needs K and sqrt g only: two evaluations (the run and its
+    # half-resolution check), no Gram-Schmidt frame
+    from spinsurf.gauge import flux
+    from spinsurf.surfaces import SurfacePatch
+    jets, frames_made = [], []
+    jet, gram_schmidt = SurfacePatch.jet, frames._gram_schmidt
+
+    def counting_jet(self, q1, q2):
+        jets.append(1)
+        return jet(self, q1, q2)
+
+    def counting_gram_schmidt(*args):
+        frames_made.append(1)
+        return gram_schmidt(*args)
+
+    sphere = make_surface("sphere", r=1.0)
+    monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
+    monkeypatch.setattr(frames, "_gram_schmidt", counting_gram_schmidt)
+    res = flux(sphere)
+    assert res.phi_over_phi0 == pytest.approx(2.0, rel=1e-6)
+    assert len(jets) == 2
+    assert not frames_made
+
+
+def _run_experiment(tmp_path, experiment):
+    from spinsurf import cli
+    path = tmp_path / "run.cfg"
+    path.write_text("kind = torus\n")
+    cli._RUNNERS[experiment](cli.load_config(str(path)))
+
+
+_TORUS = make_surface("torus", rho=1.0, R=3.0)
+
+
+@pytest.mark.parametrize("caller,expected", [
+    ("flux", {"_curvature": 2}),
+    ("geometry-report", {"_curvature": 1}),
+    ("field-map", {"_curvature": 1, "_connection": 1}),
+    ("sample_w", {"_connection": 1}),
+    # nodes: all but e^{-1} and A_so; each half-step axis: the connection
+    ("assemble_Heff", {"_curvature": 1, "_connection": 3, "_vielbein": 1,
+                       "_coupling": 1}),
+    ("pseudo_field_at", {"_curvature": 1, "_connection": 1, "_vielbein": 1,
+                         "_vielbein_inverse": 1, "_coupling": 1,
+                         "_spin_orbit_field": 1}),
+])
+def test_each_caller_runs_the_stages_it_reads(caller, expected, monkeypatch,
+                                              tmp_path):
+    from spinsurf import gauge, hamiltonian
+    calls = {
+        "flux": lambda: gauge.flux(_TORUS),
+        "geometry-report": lambda: _run_experiment(tmp_path, caller),
+        "field-map": lambda: _run_experiment(tmp_path, caller),
+        "sample_w": lambda: gauge.sample_w(_TORUS, 16, 16),
+        "assemble_Heff": lambda: hamiltonian.assemble_Heff(
+            _TORUS, hamiltonian.Grid.for_patch(_TORUS, 12, 16)),
+        "pseudo_field_at": lambda: gauge.pseudo_field_at(_TORUS, (0.4, 1.7)),
+    }
+    runs = _count_stages(monkeypatch)
+    calls[caller]()
+    assert {s: runs.count(s) for s in set(runs)} == expected
+
+
 # ----------------------------------------------------------------------
 # Adapted frame
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spinsurf.constants import PhysicalScale
-from spinsurf.errors import (NotClosedSurfaceError, SurfaceParameterError,
-                             WindingMismatchError)
+from spinsurf.errors import (NotClosedSurfaceError, SpinsurfError,
+                             SurfaceParameterError, WindingMismatchError)
 from spinsurf.frames import SIGMA1, SIGMA2, SIGMA3, frame_fields
 from spinsurf.gauge import (curl_matches_w, flux, gauge_transform,
                             pseudo_electric_field, pseudo_field_at, sample_w,
@@ -213,12 +213,22 @@ def test_flux_quadrature_converges():
     # against the exact integer answer collapses under panel refinement
     p = make_surface("sphere", r=1.0)
     errs = []
-    for n1 in (2, 4, 8):
+    for n1 in (16, 32, 64):
         res = flux(p, n1=n1, n2=16, gl_order=2)
         errs.append(abs(res.phi_over_phi0 - 2.0) + 1e-17)
     assert errs[-1] < errs[0]
-    slope = np.polyfit(np.log([2, 4, 8]), np.log(errs), 1)[0]
+    slope = np.polyfit(np.log([16, 32, 64]), np.log(errs), 1)[0]
     assert slope <= -3.0   # nominal order 2*gl_order = 4
+
+
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+@pytest.mark.parametrize("arg,value", [("n1", -5), ("n1", 0), ("n2", 8),
+                                       ("n1", 15), ("gl_order", 0)])
+def test_flux_rejects_unresolved_quadrature(kind, arg, value):
+    # n1 = -5 once returned 0 flux quanta, 0 divided by zero, and 8
+    # compared the run with itself for its error estimate
+    with pytest.raises(SpinsurfError, match=arg):
+        flux(make_surface(kind), **{arg: value})
 
 
 # ----------------------------------------------------------------------

@@ -282,9 +282,8 @@ def test_sheared_plane_g12_cross_term():
 
 
 def test_heff_makes_one_geometry_pass(monkeypatch):
-    # one geometry pass: three jet evaluations per assembly, of which only
-    # the nodes run the whole frame_fields; the half-steps stop after the
-    # metric and the frame
+    # one geometry pass: three frame_fields calls and three jet evaluations
+    # per assembly, at the nodes and at the half-steps of each axis
     jets, frames_calls = [], []
     jet, full = SurfacePatch.jet, hamiltonian.frame_fields
 
@@ -304,12 +303,12 @@ def test_heff_makes_one_geometry_pass(monkeypatch):
         frames_calls.clear()
         assemble_Heff(p, Grid.for_patch(p, 12, 16))
         assert len(jets) == 3
-        assert len(frames_calls) == 1
+        assert len(frames_calls) == 3
 
 
 def test_half_step_geometry_matches_frame_fields():
-    # the half-step coefficients from the metric-and-frame stage carry the
-    # same bits as the whole frame_fields at Grid.half_mesh
+    # the half-step coefficients carry the same bits as frame_fields at
+    # Grid.half_mesh
     bent = BentCylinderSetup()
     for patch, grid in (
             (make_surface("torus", rho=1.0, R=3.0), None),

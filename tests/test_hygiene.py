@@ -5,13 +5,17 @@
 * every module-level private name (``_name``) is read somewhere in the
   package, so a deletion cannot leave an orphaned helper or table behind;
 * no module uses a bare ``assert`` statement: ``python -O`` strips them,
-  so guards on results raise package errors instead.
+  so guards on results raise package errors instead;
+* every function the benchmark's tracer wraps still exists under the
+  name it looks up, so a rename shows here and not only in traced runs.
 """
 
 import ast
+import importlib
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "spinsurf"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "spinsurf"
 
 
 def _modules():
@@ -83,3 +87,13 @@ def test_no_bare_asserts():
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_tracing_targets_resolve(monkeypatch):
+    # benchmarks/tracing.py imports its sibling modules by bare name
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    plain, factor = importlib.import_module("tracing")._targets()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in plain + factor
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, missing
