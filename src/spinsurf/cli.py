@@ -249,6 +249,9 @@ def _exp_spectrum(cfg):
                                     with_connection=opts["with_connection"])
     else:
         op = assemble_Heff(cfg.patch, _grid(cfg, 24))
+    if opts["k"] >= op.dim:
+        raise ConfigError(f"[spectrum] k = {opts['k']} must be below the "
+                          f"operator's dimension {op.dim}", key="k")
     result = eigensolve(op, opts["k"], which="lowest", return_vectors=False,
                         seed=cfg.seed)
     # grid-aware clustering for discretized spectra
@@ -326,9 +329,10 @@ def _exp_evolve(cfg):
 
 def _exp_expansions(cfg):
     q1, q2 = cfg.values["expansions"].values()
-    if q1 is None or q2 is None:
-        (a0, a1), (b0, b1) = cfg.patch.domain
+    (a0, a1), (b0, b1) = cfg.patch.domain
+    if q1 is None:
         q1 = a0 + 0.37 * (a1 - a0)
+    if q2 is None:
         q2 = b0 + 0.53 * (b1 - b0)
     rep = expansion_report(cfg.patch, (q1, q2))
     payload = {
@@ -360,9 +364,10 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 def run(cfg: RunConfig):
     """Execute the configured experiment and write its artifacts; returns
-    (paths, summary line)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    (paths, summary line).  An experiment that raises writes nothing,
+    not even the output directory."""
     artifacts, summary = _RUNNERS[cfg.experiment](cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     paths = []
     for name, artifact in artifacts:
         path = os.path.join(cfg.out_dir, name)

@@ -118,6 +118,18 @@ def _momentum_s_operator(grid: Grid) -> HermitianOperator:
                              grid=grid, terms=("p_s",))
 
 
+def _commutator(scale, a, b):
+    """scale * (ab - ba) of two CSR matrices, 32 blocks of rows at a time.
+
+    Each row is the row the whole products give, bit for bit; the blocks
+    bound the temporaries of the sparse products, whose freed heap glibc
+    would otherwise keep through the next factorization.
+    """
+    edges = np.linspace(0, a.shape[0], 33).astype(int)
+    return sp.vstack([scale * (a[lo:hi] @ b - b[lo:hi] @ a)
+                      for lo, hi in zip(edges[:-1], edges[1:])], format="csr")
+
+
 def force_operators(H0: HermitianOperator, Hso: HermitianOperator,
                     theta_op: HermitianOperator, rho: float = 1.0):
     """Heisenberg force operators (F_pm, F_so) as explicit commutators.
@@ -130,10 +142,9 @@ def force_operators(H0: HermitianOperator, Hso: HermitianOperator,
     hso = Hso.matrix
     if not (th.shape == h0.shape == hso.shape):
         raise GridError("force operators need a common grid")
-    htot = h0 + hso
-    theta_dot = -1j * (th @ htot - htot @ th)
-    f_pm = (rho**2) * (-1j) * (theta_dot @ h0 - h0 @ theta_dot)
-    f_so = (rho**2) * (-1j) * (theta_dot @ hso - hso @ theta_dot)
+    theta_dot = _commutator(-1j, th, h0 + hso)
+    f_pm = _commutator((rho**2) * (-1j), theta_dot, h0)
+    f_so = _commutator((rho**2) * (-1j), theta_dot, hso)
     grid = H0.grid
     return (HermitianOperator(matrix=f_pm.tocsr(), grid=grid, terms=("F_pm",)),
             HermitianOperator(matrix=f_so.tocsr(), grid=grid, terms=("F_so",)))

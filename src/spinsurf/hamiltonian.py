@@ -24,9 +24,11 @@ matrices Hermitian by construction:
 All surface data come from one geometry pass per grid (``GridGeometry``):
 ``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and at
 the half-steps of each axis (sqrt(g) g^{aa} and the link phase h w_a),
-each computing only the stages of the fields read there.  The stencil
-builders read only that record, so a closed-form geometry can be fed to
-the same builders.
+each computing only the stages of the fields read there.  Each term
+supplies its 2x2 spinor blocks on one node pattern (the node, its +-1
+neighbours on each axis and, when the g^{12} cross term is not zero, the
+four diagonal neighbours), and ``_write_csr`` writes them once into the
+interleaved CSR; H_eff sums the blocks of both terms before that write.
 Each assembled operator is checked for hermiticity once, by the function
 that returns it.
 
@@ -45,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GridError, HermiticityError
-from .frames import SIGMA1, SIGMA2, frame_fields
+from .frames import frame_fields
 from .surfaces import SurfacePatch
 
 __all__ = [
@@ -312,19 +314,51 @@ def _grid_geometry(patch: SurfacePatch, grid: Grid) -> GridGeometry:
 
 
 # ----------------------------------------------------------------------
-# Kinetic (flux-form) assembly with per-spin link phases
+# One node-block stencil pattern, written once into CSR
 # ----------------------------------------------------------------------
 
-def _links(grid, axis):
-    """Flat indices (k, k+1) of the links along axis, and the node mask.
+def _at(values, d1, d2):
+    """``values`` of the (d1, d2) neighbour of every node, wrapped."""
+    return np.roll(values, (-d1, -d2), axis=(0, 1))
 
-    Periodic axes wrap; on a wall axis the last node has no +1 link.
+
+def _write_csr(grid, blocks):
+    """The interleaved CSR (spin fastest) of a set of 2x2 node blocks.
+
+    ``blocks`` maps (d1, d2, s, t) to values shaped like the nodes: the
+    entry (2k + s, 2m + t), m being the (d1, d2) neighbour of node k.
+    Periodic axes wrap; a neighbour across a wall is dropped.  Each row
+    is written with sorted column indices and without exact zeros.
     """
-    idx = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
-    mask = np.ones(idx.shape, dtype=bool)
-    if grid.bc[axis] != "periodic":
-        mask[(slice(None),) * axis + (-1,)] = False
-    return idx[mask], np.roll(idx, -1, axis=axis)[mask], mask
+    dim = grid.dim
+    keys = sorted(blocks, key=lambda key: (key[2], key))   # row spin first
+    n_up = sum(key[2] == 0 for key in keys)
+    node = 2 * np.arange(grid.nodes, dtype=np.int32 if dim < 2**31
+                         else np.int64).reshape(grid.n1, grid.n2)
+    nodes = {key[:2]: _at(node, *key[:2]) for key in keys}
+    cols = np.stack([nodes[key[:2]] + key[3] for key in keys])
+    vals = np.stack([blocks[key] for key in keys])
+    keep = vals != 0
+    edge = np.zeros(node.shape, dtype=bool)
+    for axis, kind in enumerate(grid.bc):
+        line = (slice(None),) * axis
+        if kind == "periodic":
+            edge[line + ([0, -1],)] = True
+            continue
+        for i, key in enumerate(keys):
+            if key[axis]:
+                keep[(i,) + line + (-1 if key[axis] > 0 else 0,)] = False
+    # the keys run in column order, except in the rows of the first and
+    # last line of a periodic axis, where a neighbour wraps
+    cols, vals, keep = (a.reshape(len(keys), -1) for a in (cols, vals, keep))
+    edge = np.flatnonzero(edge)
+    order = np.argsort(cols[:, edge] + 2 * dim * (np.arange(len(keys))
+                                                  >= n_up)[:, None], axis=0)
+    for a in (cols, vals, keep):
+        a[:, edge] = np.take_along_axis(a[:, edge], order, axis=0)
+    indptr = np.cumsum(np.stack((keep[:n_up].sum(0), keep[n_up:].sum(0)), -1))
+    return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T],
+                          np.concatenate(([0], indptr))), shape=(dim, dim))
 
 
 def _node_coefficients(grid, geo, axis):
@@ -341,56 +375,6 @@ def _node_coefficients(grid, geo, axis):
             np.delete(phase, 0, axis=axis))
 
 
-def _kinetic_matrix(grid, geo):
-    """Node-space flux-form Laplacian of the spin-up component.
-
-    The spin-down links carry the opposite phases, so its matrix is the
-    complex conjugate of this one.
-    """
-    n = grid.nodes
-    idx = np.arange(n)
-    diag = np.zeros((grid.n1, grid.n2))
-    rows, cols, vals = [], [], []
-    phases = []
-
-    for axis, h in ((0, grid.h1), (1, grid.h2)):
-        c_plus, c_minus, phase = _node_coefficients(grid, geo, axis)
-        phases.append(phase)
-        diag += (c_plus + c_minus) / h**2
-        r, c, mask = _links(grid, axis)
-        hop = -(c_plus[mask] / h**2) * np.exp(1j * phase[mask])
-        rows.extend([r, c])
-        cols.extend([c, r])
-        vals.extend([hop, np.conj(hop)])
-
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag.ravel().astype(complex))
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-
-    c12 = geo.c12
-    if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
-        C = sp.diags(c12.ravel())
-        D1 = _centered_covariant(grid, 0, phases[0])
-        D2 = _centered_covariant(grid, 1, phases[1])
-        A = (A + (D1.getH() @ C @ D2 + D2.getH() @ C @ D1)).tocsr()
-    return A
-
-
-def _centered_covariant(grid, axis, phase):
-    """Centered covariant difference with spin-up link phases on one axis."""
-    h = grid.h1 if axis == 0 else grid.h2
-    r, c, mask = _links(grid, axis)
-    up = np.exp(1j * phase[mask]) / (2.0 * h)
-    rows = np.concatenate([r, c])
-    cols = np.concatenate([c, r])
-    vals = np.concatenate([up, -np.conj(up)])
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(grid.nodes, grid.nodes)).tocsr()
-
-
 def _scalar_term(geo, scalar_potential):
     if scalar_potential == "spin-connection":
         return 0.25 * geo.K
@@ -401,34 +385,78 @@ def _scalar_term(geo, scalar_potential):
     raise ValueError(f"unknown scalar_potential {scalar_potential!r}")
 
 
-def _rows(m):
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+def _h0_blocks(grid, geo, scalar_potential):
+    """The node blocks of H0 = M^{-1/2} A M^{-1/2} / 2 + V.
 
-
-def _interleave_spins(up):
-    """The 2N operator (spin fastest) of a node-space spin-up CSR block.
-
-    Entry (r, c) goes to (2r, 2c); its spin-down copy conj(up[r, c]) goes
-    to (2r + 1, 2c + 1).  Each row keeps the column order of ``up``.
+    A is the flux-form Laplacian of the spin-up component with the
+    Peierls link phases; the spin-down links carry the opposite phases,
+    so each spin-down entry is the conjugate of the spin-up one.  The
+    sqrt(g) g^{12} cross term is the centered form D1^H c12 D2 + D2^H c12
+    D1 on the diagonal neighbours, written only when it is not zero.
     """
-    # 64-bit index arithmetic; csr_matrix stores 32-bit indices when they fit
-    ptr = up.indptr.astype(np.int64)
-    indptr = np.empty(2 * len(ptr) - 1, dtype=np.int64)
-    indptr[0::2] = 2 * ptr
-    indptr[1::2] = ptr[:-1] + ptr[1:]
-    rows = _rows(up)
-    pos_up = np.arange(up.nnz) + ptr[rows]
-    pos_dn = np.arange(up.nnz) + ptr[rows + 1]
-    cols = 2 * up.indices.astype(np.int64)
-    indices = np.empty(2 * up.nnz, dtype=np.int64)
-    indices[pos_up] = cols
-    indices[pos_dn] = cols + 1
-    data = np.empty(2 * up.nnz, dtype=complex)
-    data[pos_up] = up.data
-    data[pos_dn] = np.conj(up.data)
-    n = 2 * up.shape[0]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    link, diag, units = {}, 0.0, []
+    for axis, h, step in ((0, grid.h1, (1, 0)), (1, grid.h2, (0, 1))):
+        c_plus, c_minus, phase = _node_coefficients(grid, geo, axis)
+        diag = diag + (c_plus + c_minus) / h**2
+        units.append(np.exp(1j * phase))
+        link[step] = hop = -(c_plus / h**2) * units[axis]
+        link[-step[0], -step[1]] = np.conj(np.roll(hop, 1, axis=axis))
+    c12 = geo.c12
+    if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
+        D1, D2 = ({1: fwd, -1: -np.conj(np.roll(fwd, 1, axis=axis))}
+                  for axis, fwd in ((0, units[0] / (2.0 * grid.h1)),
+                                    (1, units[1] / (2.0 * grid.h2))))
+        for d1 in (1, -1):
+            for d2 in (1, -1):
+                # conj(D1[k, i]) c12[k] D2[k, j] with k = i + d1 e1, plus
+                # conj(D2[k, i]) c12[k] D1[k, j] with k = i + d2 e2
+                link[d1, d2] = (
+                    _at(np.conj(D1[-d1]) * c12 * D2[d2], d1, 0)
+                    + _at(np.conj(D2[-d2]) * c12 * D1[d1], 0, d2))
+    link[0, 0] = diag + 0j   # complex, so its conjugate is the spin-down one
+    rescale = np.asarray(geo.sqrt_g, float) ** -0.5
+    half = 0.5 * rescale
+    V = np.asarray(_scalar_term(geo, scalar_potential), float)
+    blocks = {}
+    for (d1, d2), a in link.items():
+        a = half * a * _at(rescale, d1, d2) + (V if d1 == d2 == 0 else 0)
+        blocks[d1, d2, 0, 0], blocks[d1, d2, 1, 1] = a, np.conj(a)
+    return blocks
+
+
+def _soi_blocks(grid, X):
+    """The node blocks of (i/2){X^b, d_b} with centered d_b.
+
+    The +e_b link of node k carries i (X^b_k + X^b_{k+e_b}) / (4 h_b) in
+    all four spin entries, zeros included; the -e_b link, its adjoint.
+    """
+    X = np.asarray(X, complex)
+    blocks = {}
+    for b, h, step in ((0, grid.h1, (1, 0)), (1, grid.h2, (0, 1))):
+        back = (-step[0], -step[1])
+        fwd = 1j * (X[b] + np.roll(X[b], -1, axis=b + 2)) / (4.0 * h)
+        for s in (0, 1):
+            for t in (0, 1):
+                blocks[step + (s, t)] = fwd[s, t]
+                blocks[back + (t, s)] = np.conj(_at(fwd[s, t], *back))
+    return blocks
+
+
+def _soi_fields(ff):
+    """X^b = S^{ab} (e_a^1 sigma_1 + e_a^2 sigma_2) / (2 sqrt g).
+
+    Shape (2, 2, 2, n1, n2).  Only the spin off-diagonal entries are
+    nonzero, re -+ i im, written in real arithmetic; a zero is +0.
+    """
+    S, e = ff.S, ff.e
+    scale = 1.0 / ff.sqrt_g
+    re = 0.5 * (0.0 + S[0] * e[0, 0] + S[1] * e[1, 0]) * scale
+    im = 0.5 * (0.0 + S[0] * e[0, 1] + S[1] * e[1, 1]) * scale
+    X = np.zeros((2, 2) + re.shape, dtype=complex)
+    X[:, 0, 1].real = X[:, 1, 0].real = re
+    X[:, 0, 1].imag = 0.0 - im
+    X[:, 1, 0].imag = im
+    return X
 
 
 def build_h0_operator(grid: Grid, geometry: GridGeometry,
@@ -441,15 +469,9 @@ def build_h0_operator(grid: Grid, geometry: GridGeometry,
     spin connection produces; 'dacosta' uses the scalar-particle form
     -(M^2 - K)/2 for comparison; 'none' drops the term.
     """
-    V = _scalar_term(geometry, scalar_potential)
-    rescale = np.asarray(geometry.sqrt_g, float).ravel() ** -0.5
-    kin = _kinetic_matrix(grid, geometry)
-    # M^{-1/2} A M^{-1/2} / 2 on the stored entries, in the order
-    # ((rescale[row] / 2) A) rescale[col]
-    kin.data = (0.5 * rescale)[_rows(kin)] * kin.data * rescale[kin.indices]
-    up = kin + sp.diags(np.asarray(V, float).ravel())
     return HermitianOperator(
-        matrix=_interleave_spins(up), grid=grid,
+        matrix=_write_csr(grid, _h0_blocks(grid, geometry,
+                                           scalar_potential)), grid=grid,
         terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"))
 
 
@@ -473,7 +495,7 @@ def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connecti
 def build_soi_operator(grid: Grid, X) -> HermitianOperator:
     """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2)
     (unchecked; the assemblers check what they return)."""
-    return HermitianOperator(matrix=_soi_matrix(grid, np.asarray(X, complex)),
+    return HermitianOperator(matrix=_write_csr(grid, _soi_blocks(grid, X)),
                              grid=grid, terms=("soi",))
 
 
@@ -490,43 +512,18 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     return op
 
 
-def _soi_fields(ff):
-    """X^b = (1/(2 sqrt g)) S^{ab} sigma_a^tan, shape (2, 2, 2, n1, n2)."""
-    sigma_tan = (np.einsum("a...,st->ast...", ff.e[:, 0], SIGMA1)
-                 + np.einsum("a...,st->ast...", ff.e[:, 1], SIGMA2))
-    X = np.einsum("ab...,ast...->bst...", ff.S, sigma_tan)
-    return 0.5 * X / ff.sqrt_g
-
-
-def _soi_matrix(grid, X):
-    """Assemble (i/2){X^b, D_b^centered} into the 2N operator."""
-    rows, cols, vals = [], [], []
-    for axis, h in ((0, grid.h1), (1, grid.h2)):
-        r, c, mask = _links(grid, axis)
-        Xb = X[axis]  # (2,2,n1,n2)
-        Xnb = np.roll(Xb, -1, axis=axis + 2)
-        block = 1j * (Xb + Xnb) / (4.0 * h)   # entry (n -> n+1)
-        for s_r in range(2):
-            for s_c in range(2):
-                b = block[s_r, s_c][mask]
-                # reverse hop is the conjugate element: block dagger = -block
-                rows.extend([2 * r + s_r, 2 * c + s_c])
-                cols.extend([2 * c + s_c, 2 * r + s_r])
-                vals.extend([b, np.conj(b)])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(grid.dim, grid.dim)).tocsr()
-
-
 def assemble_Heff(patch: SurfacePatch, grid: Grid,
                   scalar_potential="spin-connection") -> HermitianOperator:
-    """H0 + Hso on the same grid, from one geometry pass and one
-    hermiticity check of the sum."""
+    """H0 + Hso on the same grid: one geometry pass, the blocks of both
+    terms summed before one CSR write, and one hermiticity check."""
     geo = _grid_geometry(patch, grid)
-    op = (build_h0_operator(grid, geo, scalar_potential)
-          + build_soi_operator(grid, geo.X))
+    h0 = _h0_blocks(grid, geo, scalar_potential)
+    soi = _soi_blocks(grid, geo.X)
+    # a block of one term adds the zero of the other, as a sparse sum does
+    matrix = _write_csr(grid, {key: h0.pop(key, 0) + soi.pop(key, 0)
+                               for key in h0.keys() | soi.keys()})
+    op = HermitianOperator(matrix=matrix, grid=grid, terms=(
+        "kinetic", "gauge-links", f"scalar:{scalar_potential}", "soi"))
     _check_hermitian(op.matrix, "Heff")
     return op
 
@@ -559,7 +556,7 @@ def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
     phases[0::2] = np.exp(1j * theta)
     phases[1::2] = np.exp(-1j * theta)
     m = op.matrix.tocsr()
-    data = phases[_rows(m)]
+    data = phases[np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))]
     data *= m.data
     data *= np.conj(phases)[m.indices]
     return HermitianOperator(

@@ -152,6 +152,33 @@ def test_forces_and_expansions_experiments(tmp_path):
     assert payload["tetrad_max_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("key, value", [("q1", 1.0), ("q2", 2.0)])
+def test_expansions_point_defaults_only_the_unset_coordinate(key, value,
+                                                            tmp_path):
+    # sphere domain (0, pi) x (0, 2 pi): an unset q1 is 0.37 of its range,
+    # an unset q2 0.53 of its range
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[surface]\nkind = sphere\nr = 1.0\n"
+                   f"[run]\nexperiment = expansions\n"
+                   f"[expansions]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert _run_cli(["--config", str(cfg), "--out", str(out)]) == 0
+    point = json.loads((out / "expansions.json").read_text())["point"]
+    expected = {"q1": 0.37 * math.pi, "q2": 0.53 * 2 * math.pi, key: value}
+    assert point == pytest.approx([expected["q1"], expected["q2"]],
+                                  rel=1e-15)
+
+
+def test_spectrum_k_at_the_dimension_names_it(tmp_path, capsys):
+    # the ring of n = 8 nodes has dimension 16
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = cylinder\n[spectrum]\nn = 8\nk = 16\n")
+    assert _run_cli(["--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "[spectrum] k" in message and "dimension 16" in message
+
+
 def test_geometry_report_and_experiment_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[surface]\nkind = torus\nrho = 1.0\nR = 3.0\n"
@@ -245,6 +272,13 @@ _DEFECT_CONFIGS = {
         "[surface]\nkind = torus\n[run]\nexperiment = flux\n"
         "[flux]\nn2 = -5\n", "n2"),
     "zero eigenpairs": ("kind = cylinder\n[spectrum]\nk = 0\n", "k"),
+    # k at or above the operator's dimension once exited 1 with a raw
+    # traceback; the bound depends on the grid, so the experiment checks it
+    "eigenpairs beyond the ring": (
+        "kind = cylinder\n[spectrum]\nn = 8\nk = 20\n", "k"),
+    "eigenpairs beyond the grid": (
+        "[surface]\nkind = torus\n[grid]\nn1 = 8\nn2 = 8\n"
+        "[spectrum]\nk = 128\n", "k"),
     "ring below 8 nodes": ("kind = cylinder\n[spectrum]\nn = 4\n", "n"),
     "grid below 8 nodes": (
         "[surface]\nkind = torus\n[run]\nexperiment = geometry-report\n"

@@ -164,6 +164,23 @@ def test_commutator_antihermitian():
     assert abs((C + C.getH())).max() < 1e-12 * max(abs(C).max(), 1e-300)
 
 
+def test_force_operators_equal_the_whole_products():
+    # the row blocks of force_operators give the bits of the commutators
+    # taken over the whole matrices
+    setup = BentCylinderSetup()
+    H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
+    th, h0, hso = theta_op.matrix, H0.matrix, Hso.matrix
+    htot = h0 + hso
+    theta_dot = -1j * (th @ htot - htot @ th)
+    c = setup.rho**2 * (-1j)
+    F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
+    for op, whole in ((F_pm, c * (theta_dot @ h0 - h0 @ theta_dot)),
+                      (F_so, c * (theta_dot @ hso - hso @ theta_dot))):
+        for name in ("indptr", "indices", "data"):
+            new, old = getattr(op.matrix, name), getattr(whole, name)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
 def test_force_operators_vanish_on_plane():
     # flat limit: both forces vanish away from the walls (the hard wall
     # itself exerts a boundary force on the lattice)

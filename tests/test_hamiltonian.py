@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import spinsurf.hamiltonian as hamiltonian
-from spinsurf.dynamics import BentCylinderSetup
+from spinsurf.dynamics import BentCylinderSetup, bent_cylinder_operators
 from spinsurf.errors import GridError, HermiticityError, SpinsurfError
 from spinsurf.frames import SIGMA1, SIGMA2, frame_fields
 from spinsurf.hamiltonian import (Grid, HermitianOperator, SpinorField, apply,
@@ -48,6 +48,148 @@ def _gauge_oracle(op, theta):
 def _same_bits(a, b):
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
+
+
+# The COO route the block writer replaced, kept as its bitwise oracle.
+
+def _links(grid, axis):
+    """Flat indices (k, k+1) of the links along axis, and the node mask.
+
+    Periodic axes wrap; on a wall axis the last node has no +1 link.
+    """
+    idx = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
+    mask = np.ones(idx.shape, dtype=bool)
+    if grid.bc[axis] != "periodic":
+        mask[(slice(None),) * axis + (-1,)] = False
+    return idx[mask], np.roll(idx, -1, axis=axis)[mask], mask
+
+
+def _kinetic_matrix(grid, geo):
+    """Node-space flux-form Laplacian of the spin-up component."""
+    n = grid.nodes
+    idx = np.arange(n)
+    diag = np.zeros((grid.n1, grid.n2))
+    rows, cols, vals = [], [], []
+    phases = []
+    for axis, h in ((0, grid.h1), (1, grid.h2)):
+        c_plus, c_minus, phase = hamiltonian._node_coefficients(grid, geo,
+                                                                axis)
+        phases.append(phase)
+        diag += (c_plus + c_minus) / h**2
+        r, c, mask = _links(grid, axis)
+        hop = -(c_plus[mask] / h**2) * np.exp(1j * phase[mask])
+        rows.extend([r, c])
+        cols.extend([c, r])
+        vals.extend([hop, np.conj(hop)])
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(diag.ravel().astype(complex))
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    c12 = geo.c12
+    if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
+        C = sp.diags(c12.ravel())
+        D1 = _centered_covariant(grid, 0, phases[0])
+        D2 = _centered_covariant(grid, 1, phases[1])
+        A = (A + (D1.getH() @ C @ D2 + D2.getH() @ C @ D1)).tocsr()
+    return A
+
+
+def _centered_covariant(grid, axis, phase):
+    """Centered covariant difference with spin-up link phases on one axis."""
+    h = grid.h1 if axis == 0 else grid.h2
+    r, c, mask = _links(grid, axis)
+    up = np.exp(1j * phase[mask]) / (2.0 * h)
+    rows = np.concatenate([r, c])
+    cols = np.concatenate([c, r])
+    vals = np.concatenate([up, -np.conj(up)])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(grid.nodes, grid.nodes)).tocsr()
+
+
+def _rows(m):
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _interleave_spins(up):
+    """The 2N operator (spin fastest) of a node-space spin-up CSR block."""
+    ptr = up.indptr.astype(np.int64)
+    indptr = np.empty(2 * len(ptr) - 1, dtype=np.int64)
+    indptr[0::2] = 2 * ptr
+    indptr[1::2] = ptr[:-1] + ptr[1:]
+    rows = _rows(up)
+    pos_up = np.arange(up.nnz) + ptr[rows]
+    pos_dn = np.arange(up.nnz) + ptr[rows + 1]
+    cols = 2 * up.indices.astype(np.int64)
+    indices = np.empty(2 * up.nnz, dtype=np.int64)
+    indices[pos_up] = cols
+    indices[pos_dn] = cols + 1
+    data = np.empty(2 * up.nnz, dtype=complex)
+    data[pos_up] = up.data
+    data[pos_dn] = np.conj(up.data)
+    n = 2 * up.shape[0]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _soi_matrix(grid, X):
+    """Assemble (i/2){X^b, D_b^centered} into the 2N operator."""
+    rows, cols, vals = [], [], []
+    for axis, h in ((0, grid.h1), (1, grid.h2)):
+        r, c, mask = _links(grid, axis)
+        Xb = X[axis]
+        Xnb = np.roll(Xb, -1, axis=axis + 2)
+        block = 1j * (Xb + Xnb) / (4.0 * h)
+        for s_r in range(2):
+            for s_c in range(2):
+                b = block[s_r, s_c][mask]
+                rows.extend([2 * r + s_r, 2 * c + s_c])
+                cols.extend([2 * c + s_c, 2 * r + s_r])
+                vals.extend([b, np.conj(b)])
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(grid.dim, grid.dim)).tocsr()
+
+
+def _soi_fields_oracle(ff):
+    """X^b = (1/(2 sqrt g)) S^{ab} sigma_a^tan by complex einsums."""
+    sigma_tan = (np.einsum("a...,st->ast...", ff.e[:, 0], SIGMA1)
+                 + np.einsum("a...,st->ast...", ff.e[:, 1], SIGMA2))
+    X = np.einsum("ab...,ast...->bst...", ff.S, sigma_tan)
+    return 0.5 * X / ff.sqrt_g
+
+
+def _oracle_h0(grid, geo, scalar_potential="spin-connection"):
+    V = hamiltonian._scalar_term(geo, scalar_potential)
+    rescale = np.asarray(geo.sqrt_g, float).ravel() ** -0.5
+    kin = _kinetic_matrix(grid, geo)
+    kin.data = (0.5 * rescale)[_rows(kin)] * kin.data * rescale[kin.indices]
+    return _interleave_spins(kin + sp.diags(np.asarray(V, float).ravel()))
+
+
+def _oracle_operators(patch, grid):
+    """(H0, Hso, H0 + Hso) of the COO route, the sum as a sparse add."""
+    geo = _grid_geometry(patch, grid)
+    h0 = _oracle_h0(grid, geo)
+    hso = _soi_matrix(grid, _soi_fields_oracle(frame_fields(patch,
+                                                           *grid.mesh())))
+    return h0, hso, (h0 + hso).tocsr()
+
+
+def _assert_matches_oracle(new, oracle, rel=0.0):
+    """The same pattern as the oracle without its stored zeros, and the
+    same bits (or values within ``rel``)."""
+    oracle = oracle.copy()
+    oracle.sort_indices()
+    oracle.eliminate_zeros()
+    assert new.has_sorted_indices
+    assert _same_bits(new.indptr, oracle.indptr)
+    assert _same_bits(new.indices, oracle.indices)
+    if rel:
+        assert np.abs(new.data - oracle.data).max() <= rel * np.abs(
+            oracle.data).max()
+    else:
+        assert _same_bits(new.data, oracle.data)
 
 
 def test_grid_layouts():
@@ -342,25 +484,92 @@ def test_one_hermiticity_check_per_assembly(monkeypatch):
 
 
 def test_non_hermitian_term_raises_through_assemblers(monkeypatch):
-    def skewed(build):
-        def broken(*args):
-            m = build(*args)
-            return (m + sp.csr_matrix(([0.5], ([0], [1])),
-                                      shape=m.shape)).tocsr()
+    # one spin entry of node 0 without its mirror, added to a term's blocks
+    def skewed(blocks_of):
+        def broken(grid, *args):
+            blocks = blocks_of(grid, *args)
+            skew = np.zeros((grid.n1, grid.n2), dtype=complex)
+            skew[0, 0] = 0.5
+            blocks[0, 0, 0, 1] = blocks.get((0, 0, 0, 1), 0) + skew
+            return blocks
         return broken
 
     p = make_surface("torus", rho=1.0, R=3.0)
     g = Grid.for_patch(p, 10, 12)
-    for stencil, assemblers in (("_kinetic_matrix", (assemble_H0,
-                                                     assemble_Heff)),
-                                ("_soi_matrix", (assemble_Hso,
-                                                 assemble_Heff))):
+    for term, assemblers in (("_h0_blocks", (assemble_H0, assemble_Heff)),
+                             ("_soi_blocks", (assemble_Hso, assemble_Heff))):
         with monkeypatch.context() as m:
-            m.setattr(hamiltonian, stencil,
-                      skewed(getattr(hamiltonian, stencil)))
+            m.setattr(hamiltonian, term, skewed(getattr(hamiltonian, term)))
             for assemble in assemblers:
                 with pytest.raises(HermiticityError):
                     assemble(p, g)
+
+
+def _oracle_cases():
+    # the CLI's default torus, sphere and cylinder grids (spectrum: 24^2),
+    # the operator-assembly surfaces on smaller grids, and the expression
+    # torus at its operator-assembly size
+    for kind in ("torus", "sphere", "cylinder", "plane"):
+        yield make_surface(kind), 24, 24
+    yield make_surface("torus", rho=1.0, R=3.0), 32, 32
+    yield make_surface("sphere", r=1.0), 16, 32
+    yield _expression_torus(), 128, 128
+
+
+def test_operators_match_the_coo_oracle():
+    for patch, n1, n2 in _oracle_cases():
+        grid = Grid.for_patch(patch, n1, n2)
+        h0, hso, heff = _oracle_operators(patch, grid)
+        _assert_matches_oracle(assemble_H0(patch, grid).matrix, h0)
+        _assert_matches_oracle(assemble_Hso(patch, grid).matrix, hso)
+        _assert_matches_oracle(assemble_Heff(patch, grid).matrix, heff)
+        ff = frame_fields(patch, *grid.mesh())
+        assert _same_bits(hamiltonian._soi_fields(ff), _soi_fields_oracle(ff))
+
+
+def test_bent_cylinder_operators_match_the_coo_oracle():
+    for bc_s in ("wall", "periodic"):
+        setup = BentCylinderSetup(bc_s=bc_s)
+        patch, grid = setup.patch(), setup.grid()
+        h0, hso, _ = _oracle_operators(patch, grid)
+        H0, Hso, _, _ = bent_cylinder_operators(setup)
+        _assert_matches_oracle(H0.matrix, h0)
+        _assert_matches_oracle(Hso.matrix, hso)
+
+
+def test_sheared_operators_match_the_coo_oracle():
+    # the g^{12} cross term: the oracle's sparse products round without
+    # fused multiply-adds, numpy's complex products may use them
+    for periodic in (True, False):
+        p = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                         domain=((0.0, 1.0), (0.0, 1.0)),
+                         periodic=(periodic, periodic))
+        g = Grid.for_patch(p, 20, 24)
+        h0, _, heff = _oracle_operators(p, g)
+        _assert_matches_oracle(assemble_H0(p, g).matrix, h0, rel=1e-15)
+        _assert_matches_oracle(assemble_Heff(p, g).matrix, heff, rel=1e-15)
+
+
+def test_no_assembled_operator_stores_a_zero():
+    bent = BentCylinderSetup()
+    H0, Hso, _, _ = bent_cylinder_operators(bent)
+    ops = [H0, Hso]
+    for p in (make_surface("torus", rho=1.0, R=3.0),
+              make_surface("sphere", r=1.0), _expression_torus()):
+        g = Grid.for_patch(p, 12, 16)
+        ops += [assemble_H0(p, g), assemble_Hso(p, g), assemble_Heff(p, g)]
+    for op in ops:
+        assert op.matrix.nnz == np.count_nonzero(op.matrix.data) > 0
+    # on the plane Hso is empty and Heff is H0; a sparse sum with the zero
+    # operator turns the -0 imaginary parts of the conjugated spin-down
+    # entries into +0, so the values are compared, not their bits
+    p = make_surface("plane")
+    g = Grid.for_patch(p, 12, 16)
+    assert assemble_Hso(p, g).matrix.nnz == 0
+    H0, Heff = assemble_H0(p, g).matrix, assemble_Heff(p, g).matrix
+    assert _same_bits(Heff.indptr, H0.indptr)
+    assert _same_bits(Heff.indices, H0.indices)
+    assert np.array_equal(Heff.data, H0.data)
 
 
 def _operator_cases():
