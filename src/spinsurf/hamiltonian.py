@@ -30,7 +30,9 @@ neighbours on each axis and, when the g^{12} cross term is not zero, the
 four diagonal neighbours), and ``_write_csr`` writes them once into the
 interleaved CSR; H_eff sums the blocks of both terms before that write.
 Each assembled operator is checked for hermiticity once, by the function
-that returns it.
+that returns it.  ``_fourier_blocks`` splits an operator that the
+one-node shift along a periodic axis leaves unchanged into the dense
+Fourier blocks that ``eigensolve`` solves.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -111,6 +113,16 @@ class Grid:
                    h2=axes[1][1], bc=tuple(bc),
                    domain=(tuple(dom[0]), tuple(dom[1])))
 
+    def __eq__(self, other):
+        # field by field: the generated tuple comparison is ambiguous on
+        # the node arrays
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return (self.bc == other.bc and self.domain == other.domain
+                and self.h1 == other.h1 and self.h2 == other.h2
+                and np.array_equal(self.q1, other.q1)
+                and np.array_equal(self.q2, other.q2))
+
     @property
     def n1(self) -> int:
         return len(self.q1)
@@ -190,6 +202,12 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
+        if (self.grid is not None and other.grid is not None
+                and self.grid != other.grid):
+            raise GridError(
+                f"cannot add operators on different grids "
+                f"({self.grid.n1}x{self.grid.n2} and "
+                f"{other.grid.n1}x{other.grid.n2})")
         return HermitianOperator(
             matrix=(self.matrix + other.matrix).tocsr(),
             grid=self.grid if self.grid is not None else other.grid,
@@ -359,6 +377,86 @@ def _write_csr(grid, blocks):
     indptr = np.cumsum(np.stack((keep[:n_up].sum(0), keep[n_up:].sum(0)), -1))
     return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T],
                           np.concatenate(([0], indptr))), shape=(dim, dim))
+
+
+# Largest entrywise change, relative to max |H|, that the one-node shift
+# along a periodic axis may make for the operator to split into Fourier
+# blocks.  Assembled H_eff (torus 24^2 to 96^2, sphere 24^2 to 64x128)
+# measures 3e-16 to 1e-15 along the azimuth, and 6e-3 to 2.4e-2 along
+# the torus's tube angle.
+_SHIFT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class _FourierBlocks:
+    """An operator that the one-node shift along ``axis`` leaves unchanged.
+
+    ``lines[j]`` holds the rows of the j-th line of nodes across ``axis``
+    (node along the other axis, spin fastest), and ``couplings`` the
+    dense couplings H_d of line 0 to line d = -1, 0, 1.  Block
+    m = 0 .. n-1 is B_m = sum_d exp(2 pi i m d / n) H_d, and an
+    eigenvector u of B_m is the eigenvector u (x) exp(2 pi i m j / n) /
+    sqrt(n) of the operator.
+    """
+
+    axis: int
+    lines: np.ndarray      # (n, block dimension)
+    couplings: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.lines)
+
+    def block(self, m):
+        phase = np.exp(2j * math.pi * m / self.n)
+        lower, diag, upper = self.couplings
+        return diag + phase * upper + np.conj(phase) * lower
+
+    def lift(self, u, m):
+        """The operator's eigenvectors of block-m eigenvectors ``u``
+        (columns)."""
+        wave = np.exp(2j * math.pi * m / self.n * np.arange(self.n))
+        vecs = np.empty((self.lines.size, u.shape[1]), complex)
+        vecs[self.lines] = wave[:, None, None] * (u / math.sqrt(self.n))
+        return vecs
+
+
+def _fourier_blocks(op, max_block):
+    """The Fourier split of ``op`` along a periodic axis, or None.
+
+    An axis qualifies when the operator's grid matches its matrix, the
+    blocks have dimension 2 n_other <= ``max_block``, every coupling
+    reaches at most the neighbouring line, and the one-node shift along
+    the axis changes no entry by more than ``_SHIFT_TOL`` max |H|.  Of
+    two qualifying axes the one with the smaller blocks is taken.
+    """
+    grid, mat = op.grid, op.matrix
+    if grid is None or grid.dim != mat.shape[0]:
+        return None
+    node = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
+    axes = [a for a in (0, 1) if grid.bc[a] == "periodic"
+            and node.shape[a] >= 3 and grid.dim // node.shape[a] <= max_block]
+    if not axes:
+        return None
+    coo = mat.tocoo()
+    scale = np.abs(coo.data).max(initial=0.0)
+    for axis in sorted(axes, key=lambda a: -node.shape[a]):
+        n = node.shape[axis]
+        lines = (2 * np.moveaxis(node, axis, 0)[..., None]
+                 + np.arange(2)).reshape(n, -1)
+        pos = np.empty(grid.dim, dtype=int)
+        pos[lines] = np.arange(n)[:, None]
+        offset = (pos[coo.col] - pos[coo.row]) % n
+        if np.any((offset > 1) & (offset < n - 1)):
+            continue
+        shift = np.empty(grid.dim, dtype=int)
+        shift[lines] = np.roll(lines, -1, axis=0)
+        if abs(mat[shift][:, shift] - mat).max() > _SHIFT_TOL * scale:
+            continue
+        rows = mat[lines[0]]
+        return _FourierBlocks(axis, lines, tuple(
+            rows[:, lines[d]].toarray() for d in (-1, 0, 1)))
+    return None
 
 
 def _node_coefficients(grid, geo, axis):

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
 from .hamiltonian import (LU_ORDERING, HermitianOperator, _check_hermitian,
-                          _factor_shifted, _inertia)
+                          _factor_shifted, _fourier_blocks, _inertia)
 
 __all__ = [
     "SpectrumResult",
@@ -31,11 +31,11 @@ __all__ = [
     "cylinder_ring_operator",
 ]
 
-# Largest dimension solved densely: the measured crossover.  Lowest 16
-# pairs of torus H_eff at one BLAS thread (2-vCPU Xeon VM, OpenBLAS),
-# dense eigh against shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021
-# vs 0.017 at 256, 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs
-# 0.21 at 2048.
+# Largest matrix, or Fourier block, solved densely: the measured
+# crossover for a whole matrix.  Lowest 16 pairs of torus H_eff at one
+# BLAS thread (2-vCPU Xeon VM, OpenBLAS), dense eigh against
+# shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021 vs 0.017 at 256,
+# 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs 0.21 at 2048.
 _DENSE_CUTOFF = 192
 
 # The lowest-k shift: its first step below the constant-spinor bound,
@@ -60,57 +60,79 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
                ) -> SpectrumResult:
     """Hermitian eigensolve with a residual contract.
 
-    Dense ``eigh`` up to ``_DENSE_CUTOFF`` rows; above it shift-invert
-    Lanczos (ARPACK) on a factor of H - sigma I from the package's sparse
-    LU, passed as ``OPinv``.  ``which`` is 'nearest' (sigma = ``target``,
-    row-pivoting LU; a target exactly on an eigenvalue raises
-    EigensolverError) or 'lowest': sigma steps down from the least
-    Rayleigh quotient of four real spinors (the two constant ones and
-    their |diag H|^(-1/2)-weighted forms) until the Hermitian factor
-    that ARPACK solved on counts, by its inertia, no eigenvalue below
-    sigma.  After the solve a second count, between the top returned
-    cluster and the value below it, must equal the number of returned
-    values below that cluster.  A miss is retried once with 2k pairs
-    (keeping the lowest k), then raises EigensolverError; an
-    untrustworthy count falls back to the row-pivoting LU just below
-    the Gershgorin bound.  Every reported pair satisfies
-    ||H v - lambda v|| <= 1e-10 ||H||_inf, otherwise EigensolverError is
-    raised reporting the achieved residual.
+    Dense ``eigh`` over the operator's blocks where they are small, else
+    shift-invert Lanczos (ARPACK) on a factor of H - sigma I from the
+    package's sparse LU, passed as ``OPinv``.  ``which`` is 'lowest' or
+    'nearest' (the k values nearest ``target``); ``k`` must be an int
+    with 1 <= k < dim.
 
-    ``diagnostics`` records ``method``, ``norm_inf``, ``sigma``,
+    Blocks: a ``HermitianOperator`` whose grid matches its matrix splits
+    into Fourier blocks along a periodic axis when the one-node shift
+    along it changes no entry by more than 1e-12 max|H| and the blocks
+    have dimension 2 n_other <= ``_DENSE_CUTOFF`` (the azimuth of the
+    torus and the sphere).  ``eigvalsh`` runs on each block in turn,
+    the k values are selected from all of them, and ``eigh`` runs again
+    on each block holding a selected value; a block's vector u is the
+    operator's u (x) exp(2 pi i m j / n) / sqrt(n).  Any other operator
+    with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which ARPACK cannot
+    do) is one block.
+
+    Shift-invert, for everything else (grid=None such as the ring,
+    walled windows, bare matrices, blocks above the cutoff): for
+    'nearest' sigma = ``target`` with the row-pivoting LU (a target
+    exactly on an eigenvalue raises EigensolverError).  For 'lowest'
+    sigma steps down from the least Rayleigh quotient of four real
+    spinors (the two constant ones and their |diag H|^(-1/2)-weighted
+    forms) until the Hermitian factor that ARPACK solved on counts, by
+    its inertia, no eigenvalue below sigma.  After the solve a second
+    count, between the top returned cluster and the value below it,
+    must equal the number of returned values below that cluster.  A
+    miss is retried once with 2k pairs (keeping the lowest k), then
+    raises EigensolverError; an untrustworthy count falls back to the
+    row-pivoting LU just below the Gershgorin bound.
+
+    On every route each reported pair satisfies
+    ||H v - lambda v|| <= 1e-10 ||H||_inf against the operator's matrix,
+    otherwise EigensolverError is raised reporting the achieved residual.
+
+    ``diagnostics`` records ``method`` ('dense-eigh' or
+    'shift-invert-lanczos'), ``fourier_axis`` (the grid axis of the
+    split, None without one) and ``blocks`` (the number of dense blocks,
+    1 without a split; None on shift-invert), ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
     ``opinv_solves`` (over every ARPACK run that returned, rejected
     shifts included), ``inertia`` (count below sigma), ``check_count``
     and ``check_expected`` (the post-solve count and the value it must
     equal), ``factorizations``, ``retries``, ``fallback``,
     ``max_residual`` and ``contract``.  The factorization fields are
-    None on the dense path, and the three counts are None for 'nearest'
+    None on the dense route, and the three counts are None for 'nearest'
     and after a fallback.
     """
     if which not in ("lowest", "nearest"):
         raise ValueError(f"unknown which={which!r}")
     mat = op.matrix if isinstance(op, HermitianOperator) else op.tocsr()
     dim = mat.shape[0]
-    if k >= dim:
-        raise ValueError(f"need k < dimension, got k={k}, dim={dim}")
+    if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+            or not 1 <= k < dim):
+        raise ValueError(f"need an int k with 1 <= k < dimension, "
+                         f"got k={k!r}, dim={dim}")
     norm = _scale(mat)
 
-    if dim <= _DENSE_CUTOFF or k >= dim - 1:    # ARPACK needs k < dim - 1
-        vals, vecs = np.linalg.eigh(mat.toarray())
-        if which == "lowest":
-            sel = np.arange(k)
-        else:
-            # eigh sorts ascending, so sorted indices keep the values sorted
-            sel = np.sort(np.argsort(np.abs(vals - target))[:k])
-        vals = vals[sel]
-        vecs = vecs[:, sel]
-        diagnostics = {"method": "dense-eigh", **dict.fromkeys((
-            "sigma", "ordering", "fill", "opinv_solves", "inertia",
-            "check_count", "check_expected", "factorizations", "retries",
-            "fallback"))}
+    split = (_fourier_blocks(op, _DENSE_CUTOFF)
+             if isinstance(op, HermitianOperator) else None)
+    if split is not None or dim <= _DENSE_CUTOFF or k >= dim - 1:
+        vals, vecs = _dense(mat, split, k, which, target)
+        diagnostics = {
+            "method": "dense-eigh",
+            "fourier_axis": None if split is None else split.axis,
+            "blocks": 1 if split is None else split.n, **dict.fromkeys((
+                "sigma", "ordering", "fill", "opinv_solves", "inertia",
+                "check_count", "check_expected", "factorizations", "retries",
+                "fallback"))}
     else:
         vals, vecs, diagnostics = _shift_invert(mat, k, which, target, norm,
                                                 seed)
+        diagnostics.update(fourier_axis=None, blocks=None)
 
     residuals = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
                  / np.linalg.norm(vecs, axis=0))
@@ -126,6 +148,32 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     return SpectrumResult(
         values=vals, vectors=vecs if return_vectors else None,
         clusters=clusters, residuals=residuals, diagnostics=diagnostics)
+
+
+def _dense(mat, split, k, which, target):
+    """Lowest / nearest k pairs by dense eigh over the operator's blocks.
+
+    The Fourier blocks of ``split``, or the whole matrix as one block.
+    Each block is formed when it is solved, so one is alive at a time.
+    """
+    if split is None:
+        count, block, lift = 1, lambda m: mat.toarray(), lambda u, m: u
+    else:
+        count, block, lift = split.n, split.block, split.lift
+    values = np.concatenate([np.linalg.eigvalsh(block(m))
+                             for m in range(count)])
+    size = len(values) // count
+    key = values if which == "lowest" else np.abs(values - target)
+    sel = np.argsort(key, kind="stable")[:k]
+    vals, vecs = [], []
+    for m in np.unique(sel // size):
+        w, u = np.linalg.eigh(block(m))
+        pick = sel[sel // size == m] % size
+        vals.append(w[pick])
+        vecs.append(lift(u[:, pick], m))
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.hstack(vecs)[:, order]
 
 
 def _shift_invert(mat, k, which, target, norm, seed):

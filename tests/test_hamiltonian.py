@@ -204,6 +204,25 @@ def test_grid_layouts():
         Grid.for_patch(p, 4, 8)
 
 
+def test_adding_operators_on_different_grids_raises():
+    p = make_surface("torus", rho=1.0, R=3.0)
+    a = assemble_H0(p, Grid.for_patch(p, 16, 32))
+    with pytest.raises(GridError, match="different grids"):
+        a + assemble_H0(p, Grid.for_patch(p, 32, 16))
+    with pytest.raises(GridError, match="different grids"):   # same size
+        a + assemble_H0(p, Grid.for_patch(p, 16, 32, domain=(
+            (0.0, 2 * math.pi), (0.0, math.pi))))
+    # the same grid built twice compares equal and adds
+    again = Grid.for_patch(p, 16, 32)
+    assert again is not a.grid and again == a.grid
+    total = a + assemble_Hso(p, again)
+    assert total.grid is a.grid
+    assert total.terms[-1] == "soi"
+    # a grid-free operator adds to either side and keeps the grid
+    bare = HermitianOperator(sp.csr_matrix(a.matrix.shape), None, ("zero",))
+    assert (bare + a).grid is a.grid and (a + bare).grid is a.grid
+
+
 def test_plane_free_spectrum():
     p = make_surface("plane", lx=1.0, ly=1.0)
     g = Grid.for_patch(p, 24, 24, bc=("periodic", "periodic"))

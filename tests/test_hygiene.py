@@ -7,12 +7,21 @@
 * no module uses a bare ``assert`` statement: ``python -O`` strips them,
   so guards on results raise package errors instead;
 * every function the benchmark's tracer wraps still exists under the
-  name it looks up, so a rename shows here and not only in traced runs.
+  name it looks up, so a rename shows here and not only in traced runs;
+* every ``method`` that ``eigensolve`` reports falls in one of the
+  benchmark's per-route buckets.
 """
 
 import ast
 import importlib
 import pathlib
+
+import numpy as np
+import scipy.sparse as sp
+
+from spinsurf.hamiltonian import Grid, assemble_Heff
+from spinsurf.spectra import cylinder_ring_operator, eigensolve
+from spinsurf.surfaces import make_surface
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinsurf"
@@ -97,3 +106,30 @@ def test_tracing_targets_resolve(monkeypatch):
                for owner, attr, _, _ in plain + factor
                if not callable(getattr(owner, attr, None))]
     assert not missing, missing
+
+
+def test_every_eigensolve_method_has_a_benchmark_bucket(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    metrics = importlib.import_module("metrics")
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    runs = {       # route: (operator, which, expected fourier_axis)
+        "dense": (cylinder_ring_operator(1.0, 16), "lowest", None),
+        "Fourier blocks": (assemble_Heff(torus, Grid.for_patch(torus, 8, 16)),
+                           "lowest", 1),
+        "shift-invert lowest": (cylinder_ring_operator(1.0, 256), "lowest",
+                                None),
+        "shift-invert nearest": (sp.csr_matrix(np.diag(np.arange(300.0))),
+                                 "nearest", None),
+    }
+    unbucketed = []
+    for route, (op, which, axis) in runs.items():
+        d = eigensolve(op, k=4, which=which, target=5.5, seed=0,
+                       return_vectors=False).diagnostics
+        assert d["fourier_axis"] == axis, route
+        # one eigensolve span lasting 1 s, labelled as the tracer does
+        span = ["spectra.eigensolve", 0.0, 1.0, -1, 0, {"path": d["method"]}]
+        out = metrics.pass_metrics([span])
+        if (out["spectra.eigensolve.dense.s"]
+                + out["spectra.eigensolve.sparse.s"]) != 1.0:
+            unbucketed.append(f"{route}: {d['method']}")
+    assert not unbucketed, unbucketed

@@ -20,8 +20,10 @@ def _op(mat):
 
 
 def _torus_16x32():
+    # the bare matrix: no grid, so no Fourier split, and the shift-invert
+    # tests below keep the sparse route
     p = make_surface("torus", rho=1.0, R=3.0)
-    return assemble_Heff(p, Grid.for_patch(p, 16, 32))
+    return assemble_Heff(p, Grid.for_patch(p, 16, 32)).matrix
 
 
 def test_eigensolve_two_by_two():
@@ -45,8 +47,8 @@ def test_eigensolve_iterative_repeatable():
     # above the dense cutoff: shift-invert Lanczos, two random starts
     p = make_surface("torus", rho=1.0, R=3.0)
     g = Grid.for_patch(p, 48, 48)
-    H = assemble_Heff(p, g)
-    assert H.dim > 4096
+    H = assemble_Heff(p, g).matrix
+    assert H.shape[0] > 4096
     r1 = eigensolve(H, k=6, seed=1, return_vectors=False)
     r2 = eigensolve(H, k=6, seed=99, return_vectors=False)
     assert np.abs(r1.values - r2.values).max() < 1e-9
@@ -56,10 +58,10 @@ def test_eigensolve_iterative_repeatable():
 def test_shift_invert_matches_dense_below_old_cutoff():
     # dim 1024: above the dense cutoff, far below the former 4096
     H = _torus_16x32()
-    assert spectra._DENSE_CUTOFF < H.dim < 4096
+    assert spectra._DENSE_CUTOFF < H.shape[0] < 4096
     res = eigensolve(H, k=16, seed=3, return_vectors=False)
     assert res.diagnostics["method"] == "shift-invert-lanczos"
-    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    ref = np.linalg.eigvalsh(H.toarray())[:16]
     assert np.abs(res.values - ref).max() < 1e-10
     assert ([m for _, m in res.clusters]
             == [m for _, m in degeneracy_clusters(ref)])
@@ -93,7 +95,7 @@ def test_eigensolve_diagnostics():
 def test_inertia_counts_match_eigvalsh():
     # Sylvester counts of the Hermitian factor, below and inside the
     # spectrum, against dense eigvalsh on a dim-1024 operator
-    mat = _torus_16x32().matrix
+    mat = _torus_16x32()
     ref = np.linalg.eigvalsh(mat.toarray())
     shifts = [ref[0] - 1.0, ref[0] - 1e-3]
     for i in (2, 16, 100, 512, 1000):   # between Kramers pairs
@@ -108,7 +110,7 @@ def test_inertia_counts_match_eigvalsh():
 def test_sphere_lowest_24_keep_the_fourfold_level():
     # the Gershgorin shift (-3580 here) returned 3 x 6.11527 + 3 x 6.11856
     p = make_surface("sphere", r=1.0)
-    H = assemble_H0(p, Grid.for_patch(p, 64, 128))
+    H = assemble_H0(p, Grid.for_patch(p, 64, 128)).matrix
     res = eigensolve(H, k=24, seed=0, return_vectors=False)
     (e4, m4), (e2, m2) = res.clusters[-2:]
     assert (m4, m2) == (4, 2)
@@ -117,6 +119,96 @@ def test_sphere_lowest_24_keep_the_fourfold_level():
     d = res.diagnostics
     assert d["check_count"] == d["check_expected"] == 22
     assert d["fallback"] is False
+
+
+def _block_cases():
+    """(operator, its Fourier axis) on the block route: the torus and the
+    sphere split along the azimuth, and the sheared plane, shift-invariant
+    along both axes, along q1 (the first of two equal axes)."""
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    sphere = make_surface("sphere", r=1.0)
+    plane = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                         domain=((0.0, 1.0), (0.0, 1.0)),
+                         periodic=(True, True))
+    return {"torus 16x32": (torus, 16, 32, 1),
+            "sphere 16x32": (sphere, 16, 32, 1),
+            "sphere 32x64": (sphere, 32, 64, 1),
+            "sheared plane 16x16": (plane, 16, 16, 0)}
+
+
+def _whole_clusters(ref, target, at_least):
+    """The least k >= at_least whose k values nearest target end at a
+    gap, so that no level is cut."""
+    gaps = np.sort(np.abs(ref - target))
+    return next(k for k in range(at_least, len(ref))
+                if gaps[k] - gaps[k - 1] > 1e-6)
+
+
+@pytest.mark.parametrize("case", ["torus 16x32", "sphere 16x32",
+                                  "sphere 32x64", "sheared plane 16x16"])
+def test_fourier_blocks_match_the_full_matrix(case):
+    patch, n1, n2, axis = _block_cases()[case]
+    H = assemble_Heff(patch, Grid.for_patch(patch, n1, n2))
+    if H.dim <= 2048:
+        ref = np.linalg.eigvalsh(H.matrix.toarray())
+    else:
+        # dense eigvalsh takes ~30 s at dim 4096 on one core; the lowest
+        # 48 from the inertia-checked shift-invert route of the bare
+        # matrix stand in for it
+        ref = eigensolve(H.matrix, k=48, seed=0,
+                         return_vectors=False).values
+    norm = spectra._scale(H.matrix)
+    target = ref[20] + 0.3 * (ref[24] - ref[20])
+    k_near = _whole_clusters(ref[:40], target, 6)
+    k_low = _whole_clusters(ref[:40], ref[0], 16)
+    nearest = np.sort(ref[np.argsort(np.abs(ref - target))[:k_near]])
+    for which, k, expected in (("lowest", k_low, ref[:k_low]),
+                               ("nearest", k_near, nearest)):
+        res = eigensolve(H, k=k, which=which, target=target)
+        assert np.abs(res.values - expected).max() < 1e-10
+        V = res.vectors
+        assert np.abs(V.conj().T @ V - np.eye(k)).max() < 1e-10
+        resid = np.linalg.norm(H.matrix @ V - V * res.values, axis=0)
+        assert resid.max() <= 1e-10 * norm
+        assert all(m % 2 == 0 for _, m in res.clusters)    # Kramers
+        d = res.diagnostics
+        assert d["method"] == "dense-eigh"
+        assert d["fourier_axis"] == axis
+        assert d["blocks"] == (n1, n2)[axis]
+        assert all(d[key] is None for key in (
+            "sigma", "ordering", "fill", "opinv_solves", "inertia",
+            "check_count", "check_expected", "factorizations", "retries",
+            "fallback"))
+        assert d["max_residual"] <= d["contract"]
+
+
+def _sparse_case(case):
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    if case == "blocks above the cutoff":
+        return assemble_Heff(torus, Grid.for_patch(torus, 100, 16))
+    grid = Grid.for_patch(torus, 16, 32)
+    H = assemble_Heff(torus, grid)
+    if case == "grid off the matrix":
+        return HermitianOperator(H.matrix, Grid.for_patch(torus, 16, 16),
+                                 H.terms)
+    # a potential that depends on the azimuth q2 breaks the shift
+    ramp = np.repeat(0.1 * np.cos(grid.mesh()[1]).ravel(), 2)
+    return H + HermitianOperator(sp.diags(ramp.astype(complex),
+                                          format="csr"), grid, ("ramp",))
+
+
+@pytest.mark.parametrize("case", ["q2-dependent potential",
+                                  "blocks above the cutoff",
+                                  "grid off the matrix"])
+def test_operators_without_a_split_keep_the_sparse_route(case):
+    H = _sparse_case(case)
+    if case == "blocks above the cutoff":
+        assert 2 * H.grid.n1 > spectra._DENSE_CUTOFF
+    res = eigensolve(H, k=8, seed=3, return_vectors=False)
+    d = res.diagnostics
+    assert d["method"] == "shift-invert-lanczos"
+    assert d["fourier_axis"] is None and d["blocks"] is None
+    assert d["inertia"] == 0 and d["fallback"] is False
 
 
 def _record_factors(monkeypatch):
@@ -158,13 +250,13 @@ def test_lowest_solves_on_the_factor_it_counts(monkeypatch):
     assert len(factors) == d["factorizations"] == 2
     assert _same(solved, factors[:1]) and _same(counted, factors)
     assert d["inertia"] == 0 and d["retries"] == 0
-    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    ref = np.linalg.eigvalsh(H.toarray())[:16]
     assert np.abs(res.values - ref).max() < 1e-10
 
 
 def _bound_above_lowest(monkeypatch, H):
     """A first shift 1.0 above the lowest eigenvalue: it is rejected."""
-    ref = np.linalg.eigvalsh(H.matrix.toarray())
+    ref = np.linalg.eigvalsh(H.toarray())
     monkeypatch.setattr(spectra, "_constant_spinor_bound",
                         lambda mat: float(ref[0]) + 1.0)
     return ref
@@ -217,7 +309,7 @@ def test_sphere_lowest_factorization_count():
     # Jacobi-weighted bound lands one step above its lowest pair, where
     # the constant-spinor bound took 7 factorizations
     p = make_surface("sphere", r=1.0)
-    res = eigensolve(assemble_H0(p, Grid.for_patch(p, 32, 64)), k=8,
+    res = eigensolve(assemble_H0(p, Grid.for_patch(p, 32, 64)).matrix, k=8,
                      seed=0, return_vectors=False)
     d = res.diagnostics
     assert d["factorizations"] <= 3 and d["fallback"] is False
@@ -255,9 +347,9 @@ def test_unusable_inertia_falls_back_to_pivoting(monkeypatch):
     d = res.diagnostics
     assert d["fallback"] is True and d["inertia"] is None
     assert d["check_count"] is None and d["factorizations"] == 2
-    norm = spectra._scale(H.matrix)
-    assert d["sigma"] == spectra._lower_bound(H.matrix) - 0.01 * norm
-    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    norm = spectra._scale(H)
+    assert d["sigma"] == spectra._lower_bound(H) - 0.01 * norm
+    ref = np.linalg.eigvalsh(H.toarray())[:16]
     assert np.abs(res.values - ref).max() < 1e-10
 
 
@@ -284,7 +376,7 @@ def test_missed_pair_is_retried_with_larger_k(monkeypatch):
     assert runs == [16, 32]
     d = res.diagnostics
     assert d["retries"] == 1 and d["check_count"] == d["check_expected"]
-    ref = np.linalg.eigvalsh(H.matrix.toarray())[:16]
+    ref = np.linalg.eigvalsh(H.toarray())[:16]
     assert np.abs(res.values - ref).max() < 1e-10
 
 
@@ -444,3 +536,15 @@ def test_conductance_input_validation():
 def test_eigensolve_k_validation():
     with pytest.raises(ValueError):
         eigensolve(_op(np.eye(3)), k=3)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True, np.float64(4.0), "4"])
+def test_eigensolve_rejects_a_k_that_is_not_a_count(k):
+    # dense, Fourier blocks and shift-invert
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    for op in (_op(np.eye(8)), cylinder_ring_operator(1.0, 256),
+               assemble_Heff(torus, Grid.for_patch(torus, 8, 16))):
+        with pytest.raises(ValueError, match="1 <= k < dimension"):
+            eigensolve(op, k=k)
+    res = eigensolve(_op(np.diag(np.arange(8.0))), k=np.int64(2))
+    assert np.allclose(res.values, [0.0, 1.0])
