@@ -40,6 +40,7 @@ wall); wall grids place nodes strictly inside the open interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -412,6 +413,20 @@ class _FourierBlocks:
         lower, diag, upper = self.couplings
         return diag + phase * upper + np.conj(phase) * lower
 
+    def distances(self, m):
+        """Upper bounds on ||B_m - B_j||_2 for j = 0 .. n-1, so by Weyl's
+        inequality on how far any eigenvalue moves from block j to m."""
+        wave = np.exp(2j * math.pi * np.arange(self.n) / self.n)
+        return np.abs(wave - wave[m]) * self._reach
+
+    @functools.cached_property
+    def _reach(self):
+        # ||H_-1||_2 + ||H_1||_2, each bounded by sqrt(||H_d||_1 ||H_d||_inf)
+        lower, _, upper = self.couplings
+        return sum(math.sqrt(np.abs(h).sum(axis=0).max()
+                             * np.abs(h).sum(axis=1).max())
+                   for h in (lower, upper))
+
     def lift(self, u, m):
         """The operator's eigenvectors of block-m eigenvectors ``u``
         (columns)."""
@@ -427,8 +442,11 @@ def _fourier_blocks(op, max_block):
     An axis qualifies when the operator's grid matches its matrix, the
     blocks have dimension 2 n_other <= ``max_block``, every coupling
     reaches at most the neighbouring line, and the one-node shift along
-    the axis changes no entry by more than ``_SHIFT_TOL`` max |H|.  Of
-    two qualifying axes the one with the smaller blocks is taken.
+    the axis changes no entry by more than ``_SHIFT_TOL`` max |H|.  The
+    shifted diagonal is compared first, in O(dim), so an axis along
+    which the diagonal varies (the torus's tube angle) is rejected
+    before the O(nnz) tests.  Of two qualifying axes the one with the
+    smaller blocks is taken.
     """
     grid, mat = op.grid, op.matrix
     if grid is None or grid.dim != mat.shape[0]:
@@ -440,17 +458,20 @@ def _fourier_blocks(op, max_block):
         return None
     coo = mat.tocoo()
     scale = np.abs(coo.data).max(initial=0.0)
+    diag = mat.diagonal()
     for axis in sorted(axes, key=lambda a: -node.shape[a]):
         n = node.shape[axis]
         lines = (2 * np.moveaxis(node, axis, 0)[..., None]
                  + np.arange(2)).reshape(n, -1)
+        shift = np.empty(grid.dim, dtype=int)
+        shift[lines] = np.roll(lines, -1, axis=0)
+        if np.abs(diag[shift] - diag).max() > _SHIFT_TOL * scale:
+            continue
         pos = np.empty(grid.dim, dtype=int)
         pos[lines] = np.arange(n)[:, None]
         offset = (pos[coo.col] - pos[coo.row]) % n
         if np.any((offset > 1) & (offset < n - 1)):
             continue
-        shift = np.empty(grid.dim, dtype=int)
-        shift[lines] = np.roll(lines, -1, axis=0)
         if abs(mat[shift][:, shift] - mat).max() > _SHIFT_TOL * scale:
             continue
         rows = mat[lines[0]]

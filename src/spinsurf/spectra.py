@@ -70,17 +70,29 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     into Fourier blocks along a periodic axis when the one-node shift
     along it changes no entry by more than 1e-12 max|H| and the blocks
     have dimension 2 n_other <= ``_DENSE_CUTOFF`` (the azimuth of the
-    torus and the sphere).  ``eigvalsh`` runs on each block in turn,
-    the k values are selected from all of them, and ``eigh`` runs again
-    on each block holding a selected value; a block's vector u is the
-    operator's u (x) exp(2 pi i m j / n) / sqrt(n).  Any other operator
-    with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which ARPACK cannot
-    do) is one block.
+    torus and the sphere).  ``eigvalsh`` runs on the blocks in turn,
+    the k values are selected from all it returned, and ``eigh`` runs
+    again on each block holding a selected value; a block's vector u is
+    the operator's u (x) exp(2 pi i m j / n) / sqrt(n).  For 'lowest' the
+    blocks run in order of increasing |m| = min(m, n - m), and once k
+    values are known a block is skipped when its least diagonal entry
+    exceeds sigma + delta (sigma the k-th lowest value so far, delta the
+    residual contract below) and B_m - (sigma + delta) I has a Cholesky
+    factor, which shows by Sylvester's law of inertia that no eigenvalue
+    of B_m lies below sigma + delta; the Cholesky is not tried when
+    Weyl's inequality and a solved block already show that B_m holds a
+    value below sigma + delta.  The values and vectors are those of the
+    sweep over every block, bit for bit.  An operator whose low levels
+    sit at large |m| (e.g. -H_eff) skips nothing and pays a few failed
+    Cholesky factors.  'nearest' solves every block.  Any other
+    operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which
+    ARPACK cannot do) is one block.
 
     Shift-invert, for everything else (grid=None such as the ring,
     walled windows, bare matrices, blocks above the cutoff): for
     'nearest' sigma = ``target`` with the row-pivoting LU (a target
-    exactly on an eigenvalue raises EigensolverError).  For 'lowest'
+    exactly on an eigenvalue raises EigensolverError; a target that is
+    not finite raises ValueError on every route).  For 'lowest'
     sigma steps down from the least Rayleigh quotient of four real
     spinors (the two constant ones and their |diag H|^(-1/2)-weighted
     forms) until the Hermitian factor that ARPACK solved on counts, by
@@ -97,8 +109,10 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
 
     ``diagnostics`` records ``method`` ('dense-eigh' or
     'shift-invert-lanczos'), ``fourier_axis`` (the grid axis of the
-    split, None without one) and ``blocks`` (the number of dense blocks,
-    1 without a split; None on shift-invert), ``norm_inf``, ``sigma``,
+    split, None without one), ``blocks`` (the number of dense blocks,
+    1 without a split; None on shift-invert) and ``blocks_solved`` (the
+    blocks that ran ``eigvalsh``: ``blocks`` for 'nearest' or without a
+    split; None on shift-invert), ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
     ``opinv_solves`` (over every ARPACK run that returned, rejected
     shifts included), ``inertia`` (count below sigma), ``check_count``
@@ -116,27 +130,32 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
             or not 1 <= k < dim):
         raise ValueError(f"need an int k with 1 <= k < dimension, "
                          f"got k={k!r}, dim={dim}")
+    if which == "nearest" and not np.isfinite(target):
+        raise ValueError(f"need a finite target for which='nearest', "
+                         f"got target={target!r}")
     norm = _scale(mat)
+    contract = 1e-10 * max(norm, 1e-300)
 
     split = (_fourier_blocks(op, _DENSE_CUTOFF)
              if isinstance(op, HermitianOperator) else None)
     if split is not None or dim <= _DENSE_CUTOFF or k >= dim - 1:
-        vals, vecs = _dense(mat, split, k, which, target)
+        vals, vecs, solved = _dense(mat, split, k, which, target, contract)
         diagnostics = {
             "method": "dense-eigh",
             "fourier_axis": None if split is None else split.axis,
-            "blocks": 1 if split is None else split.n, **dict.fromkeys((
+            "blocks": 1 if split is None else split.n,
+            "blocks_solved": solved, **dict.fromkeys((
                 "sigma", "ordering", "fill", "opinv_solves", "inertia",
                 "check_count", "check_expected", "factorizations", "retries",
                 "fallback"))}
     else:
         vals, vecs, diagnostics = _shift_invert(mat, k, which, target, norm,
                                                 seed)
-        diagnostics.update(fourier_axis=None, blocks=None)
+        diagnostics.update(fourier_axis=None, blocks=None,
+                           blocks_solved=None)
 
     residuals = (np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
                  / np.linalg.norm(vecs, axis=0))
-    contract = 1e-10 * max(norm, 1e-300)
     if np.any(residuals > contract):
         raise EigensolverError(
             f"residual contract violated: max residual "
@@ -150,30 +169,74 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
         clusters=clusters, residuals=residuals, diagnostics=diagnostics)
 
 
-def _dense(mat, split, k, which, target):
+def _dense(mat, split, k, which, target, margin):
     """Lowest / nearest k pairs by dense eigh over the operator's blocks.
 
     The Fourier blocks of ``split``, or the whole matrix as one block.
-    Each block is formed when it is solved, so one is alive at a time.
+    Each block is formed when it is reached, so one is alive at a time.
+    Also returns the number of blocks that ran ``eigvalsh``.
     """
-    if split is None:
-        count, block, lift = 1, lambda m: mat.toarray(), lambda u, m: u
+    if split is None:       # one block: no distances between blocks
+        count, block, lift, distances = (1, lambda m: mat.toarray(),
+                                         lambda u, m: u, None)
     else:
-        count, block, lift = split.n, split.block, split.lift
-    values = np.concatenate([np.linalg.eigvalsh(block(m))
-                             for m in range(count)])
-    size = len(values) // count
+        count, block, lift, distances = (split.n, split.block, split.lift,
+                                         split.distances)
+    if which == "lowest":
+        found = _lowest_blocks(block, distances, count, k, margin)
+    else:
+        found = {m: np.linalg.eigvalsh(block(m)) for m in range(count)}
+    # eigvalsh above forms block(m) from Python ints, eigh and lift below
+    # from numpy ints; exp(2 pi i m / n) rounds differently for the two
+    # (28 of 96 m at n = 96), and the output's bits depend on the choice
+    ran = np.array(sorted(found))
+    values = np.concatenate([found[m] for m in ran])
+    size = len(values) // len(ran)
     key = values if which == "lowest" else np.abs(values - target)
     sel = np.argsort(key, kind="stable")[:k]
     vals, vecs = [], []
-    for m in np.unique(sel // size):
-        w, u = np.linalg.eigh(block(m))
-        pick = sel[sel // size == m] % size
+    for i in np.unique(sel // size):
+        w, u = np.linalg.eigh(block(ran[i]))
+        pick = sel[sel // size == i] % size
         vals.append(w[pick])
-        vecs.append(lift(u[:, pick], m))
+        vecs.append(lift(u[:, pick], ran[i]))
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.hstack(vecs)[:, order]
+    return vals[order], np.hstack(vecs)[:, order], len(ran)
+
+
+def _lowest_blocks(block, distances, count, k, margin):
+    """{m: eigvalsh(B_m)} over the blocks that may hold a lowest-k value.
+
+    Blocks run in order of increasing |m| = min(m, n - m).  Once k values
+    are known, sigma is the k-th lowest so far, and a block is skipped
+    when its least diagonal entry exceeds sigma + margin (a cheap
+    necessary condition) and B_m - (sigma + margin) I has a Cholesky
+    factor: by Sylvester's law of inertia it has no eigenvalue below
+    sigma + margin, and the margin lies far above the backward error of
+    Cholesky and ``eigvalsh``.  The Cholesky, a quarter of an
+    ``eigvalsh``, is not tried when a solved block j shows by Weyl's
+    inequality, lambda_min(B_m) <= lambda_min(B_j) + ||B_m - B_j||, that
+    it would fail; that keeps its cost off an operator whose low levels
+    sit at large |m|.
+    """
+    found, lowest = {}, np.empty(0)
+    floors = np.full(count, np.inf)         # lambda_min of solved blocks
+    for m in sorted(range(count), key=lambda m: min(m, count - m)):
+        b = block(m)
+        if len(lowest) == k:
+            shift = lowest[-1] + margin
+            if (np.diagonal(b).real.min() > shift
+                    and (floors + distances(m)).min() > shift):
+                try:
+                    np.linalg.cholesky(b - shift * np.eye(len(b)))
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+        found[m] = np.linalg.eigvalsh(b)
+        floors[m] = found[m][0]
+        lowest = np.sort(np.concatenate((lowest, found[m])))[:k]
+    return found
 
 
 def _shift_invert(mat, k, which, target, norm, seed):

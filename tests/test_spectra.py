@@ -8,7 +8,8 @@ import scipy.sparse as sp
 import spinsurf.spectra as spectra
 from spinsurf.errors import EigensolverError
 from spinsurf.hamiltonian import (Grid, HermitianOperator, _factor_shifted,
-                                  _inertia, assemble_H0, assemble_Heff)
+                                  _fourier_blocks, _inertia, assemble_H0,
+                                  assemble_Heff)
 from spinsurf.spectra import (conductance_curve, cylinder_analytic_spectrum,
                               cylinder_ring_operator, cylinder_thresholds,
                               degeneracy_clusters, eigensolve)
@@ -85,6 +86,7 @@ def test_eigensolve_diagnostics():
 
     dense = eigensolve(cylinder_ring_operator(1.0, 16), k=4).diagnostics
     assert dense["method"] == "dense-eigh"
+    assert dense["blocks"] == dense["blocks_solved"] == 1
     assert dense["sigma"] is dense["fill"] is dense["opinv_solves"] is None
     assert all(dense[key] is None for key in (
         "inertia", "check_count", "check_expected", "factorizations",
@@ -175,11 +177,116 @@ def test_fourier_blocks_match_the_full_matrix(case):
         assert d["method"] == "dense-eigh"
         assert d["fourier_axis"] == axis
         assert d["blocks"] == (n1, n2)[axis]
+        if which == "nearest":
+            assert d["blocks_solved"] == d["blocks"]
+        else:
+            assert 1 <= d["blocks_solved"] < d["blocks"]
         assert all(d[key] is None for key in (
             "sigma", "ordering", "fill", "opinv_solves", "inertia",
             "check_count", "check_expected", "factorizations", "retries",
             "fallback"))
         assert d["max_residual"] <= d["contract"]
+
+
+def _full_sweep(split, k):
+    """The lowest k pairs from ``eigvalsh`` on every block in index order:
+    the oracle for the block route, which skips blocks."""
+    values = np.concatenate([np.linalg.eigvalsh(split.block(m))
+                             for m in range(split.n)])
+    size = len(values) // split.n
+    sel = np.argsort(values, kind="stable")[:k]
+    vals, vecs = [], []
+    for m in np.unique(sel // size):
+        w, u = np.linalg.eigh(split.block(m))
+        pick = sel[sel // size == m] % size
+        vals.append(w[pick])
+        vecs.append(split.lift(u[:, pick], m))
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.hstack(vecs)[:, order]
+
+
+def _skip_case(case):
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    sphere = make_surface("sphere", r=1.0)
+    patch, n1, n2, k, assemble = {
+        "torus 32x32": (torus, 32, 32, 16, assemble_Heff),
+        "torus 64x64": (torus, 64, 64, 16, assemble_Heff),
+        "sphere H0 64x128": (sphere, 64, 128, 24, assemble_H0),
+        "sphere H_eff 48x96": (sphere, 48, 96, 40, assemble_Heff),
+        "torus R=2 48x64": (make_surface("torus", rho=1.0, R=2.0), 48, 64,
+                            64, assemble_Heff),
+        "-H_eff torus 32x32": (torus, 32, 32, 16, assemble_Heff),
+        "torus 16x16 k=40": (torus, 16, 16, 40, assemble_Heff),
+    }[case]
+    H = assemble(patch, Grid.for_patch(patch, n1, n2))
+    if case.startswith("-"):
+        H = HermitianOperator(-H.matrix, H.grid, H.terms)
+    return H, k
+
+
+@pytest.mark.parametrize("case", ["torus 32x32", "torus 64x64",
+                                  "sphere H0 64x128", "sphere H_eff 48x96",
+                                  "torus R=2 48x64", "-H_eff torus 32x32",
+                                  "torus 16x16 k=40"])
+def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
+    # blocks run in order of |m| and are skipped by an inertia test; the
+    # result must be the full sweep's, bit for bit
+    H, k = _skip_case(case)
+    split = _fourier_blocks(H, spectra._DENSE_CUTOFF)
+    res = eigensolve(H, k=k)
+    vals, vecs = _full_sweep(split, k)
+    assert res.values.tobytes() == vals.tobytes()
+    assert res.vectors.tobytes() == vecs.tobytes()
+
+    d = res.diagnostics
+    solved = spectra._lowest_blocks(split.block, split.distances, split.n, k,
+                                    d["contract"])
+    assert d["blocks"] == split.n and d["blocks_solved"] == len(solved)
+    if case.startswith("-"):
+        assert len(solved) == split.n       # nothing can be skipped
+    else:
+        assert len(solved) < split.n
+    if case == "torus 16x16 k=40":
+        assert k > split.lines.shape[1]     # k exceeds one block
+    for m in set(range(split.n)) - set(solved):
+        assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
+
+
+def test_torus_96_lowest_16_solves_few_blocks():
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    H = assemble_Heff(torus, Grid.for_patch(torus, 96, 96))
+    d = eigensolve(H, k=16, return_vectors=False).diagnostics
+    assert d["blocks"] == 96 and d["blocks_solved"] <= 8
+
+
+def test_block_distances_bound_the_block_differences():
+    H, _ = _skip_case("torus 16x16 k=40")
+    split = _fourier_blocks(H, spectra._DENSE_CUTOFF)
+    for m in (0, 1, 5, 8):
+        bound = split.distances(m)
+        assert bound[m] == 0.0
+        for j in range(split.n):
+            diff = np.linalg.norm(split.block(m) - split.block(j), 2)
+            assert diff <= bound[j] * (1 + 1e-12)
+
+
+def test_weyl_bound_spares_the_cholesky_where_nothing_skips(monkeypatch):
+    # on -H_eff the low levels sit at large |m|: every block is solved,
+    # and a solved neighbour shows most of them cannot be skipped before
+    # a Cholesky is tried
+    H, k = _skip_case("-H_eff torus 32x32")
+    tried = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        tried.append(1)
+        return cholesky(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "cholesky", counting)
+    d = eigensolve(H, k=k, return_vectors=False).diagnostics
+    assert d["blocks_solved"] == d["blocks"] == 32
+    assert len(tried) < d["blocks"] // 2
 
 
 def _sparse_case(case):
@@ -208,6 +315,7 @@ def test_operators_without_a_split_keep_the_sparse_route(case):
     d = res.diagnostics
     assert d["method"] == "shift-invert-lanczos"
     assert d["fourier_axis"] is None and d["blocks"] is None
+    assert d["blocks_solved"] is None
     assert d["inertia"] == 0 and d["fallback"] is False
 
 
@@ -406,6 +514,23 @@ def test_eigensolve_checks_which_before_solving(monkeypatch):
     for n in (16, 256):        # dense and shift-invert sizes
         with pytest.raises(ValueError, match="unknown which"):
             eigensolve(cylinder_ring_operator(1.0, n), k=4, which="highest")
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_eigensolve_rejects_a_target_that_is_not_finite(monkeypatch,
+                                                        target):
+    def solver_called(*args, **kwargs):
+        raise AssertionError("solver ran before target was checked")
+
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    ops = (_op(np.eye(8)), cylinder_ring_operator(1.0, 256),
+           assemble_Heff(torus, Grid.for_patch(torus, 16, 16)))
+    for name in ("_fourier_blocks", "_factor_shifted"):
+        monkeypatch.setattr(spectra, name, solver_called)
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", solver_called)
+    for op in ops:          # dense, shift-invert and Fourier blocks
+        with pytest.raises(ValueError, match="target"):
+            eigensolve(op, k=4, which="nearest", target=target)
 
 
 def test_eigensolve_singular_shift_names_sigma():
