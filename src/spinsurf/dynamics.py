@@ -29,8 +29,8 @@ from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .frames import SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _check_hermitian, _factor_shifted, _grid_geometry,
-                          build_h0_operator, build_soi_operator)
+                          _factor_shifted, _grid_geometry, build_h0_operator,
+                          build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -94,9 +94,7 @@ def bent_cylinder_operators(setup: BentCylinderSetup):
     patch, grid = setup.patch(), setup.grid()
     geo = _grid_geometry(patch, grid)
     H0 = build_h0_operator(grid, geo)
-    _check_hermitian(H0.matrix, "bent H0")
     Hso = build_soi_operator(grid, geo.X)
-    _check_hermitian(Hso.matrix, "bent Hso")
     theta_op = _diagonal_operator(grid, grid.mesh()[0])
     ps_op = _momentum_s_operator(grid)
     return H0, Hso, theta_op, ps_op
@@ -252,7 +250,8 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     name -> operator; ``stop_when(obs_snapshot)`` may end a packet's run
     early (the ballistic-window rule) while the others keep stepping.
     Returns a Trajectory, or Trajectories for a sequence of fields.
-    Raises ValueError unless dt > 0, steps >= 1 and record_every >= 1.
+    Raises ValueError unless dt > 0, steps >= 1 and record_every >= 1,
+    and GridError unless all fields share one grid of the operator's dim.
     """
     if not dt > 0.0:   # NaN fails too
         raise ValueError(f"evolve needs dt > 0, got dt = {dt}")
@@ -263,10 +262,13 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
                          f"record_every = {record_every}")
     single = isinstance(fields, SpinorField)
     fields = [fields] if single else list(fields)
+    grid = fields[0].grid
+    if grid.dim != op.dim or any(f.grid != grid for f in fields):
+        raise GridError(f"evolve needs all fields on one grid of dim {op.dim}")
     lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
     mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
             for k, obs in (observables or {}).items()}
-    cell = fields[0].grid.h1 * fields[0].grid.h2
+    cell = grid.h1 * grid.h2
     psi = np.column_stack([f.flat() for f in fields])
     logs = [[] for _ in fields]           # per packet: (t, norm, snapshot)
     active = list(range(len(fields)))     # packet of each column of psi

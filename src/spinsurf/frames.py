@@ -376,7 +376,7 @@ def _metric(pts, h, q3):
     return G_pts[0], dG
 
 
-def _vielbein(pts, h, q3):
+def _block_vielbein(pts, h, q3):
     """Exact block vielbein E_A^I = diag(e + q3 A e, 1) at the stencil
     centre and its derivatives dE[A]; d_3 E is closed-form."""
     E_pts = [_block((np.eye(2) + q3 * p.alpha) @ p.e) for p in pts]
@@ -435,7 +435,7 @@ def _adapted_frame(pts, h, q3):
     G, dG = _metric(pts, h, q3)
     Gamma = _christoffel(np.linalg.inv(G), dG)
 
-    E, dE = _vielbein(pts, h, q3)
+    E, dE = _block_vielbein(pts, h, q3)
     E_inv = _einv_block(ff, q3)
     return AdaptedFrameData(
         q1=float(ff.q1), q2=float(ff.q2), q3=q3, f=f, G=G,
@@ -468,7 +468,7 @@ def _spin_connection(E, E_inv, dE, Gamma):
 def _truncated_spin_connection(pts, h, q3, gamma2):
     """Omega_A of the truncated E_inv and Gamma (gamma2: surface part)."""
     ff = pts[0]
-    E, dE = _vielbein(pts, h, q3)
+    E, dE = _block_vielbein(pts, h, q3)
     E_inv = _block(ff.e_inv - q3 * (ff.e_inv @ ff.alpha))  # truncated inverse
 
     Gam3, Gmix = _normal_blocks(ff, q3)

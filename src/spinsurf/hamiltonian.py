@@ -29,10 +29,10 @@ supplies its 2x2 spinor blocks on one node pattern (the node, its +-1
 neighbours on each axis and, when the g^{12} cross term is not zero, the
 four diagonal neighbours), and ``_write_csr`` writes them once into the
 interleaved CSR; H_eff sums the blocks of both terms before that write.
-Each assembled operator is checked for hermiticity once, by the function
-that returns it.  ``_fourier_blocks`` splits an operator that the
-one-node shift along a periodic axis leaves unchanged into the dense
-Fourier blocks that ``eigensolve`` solves.
+The writer consumes its blocks and checks each operator it writes for
+hermiticity, once, whichever route builds it.  ``_fourier_blocks``
+splits an operator that the one-node shift along a periodic axis leaves
+unchanged into the dense Fourier blocks that ``eigensolve`` solves.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -288,7 +288,7 @@ def _inertia(lu, tiny):
 
 def _check_hermitian(mat, label):
     defect = hermiticity_defect(mat)
-    if defect > 1e-12:
+    if not defect <= 1e-12:     # NaN fails too
         raise HermiticityError(
             f"{label} assembly lost hermiticity: defect {defect:.3e}")
 
@@ -341,13 +341,16 @@ def _at(values, d1, d2):
     return np.roll(values, (-d1, -d2), axis=(0, 1))
 
 
-def _write_csr(grid, blocks):
+def _write_csr(grid, blocks, label):
     """The interleaved CSR (spin fastest) of a set of 2x2 node blocks.
 
     ``blocks`` maps (d1, d2, s, t) to values shaped like the nodes: the
     entry (2k + s, 2m + t), m being the (d1, d2) neighbour of node k.
     Periodic axes wrap; a neighbour across a wall is dropped.  Each row
-    is written with sorted column indices and without exact zeros.
+    is written with sorted column indices and without exact zeros.  The
+    writer pops the blocks it stacks and frees its temporaries before it
+    checks the matrix's hermiticity, the one check of every operator
+    (``label`` names it in the error).
     """
     dim = grid.dim
     keys = sorted(blocks, key=lambda key: (key[2], key))   # row spin first
@@ -356,28 +359,26 @@ def _write_csr(grid, blocks):
                          else np.int64).reshape(grid.n1, grid.n2)
     nodes = {key[:2]: _at(node, *key[:2]) for key in keys}
     cols = np.stack([nodes[key[:2]] + key[3] for key in keys])
-    vals = np.stack([blocks[key] for key in keys])
+    vals = np.stack([blocks.pop(key) for key in keys])
     keep = vals != 0
-    edge = np.zeros(node.shape, dtype=bool)
     for axis, kind in enumerate(grid.bc):
-        line = (slice(None),) * axis
         if kind == "periodic":
-            edge[line + ([0, -1],)] = True
             continue
+        line = (slice(None),) * axis
         for i, key in enumerate(keys):
             if key[axis]:
                 keep[(i,) + line + (-1 if key[axis] > 0 else 0,)] = False
+    cols, vals, keep = (a.reshape(len(keys), -1).T for a in (cols, vals, keep))
+    indptr = np.cumsum(np.stack((keep[:, :n_up].sum(1),
+                                 keep[:, n_up:].sum(1)), -1))
+    mat = sp.csr_matrix((vals[keep], cols[keep],
+                         np.concatenate(([0], indptr))), shape=(dim, dim))
+    del node, nodes, cols, vals, keep
     # the keys run in column order, except in the rows of the first and
     # last line of a periodic axis, where a neighbour wraps
-    cols, vals, keep = (a.reshape(len(keys), -1) for a in (cols, vals, keep))
-    edge = np.flatnonzero(edge)
-    order = np.argsort(cols[:, edge] + 2 * dim * (np.arange(len(keys))
-                                                  >= n_up)[:, None], axis=0)
-    for a in (cols, vals, keep):
-        a[:, edge] = np.take_along_axis(a[:, edge], order, axis=0)
-    indptr = np.cumsum(np.stack((keep[:n_up].sum(0), keep[n_up:].sum(0)), -1))
-    return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T],
-                          np.concatenate(([0], indptr))), shape=(dim, dim))
+    mat.sort_indices()
+    _check_hermitian(mat, label)
+    return mat
 
 
 # Largest entrywise change, relative to max |H|, that the one-node shift
@@ -409,7 +410,8 @@ class _FourierBlocks:
         return len(self.lines)
 
     def block(self, m):
-        phase = np.exp(2j * math.pi * m / self.n)
+        # int(m): a numpy int m rounds 2 pi i m / n differently
+        phase = np.exp(2j * math.pi * int(m) / self.n)
         lower, diag, upper = self.couplings
         return diag + phase * upper + np.conj(phase) * lower
 
@@ -430,7 +432,7 @@ class _FourierBlocks:
     def lift(self, u, m):
         """The operator's eigenvectors of block-m eigenvectors ``u``
         (columns)."""
-        wave = np.exp(2j * math.pi * m / self.n * np.arange(self.n))
+        wave = np.exp(2j * math.pi * int(m) / self.n * np.arange(self.n))
         vecs = np.empty((self.lines.size, u.shape[1]), complex)
         vecs[self.lines] = wave[:, None, None] * (u / math.sqrt(self.n))
         return vecs
@@ -581,8 +583,8 @@ def _soi_fields(ff):
 def build_h0_operator(grid: Grid, geometry: GridGeometry,
                       scalar_potential="spin-connection"
                       ) -> HermitianOperator:
-    """Assemble H0 on ``grid`` from a geometry record (unchecked; the
-    assemblers check what they return).
+    """Assemble H0 on ``grid`` from a geometry record, checked by the
+    writer.
 
     scalar_potential: 'spin-connection' (default) uses +K/4, the value the
     spin connection produces; 'dacosta' uses the scalar-particle form
@@ -590,32 +592,27 @@ def build_h0_operator(grid: Grid, geometry: GridGeometry,
     """
     return HermitianOperator(
         matrix=_write_csr(grid, _h0_blocks(grid, geometry,
-                                           scalar_potential)), grid=grid,
+                                           scalar_potential), "H0"),
+        grid=grid,
         terms=("kinetic", "gauge-links", f"scalar:{scalar_potential}"))
 
 
-def assemble_H0(patch: SurfacePatch, grid: Grid, scalar_potential="spin-connection",
-                gauge_theta: Optional[Callable] = None) -> HermitianOperator:
+def assemble_H0(patch: SurfacePatch, grid: Grid,
+                scalar_potential="spin-connection") -> HermitianOperator:
     """Discretize H0 (covariant kinetic term plus geometric scalar).
 
     scalar_potential: see ``build_h0_operator``.
-    gauge_theta(q1, q2), when given, applies the abelian gauge rotation
-    exp(i sigma_3 theta) exactly (node-phase conjugation of the links),
-    so the spectrum is unchanged to solver precision.
     """
-    op = build_h0_operator(grid, _grid_geometry(patch, grid),
-                           scalar_potential)
-    if gauge_theta is not None:
-        op = gauge_conjugate(op, gauge_theta(*grid.mesh()))
-    _check_hermitian(op.matrix, "H0")
-    return op
+    return build_h0_operator(grid, _grid_geometry(patch, grid),
+                             scalar_potential)
 
 
 def build_soi_operator(grid: Grid, X) -> HermitianOperator:
-    """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2)
-    (unchecked; the assemblers check what they return)."""
-    return HermitianOperator(matrix=_write_csr(grid, _soi_blocks(grid, X)),
-                             grid=grid, terms=("soi",))
+    """Assemble (i/2){X^b, d_b} from node values X (2, 2, 2, n1, n2),
+    checked by the writer."""
+    return HermitianOperator(
+        matrix=_write_csr(grid, _soi_blocks(grid, X), "Hso"), grid=grid,
+        terms=("soi",))
 
 
 def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
@@ -625,26 +622,22 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     X^b = (1/(2 sqrt g)) S^{ab} sigma_a evaluated at nodes and centered
     differences for d_b, Hermitian at assembly.
     """
-    op = build_soi_operator(grid, _soi_fields(frame_fields(patch,
-                                                          *grid.mesh())))
-    _check_hermitian(op.matrix, "Hso")
-    return op
+    return build_soi_operator(grid, _soi_fields(frame_fields(patch,
+                                                              *grid.mesh())))
 
 
 def assemble_Heff(patch: SurfacePatch, grid: Grid,
                   scalar_potential="spin-connection") -> HermitianOperator:
-    """H0 + Hso on the same grid: one geometry pass, the blocks of both
-    terms summed before one CSR write, and one hermiticity check."""
+    """H0 + Hso on the same grid: one geometry pass, and the blocks of
+    both terms summed before one checked CSR write."""
     geo = _grid_geometry(patch, grid)
     h0 = _h0_blocks(grid, geo, scalar_potential)
     soi = _soi_blocks(grid, geo.X)
     # a block of one term adds the zero of the other, as a sparse sum does
     matrix = _write_csr(grid, {key: h0.pop(key, 0) + soi.pop(key, 0)
-                               for key in h0.keys() | soi.keys()})
-    op = HermitianOperator(matrix=matrix, grid=grid, terms=(
+                               for key in h0.keys() | soi.keys()}, "Heff")
+    return HermitianOperator(matrix=matrix, grid=grid, terms=(
         "kinetic", "gauge-links", f"scalar:{scalar_potential}", "soi"))
-    _check_hermitian(op.matrix, "Heff")
-    return op
 
 
 # ----------------------------------------------------------------------

@@ -186,9 +186,6 @@ def _dense(mat, split, k, which, target, margin):
         found = _lowest_blocks(block, distances, count, k, margin)
     else:
         found = {m: np.linalg.eigvalsh(block(m)) for m in range(count)}
-    # eigvalsh above forms block(m) from Python ints, eigh and lift below
-    # from numpy ints; exp(2 pi i m / n) rounds differently for the two
-    # (28 of 96 m at n = 96), and the output's bits depend on the choice
     ran = np.array(sorted(found))
     values = np.concatenate([found[m] for m in ran])
     size = len(values) // len(ran)

@@ -8,11 +8,11 @@ from spinsurf.dynamics import (BentCylinderSetup, analytic_force,
                                bent_cylinder_operators, evolve,
                                force_equality_report, force_operators,
                                gaussian_wavepacket, spin_hall_run)
-from spinsurf.errors import (InvalidWindowError, PacketTooNarrowError,
-                             SurfaceParameterError)
+from spinsurf.errors import (GridError, InvalidWindowError,
+                             PacketTooNarrowError, SurfaceParameterError)
 from spinsurf.frames import SIGMA1, SIGMA2
 from spinsurf.hamiltonian import (Grid, GridGeometry, HermitianOperator,
-                                  assemble_H0, assemble_Hso,
+                                  SpinorField, assemble_H0, assemble_Hso,
                                   build_h0_operator, build_soi_operator)
 from spinsurf.surfaces import make_surface
 
@@ -276,6 +276,19 @@ def test_evolve_rejects_invalid_stepping(arg, value):
     kwargs = {"dt": 0.01, "steps": 20, "record_every": 5, arg: value}
     with pytest.raises(ValueError, match=arg):
         evolve(zero, pkt, **kwargs)
+
+
+def test_evolve_rejects_fields_off_the_operator_grid():
+    # a 32x16 field has the dim of a 16x32 operator: stepped with it, its
+    # norm would be recorded with the other grid's cell
+    p = make_surface("plane")
+    g = Grid.for_patch(p, 16, 32)
+    H = assemble_H0(p, g)
+    for fields in ([SpinorField.zeros(g),
+                    SpinorField.zeros(Grid.for_patch(p, 32, 16))],
+                   SpinorField.zeros(Grid.for_patch(p, 16, 16))):
+        with pytest.raises(GridError):
+            evolve(H, fields, 0.01, 2)
 
 
 def test_free_packet_drift():

@@ -258,6 +258,14 @@ def test_hermiticity_failure_is_a_package_error():
     assert isinstance(info.value, AssertionError)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hermiticity_check_rejects_non_finite_entries(bad):
+    # the defect of either matrix is NaN (inf - inf), which no bound passes
+    with np.errstate(invalid="ignore"), pytest.raises(HermiticityError):
+        _check_hermitian(sp.csr_matrix(np.array([[1.0, bad], [bad, 1.0]])),
+                         "test")
+
+
 def test_cylinder_heff_levels():
     # transverse clusters (n^2 +- n)/2 = {0, 1, 3, 6} at rho = 1, with the
     # z direction periodic and short enough to stay above the window
@@ -335,19 +343,6 @@ def test_gauge_rotated_spectra_identical():
     v0 = np.linalg.eigvalsh(H.matrix.toarray())[:16]
     v1 = np.linalg.eigvalsh(Hg.matrix.toarray())[:16]
     assert np.abs(v0 - v1).max() < 1e-10
-
-
-def test_gauge_theta_argument_matches_conjugation():
-    p = make_surface("torus", rho=1.0, R=3.0)
-    g = Grid.for_patch(p, 10, 10)
-
-    def theta(u, v):
-        return 0.3 * np.sin(u) - 0.1 * np.cos(u)
-
-    h_arg = assemble_H0(p, g, gauge_theta=theta)
-    Q1, Q2 = g.mesh()
-    h_conj = gauge_conjugate(assemble_H0(p, g), theta(Q1, Q2))
-    assert abs((h_arg.matrix - h_conj.matrix)).max() < 1e-14
 
 
 def test_time_reversal_h0():
@@ -484,7 +479,13 @@ def test_half_step_geometry_matches_frame_fields():
             assert _same_bits(geo.phase[axis], h * ff.w[axis])
 
 
+def _bent_operators(patch, grid):
+    # the bent cylinder's own window grid; patch and grid are not read
+    return bent_cylinder_operators(BentCylinderSetup(n_theta=10, n_s=16))
+
+
 def test_one_hermiticity_check_per_assembly(monkeypatch):
+    # the writer checks each operator it writes, the bent ones included
     labels = []
     original = hamiltonian._check_hermitian
 
@@ -495,11 +496,12 @@ def test_one_hermiticity_check_per_assembly(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_check_hermitian", counting)
     p = make_surface("torus", rho=1.0, R=3.0)
     g = Grid.for_patch(p, 10, 12)
-    for assemble, label in ((assemble_Heff, "Heff"), (assemble_H0, "H0"),
-                            (assemble_Hso, "Hso")):
+    for assemble, expected in ((assemble_Heff, ["Heff"]),
+                               (assemble_H0, ["H0"]), (assemble_Hso, ["Hso"]),
+                               (_bent_operators, ["H0", "Hso"])):
         labels.clear()
         assemble(p, g)
-        assert labels == [label]
+        assert labels == expected
 
 
 def test_non_hermitian_term_raises_through_assemblers(monkeypatch):
@@ -515,8 +517,9 @@ def test_non_hermitian_term_raises_through_assemblers(monkeypatch):
 
     p = make_surface("torus", rho=1.0, R=3.0)
     g = Grid.for_patch(p, 10, 12)
-    for term, assemblers in (("_h0_blocks", (assemble_H0, assemble_Heff)),
-                             ("_soi_blocks", (assemble_Hso, assemble_Heff))):
+    for term, assemblers in (
+            ("_h0_blocks", (assemble_H0, assemble_Heff, _bent_operators)),
+            ("_soi_blocks", (assemble_Hso, assemble_Heff, _bent_operators))):
         with monkeypatch.context() as m:
             m.setattr(hamiltonian, term, skewed(getattr(hamiltonian, term)))
             for assemble in assemblers:

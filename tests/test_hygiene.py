@@ -6,6 +6,9 @@
   package, so a deletion cannot leave an orphaned helper or table behind;
 * no module uses a bare ``assert`` statement: ``python -O`` strips them,
   so guards on results raise package errors instead;
+* no module binds a top-level ``def`` or ``class`` name twice, so a name
+  looked up on the module is the function that the module's own tables
+  captured;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -96,6 +99,19 @@ def test_no_bare_asserts():
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_top_level_definition_twice():
+    twice = []
+    for name, tree in _modules().items():
+        seen = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name in seen:
+                    twice.append(f"{name}: {node.name}")
+                seen.add(node.name)
+    assert not twice, twice
 
 
 def test_tracing_targets_resolve(monkeypatch):

@@ -253,6 +253,21 @@ def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
         assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
 
 
+def test_fourier_block_is_one_matrix_per_m():
+    # eigvalsh ranks block(m) for a Python int m, eigh solves and lift
+    # lifts it for a numpy int m: both must see the same phase
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    split = _fourier_blocks(
+        assemble_Heff(torus, Grid.for_patch(torus, 96, 96)),
+        spectra._DENSE_CUTOFF)
+    u = np.eye(split.lines.shape[1])[:, :2]
+    for m in range(split.n):
+        assert (split.block(m).tobytes()
+                == split.block(np.int64(m)).tobytes()), m
+        assert (split.lift(u, m).tobytes()
+                == split.lift(u, np.int64(m)).tobytes()), m
+
+
 def test_torus_96_lowest_16_solves_few_blocks():
     torus = make_surface("torus", rho=1.0, R=3.0)
     H = assemble_Heff(torus, Grid.for_patch(torus, 96, 96))
