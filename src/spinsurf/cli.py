@@ -323,7 +323,8 @@ def _exp_evolve(cfg):
     return ([("evolve.csv", (columns, "t in m L0^2/hbar", rows)),
              ("evolve.json", {"deflection": out["deflection"],
                               "opposite_sign": bool(out["opposite_sign"]),
-                              "asymmetry": out["asymmetry"]})],
+                              "asymmetry": out["asymmetry"],
+                              "route": up.route})],
             f"evolve: deflections {out['deflection']['up']:.3e} / "
             f"{out['deflection']['down']:.3e}")
 
@@ -407,31 +408,33 @@ def _load_artifact(path):
 def compare(path_a, path_b, tol=1e-9):
     """Fieldwise relative comparison of two artifacts of the same type.
 
-    Returns a dict {passed, max_rel_diff, diffs}; raises ConfigError on
-    experiment-type mismatch.
+    Returns a dict {passed, max_rel_diff, diffs}: ``diffs`` lists the
+    fields whose relative difference exceeds ``tol``, and
+    ``max_rel_diff`` is the largest relative difference of any field,
+    within ``tol`` or not.  Raises ConfigError on experiment-type
+    mismatch.
     """
     kind_a, data_a, cols_a = _load_artifact(path_a)
     kind_b, data_b, cols_b = _load_artifact(path_b)
     if kind_a != kind_b:
         raise ConfigError(
             f"artifact type mismatch: {kind_a!r} vs {kind_b!r}")
-    diffs = []
+    fields = []            # (field, rel_diff, where), each compared field
     if kind_a == "json":
-        _json_diffs(data_a, data_b, "", diffs, tol)
+        _json_diffs(data_a, data_b, "", fields)
     else:
         if data_a.shape != data_b.shape:
-            diffs.append(("shape", math.inf,
-                          f"{data_a.shape} vs {data_b.shape}"))
+            fields.append(("shape", math.inf,
+                           f"{data_a.shape} vs {data_b.shape}"))
         else:
             rel = _rel_diff(data_a, data_b)
             for j in range(data_a.shape[1] if data_a.ndim == 2 else 0):
-                worst = float(rel[:, j].max()) if len(rel) else 0.0
-                if worst > tol:
-                    row = int(np.argmax(rel[:, j]))
-                    name = cols_a[j] if cols_a and j < len(cols_a) else f"col{j}"
-                    diffs.append((name, worst, f"row {row}"))
-    max_rel = max((d[1] for d in diffs), default=0.0)
-    return {"passed": not diffs, "max_rel_diff": max_rel,
+                row = int(np.argmax(rel[:, j]))
+                name = cols_a[j] if cols_a and j < len(cols_a) else f"col{j}"
+                fields.append((name, float(rel[row, j]), f"row {row}"))
+    diffs = [d for d in fields if d[1] > tol]
+    return {"passed": not diffs,
+            "max_rel_diff": max((d[1] for d in fields), default=0.0),
             "diffs": [{"field": d[0], "rel_diff": d[1], "where": d[2]}
                       for d in diffs]}
 
@@ -448,23 +451,21 @@ def _rel_diff(a, b):
                     np.where(same, 0.0, math.inf))
 
 
-def _json_diffs(a, b, prefix, out, tol):
+def _json_diffs(a, b, prefix, out):
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k not in a or k not in b:
                 out.append((f"{prefix}{k}", math.inf, "missing key"))
                 continue
-            _json_diffs(a[k], b[k], f"{prefix}{k}.", out, tol)
+            _json_diffs(a[k], b[k], f"{prefix}{k}.", out)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             out.append((prefix.rstrip("."), math.inf, "length mismatch"))
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _json_diffs(x, y, f"{prefix}{i}.", out, tol)
+            _json_diffs(x, y, f"{prefix}{i}.", out)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        rel = float(_rel_diff(a, b))
-        if rel > tol:
-            out.append((prefix.rstrip("."), rel, "value"))
+        out.append((prefix.rstrip("."), float(_rel_diff(a, b)), "value"))
     elif a != b:
         out.append((prefix.rstrip("."), math.inf, f"{a!r} vs {b!r}"))
 

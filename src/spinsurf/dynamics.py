@@ -2,17 +2,23 @@
 
 The bent cylinder is the torus patch in coordinates (theta, s) restricted
 to a small angular window theta in [theta_c - theta0, theta_c + theta0]
-(hard walls), with theta_c = 0 the outer (K > 0) side and theta_c = pi
-the inner (K < 0) side.  Its H0 and Hso come from the general route: one
-geometry pass of the torus patch on the window grid, fed to the same
-stencil builders as any other surface.  The closed-form coefficients
-(sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R), ...) are
-kept in the test suite as the oracle these operators are checked against.
+(hard walls in theta) and a length s_length of the azimuth s (periodic
+by default, or hard walls), with theta_c = 0 the outer (K > 0) side and
+theta_c = pi the inner (K < 0) side.  Its H0 and Hso come from the
+general route: one geometry pass of the torus patch on the window grid,
+fed to the same stencil builders as any other surface.  The closed-form
+coefficients (sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R),
+...) are kept in the test suite as the oracle these operators are
+checked against.
 
 Heisenberg forces: theta_dot = -i [theta, H], then
 theta_ddot_pm = -i [theta_dot, H0] and theta_ddot_so = -i [theta_dot, Hso];
 F = m rho^2 theta_ddot.  For sigma_3-polarized packets the two routes give
 equal Lorentz-like forces, opposite for the two spin species.
+
+Wavepackets evolve exactly on the Fourier blocks of an operator that the
+one-node shift along s leaves unchanged (the periodic window: its
+coefficients depend on theta only), and by Cayley steps otherwise.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .frames import SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _factor_shifted, _grid_geometry, build_h0_operator,
-                          build_soi_operator)
+                          _factor_shifted, _fourier_blocks, _grid_geometry,
+                          build_h0_operator, build_soi_operator)
+from .spectra import _DENSE_CUTOFF
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -51,7 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BentCylinderSetup:
-    """Geometry, window, and grid of a bent-cylinder experiment."""
+    """Geometry, window, and grid of a bent-cylinder experiment.
+
+    The theta window always has hard walls.  ``bc_s`` is the boundary
+    condition along s: ``"periodic"`` (the default: s_length is then one
+    period, and the window's operators split into Fourier blocks along s,
+    so ``evolve`` propagates on them exactly) or ``"wall"`` (hard walls at
+    s = 0 and s_length; ``evolve`` takes Cayley steps).  Raises GridError
+    for any other ``bc_s``.
+    """
 
     rho: float = 1.0
     R: float = 20.0
@@ -60,9 +75,11 @@ class BentCylinderSetup:
     s_length: float = 30.0
     n_theta: int = 40
     n_s: int = 384
-    bc_s: str = "wall"
+    bc_s: str = "periodic"
 
     def __post_init__(self):
+        if self.bc_s not in ("periodic", "wall"):
+            raise GridError(f"unknown boundary condition {self.bc_s!r}")
         if self.R <= self.rho:
             raise SurfaceParameterError(
                 f"bent cylinder needs R > rho, got R={self.R:g}, "
@@ -225,6 +242,7 @@ class Trajectory:
     times: np.ndarray
     observables: dict      # name -> array of expectation values
     norms: np.ndarray
+    route: str             # "fourier-blocks" or "cayley"
 
 
 class Trajectories(tuple):
@@ -237,21 +255,50 @@ class Trajectories(tuple):
         return np.concatenate([t.norms for t in self])
 
 
+# Blocks per batched eigh of the block route: the whole eigenvector stack
+# is written one chunk at a time, so no second stack of all the blocks is
+# alive beside it.
+_EIGH_CHUNK = 32
+
+
+def _block_eigh(split):
+    """Eigenvalues (n, b) and eigenvectors (n, b, b) of every block."""
+    b = split.lines.shape[1]
+    vals = np.empty((split.n, b))
+    vecs = np.empty((split.n, b, b), complex)
+    for lo in range(0, split.n, _EIGH_CHUNK):
+        hi = min(lo + _EIGH_CHUNK, split.n)
+        vals[lo:hi], vecs[lo:hi] = np.linalg.eigh(
+            np.stack([split.block(m) for m in range(lo, hi)]))
+    return vals, vecs
+
+
 def evolve(op: HermitianOperator, fields, dt: float, steps: int,
            observables: Optional[dict] = None, record_every: int = 1,
            stop_when=None):
-    """Implicit-midpoint (Cayley) unitary evolution, norm preserving.
+    """Unitary evolution of packets under ``op``, recorded every
+    ``record_every`` steps of ``dt`` and after the last step.
 
-    Steps psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2) psi = 2 A^{-1} psi - psi
-    with A = 1 + i dt H/2 factored once.  ``fields`` is one SpinorField or
-    a sequence of them on one grid; the running packets advance together
-    as one multi-column solve.  Accuracy requires dt * E of the occupied
-    modes to be small; stability is unconditional.  Observables is a dict
-    name -> operator; ``stop_when(obs_snapshot)`` may end a packet's run
-    early (the ballistic-window rule) while the others keep stepping.
-    Returns a Trajectory, or Trajectories for a sequence of fields.
-    Raises ValueError unless dt > 0, steps >= 1 and record_every >= 1,
-    and GridError unless all fields share one grid of the operator's dim.
+    An operator that ``hamiltonian._fourier_blocks`` splits along a
+    periodic axis (blocks of at most ``spectra._DENSE_CUTOFF`` rows) takes
+    the exact route, ``route = "fourier-blocks"``: each block is
+    diagonalized once, the packets are projected on the blocks by one
+    FFT along the split axis, and psi(t) = e^{-iHt} psi is formed at each
+    record time t = step * dt.  There is no stepping, so dt only sets the
+    record times.  Any other operator takes implicit-midpoint (Cayley)
+    steps, ``route = "cayley"``: psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2)
+    psi = 2 A^{-1} psi - psi with A = 1 + i dt H/2 factored once, second
+    order in dt and unconditionally stable.  Both routes preserve the
+    norm.
+
+    ``fields`` is one SpinorField or a sequence of them on one grid; the
+    running packets advance together as the columns of one array.
+    Observables is a dict name -> operator; ``stop_when(obs_snapshot)``
+    may end a packet's run early (the ballistic-window rule) while the
+    others run on.  Returns a Trajectory, or Trajectories for a sequence
+    of fields.  Raises ValueError unless dt > 0, steps >= 1 and
+    record_every >= 1, and GridError unless all fields share one grid of
+    the operator's dim.
     """
     if not dt > 0.0:   # NaN fails too
         raise ValueError(f"evolve needs dt > 0, got dt = {dt}")
@@ -265,7 +312,6 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     grid = fields[0].grid
     if grid.dim != op.dim or any(f.grid != grid for f in fields):
         raise GridError(f"evolve needs all fields on one grid of dim {op.dim}")
-    lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
     mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
             for k, obs in (observables or {}).items()}
     cell = grid.h1 * grid.h2
@@ -281,21 +327,46 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
             logs[p].append((t, math.sqrt(cell * sq[col]),
                             {k: float(v[col]) for k, v in values.items()}))
 
+    # advance(state, done, step) takes the running packets' state from
+    # step ``done`` to ``step`` and returns it with psi there.  The state
+    # is psi itself when stepping, and its coefficients in the blocks'
+    # eigenvectors on the block route.
+    split = _fourier_blocks(op, _DENSE_CUTOFF)
+    if split is None:
+        route, state = "cayley", psi
+        lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
+
+        def advance(state, done, step):
+            for _ in range(done, step):
+                state = 2.0 * lu.solve(state) - state
+            return state, state
+    else:
+        route = "fourier-blocks"
+        vals, vecs = _block_eigh(split)
+        # V^H c, formed as (c^H V)^H so that no conjugate copy of V is made
+        state = np.matmul(split.to_blocks(psi).conj().swapaxes(1, 2),
+                          vecs).conj().swapaxes(1, 2)
+
+        def advance(state, done, step):
+            phase = np.exp(-1j * (step * dt) * vals)[..., None]
+            return state, split.from_blocks(vecs @ (phase * state))
+
     record(0.0)
-    for step in range(1, steps + 1):
-        psi = 2.0 * lu.solve(psi) - psi
-        if step % record_every == 0 or step == steps:
-            record(step * dt)
-            if stop_when is not None:
-                keep = [c for c, p in enumerate(active)
-                        if not stop_when(logs[p][-1][2])]
-                psi, active = psi[:, keep], [active[c] for c in keep]
-                if not active:
-                    break
+    done = 0
+    for step in [*range(record_every, steps, record_every), steps]:
+        state, psi = advance(state, done, step)
+        done = step
+        record(step * dt)
+        if stop_when is not None:
+            keep = [c for c, p in enumerate(active)
+                    if not stop_when(logs[p][-1][2])]
+            state, active = state[..., keep], [active[c] for c in keep]
+            if not active:
+                break
     trajs = [Trajectory(times=np.array([r[0] for r in log]),
                         norms=np.array([r[1] for r in log]),
                         observables={k: np.array([r[2][k] for r in log])
-                                     for k in mats})
+                                     for k in mats}, route=route)
              for log in logs]
     return trajs[0] if single else Trajectories(trajs)
 
@@ -380,9 +451,12 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
 
     The measured interval follows the ballistic-window rule: recording
     stops once the packet has traveled 10 s-widths or its center comes
-    within 5 widths of an s-wall.  Returns a dict with both trajectories
-    and the deflection summary (mean of <theta> - theta_c over the
-    window per spin).
+    within 5 widths of an s-wall, which on a periodic s axis is the seam
+    s = 0 = s_length.  On the default periodic window the packets
+    propagate exactly on Fourier blocks and ``dt`` only spaces the
+    records; on a walled window they take Cayley steps of ``dt``.
+    Returns a dict with both trajectories and the deflection summary
+    (mean of <theta> - theta_c over the window per spin).
     """
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     grid = H0.grid

@@ -32,7 +32,9 @@ interleaved CSR; H_eff sums the blocks of both terms before that write.
 The writer consumes its blocks and checks each operator it writes for
 hermiticity, once, whichever route builds it.  ``_fourier_blocks``
 splits an operator that the one-node shift along a periodic axis leaves
-unchanged into the dense Fourier blocks that ``eigensolve`` solves.
+unchanged into the dense Fourier blocks that ``eigensolve`` solves and
+``evolve`` propagates on; ``_FourierBlocks.to_blocks`` and
+``from_blocks`` carry vectors to the blocks and back.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -252,8 +254,8 @@ def _factor_shifted(mat, shift, scale=1.0, hermitian=False):
 
     The one sparse factorization of the package: ``eigensolve`` factors
     H - sigma I for shift-invert and ``evolve`` the Cayley matrix
-    I + (i dt/2) H.  SuperLU raises RuntimeError on an exactly singular
-    matrix.
+    I + (i dt/2) H of an operator without a Fourier split.  SuperLU
+    raises RuntimeError on an exactly singular matrix.
 
     By default SuperLU pivots by rows.  ``hermitian=True`` is for a
     Hermitian ``mat`` with real ``scale`` and ``shift``: SuperLU then
@@ -435,6 +437,18 @@ class _FourierBlocks:
         wave = np.exp(2j * math.pi * int(m) / self.n * np.arange(self.n))
         vecs = np.empty((self.lines.size, u.shape[1]), complex)
         vecs[self.lines] = wave[:, None, None] * (u / math.sqrt(self.n))
+        return vecs
+
+    def to_blocks(self, psi):
+        """Block coefficients (n, block dimension, columns) of operator
+        vectors ``psi`` (columns): the c with psi = sum_m lift(c[m], m)."""
+        return np.fft.fft(psi[self.lines], axis=0) / math.sqrt(self.n)
+
+    def from_blocks(self, c):
+        """The operator vectors sum_m lift(c[m], m) of block coefficients
+        ``c``; the inverse of ``to_blocks``."""
+        vecs = np.empty((self.lines.size, c.shape[2]), complex)
+        vecs[self.lines] = np.fft.ifft(c, axis=0) * math.sqrt(self.n)
         return vecs
 
 

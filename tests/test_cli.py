@@ -436,6 +436,25 @@ def test_compare_json_nonfinite_mismatch_fails(tmp_path, x, y):
     assert _run_cli(["--compare", a, b]) == 1
 
 
+def test_compare_reports_the_largest_difference_within_tol(tmp_path):
+    # values 1e-14 apart (relative) pass, and the report still says how far
+    head = "# spinsurf field-map\n# columns: q1,B\n"
+    csv_a = head + "0.0,2.0\n1.0,3.0\n"
+    csv_b = head + "0.0,2.0\n1.0,%r\n" % (3.0 * (1.0 + 1e-14))
+    json_a = '{"genus": 0, "phi_over_phi0": [2.0, 3.0]}'
+    json_b = '{"genus": 0, "phi_over_phi0": [2.0, %r]}' % (3.0 * (1.0 + 1e-14))
+    for name, text_a, text_b in (("field_map.csv", csv_a, csv_b),
+                                 ("flux.json", json_a, json_b)):
+        a, b = _artifact_pair(tmp_path, name, text_a, text_b)
+        rep = compare(a, b)
+        assert rep["passed"] and rep["diffs"] == []
+        assert rep["max_rel_diff"] == pytest.approx(1e-14, rel=0.01)
+        assert compare(a, a)["max_rel_diff"] == 0.0
+        failed = compare(a, b, tol=1e-15)
+        assert not failed["passed"]
+        assert failed["max_rel_diff"] == rep["max_rel_diff"]
+
+
 @pytest.mark.parametrize("x,y", [("nan", "1.5"), ("1.5", "nan"),
                                  ("inf", "-inf"), ("nan", "inf")])
 def test_compare_csv_nonfinite_mismatch_fails(tmp_path, x, y):
@@ -477,7 +496,9 @@ def test_evolve_experiment_artifacts_and_compare(tmp_path):
     assert len(rows) == 20 // 5 + 1
     assert all(len(l.split(",")) == 6 for l in rows)
     payload = json.loads((outs[0] / "evolve.json").read_text())
-    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign"]
+    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign",
+                               "route"]
+    assert payload["route"] == "fourier-blocks"     # periodic s by default
     assert sorted(payload["deflection"]) == ["down", "up"]
     for name in ("evolve.csv", "evolve.json"):
         assert _run_cli(["--compare", str(outs[0] / name),

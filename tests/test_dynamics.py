@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinsurf.dynamics import (BentCylinderSetup, analytic_force,
                                bent_cylinder_operators, evolve,
@@ -27,6 +28,14 @@ def test_setup_validation():
     with pytest.raises(InvalidWindowError):
         BentCylinderSetup(theta0=4.0)
     BentCylinderSetup(theta0=0.19)             # boundary of the regime
+
+
+def test_setup_rejects_unknown_s_boundary():
+    # a misspelt bc_s once built and failed only at .grid()
+    with pytest.raises(GridError, match="priodic"):
+        BentCylinderSetup(bc_s="priodic")
+    assert BentCylinderSetup().bc_s == "periodic"
+    assert BentCylinderSetup(bc_s="wall").grid().bc == ("wall", "wall")
 
 
 def _closed_form_bent_operators(setup):
@@ -94,7 +103,7 @@ def test_straightening_limit_matches_cylinder():
     H0b, Hsob, _, _ = bent_cylinder_operators(setup)
     cyl = make_surface("cylinder", rho=1.0, length=SMALL["s_length"])
     grid = Grid.for_patch(cyl, SMALL["n_theta"], SMALL["n_s"],
-                          bc=("wall", "wall"),
+                          bc=("wall", setup.bc_s),
                           domain=((-0.1, 0.1), (0.0, SMALL["s_length"])))
     H0c = assemble_H0(cyl, grid)
     Hsoc = assemble_Hso(cyl, grid)
@@ -308,7 +317,8 @@ def test_free_packet_drift():
 
 
 def test_unitarity_drift_thousand_steps():
-    setup = BentCylinderSetup(n_theta=8, n_s=16, s_length=5.0)
+    # walls along s: a thousand Cayley steps
+    setup = BentCylinderSetup(n_theta=8, n_s=16, s_length=5.0, bc_s="wall")
     grid = setup.grid()
     H0, Hso, _, _ = bent_cylinder_operators(setup)
     pkt = gaussian_wavepacket(grid, (0.0, 2.5), (0.095, 1.3), 2.0, "up")
@@ -316,9 +326,9 @@ def test_unitarity_drift_thousand_steps():
     assert np.abs(traj.norms - traj.norms[0]).max() < 1e-10
 
 
-def _two_packets():
+def _two_packets(bc_s="periodic"):
     """A fast spin-up and a slow spin-down packet on a small bent cylinder."""
-    setup = BentCylinderSetup(n_theta=16, n_s=64, s_length=10.0)
+    setup = BentCylinderSetup(n_theta=16, n_s=64, s_length=10.0, bc_s=bc_s)
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     grid = H0.grid
     s_op = sp.kron(sp.diags(grid.mesh()[1].ravel()), sp.eye(2)).tocsr()
@@ -328,7 +338,7 @@ def _two_packets():
 
 
 def test_block_evolve_matches_single_calls():
-    H, packets, obs = _two_packets()
+    H, packets, obs = _two_packets("wall")
     block = evolve(H, packets, 2e-3, 60, observables=obs, record_every=5)
     assert len(block) == 2
     for pkt, traj in zip(packets, block):
@@ -343,7 +353,7 @@ def test_block_evolve_matches_single_calls():
 
 
 def test_block_evolve_stops_packets_independently():
-    H, packets, obs = _two_packets()
+    H, packets, obs = _two_packets("wall")
 
     def passed(snap):
         return snap["s"] > 3.5
@@ -362,6 +372,82 @@ def test_block_evolve_stops_packets_independently():
         for name in obs:
             diff = traj.observables[name] - alone.observables[name][:n]
             assert np.abs(diff).max() < 1e-10
+
+
+def test_block_route_stop_leaves_the_other_packet_as_run_alone():
+    H, packets, obs = _two_packets()
+
+    def passed(snap):
+        return snap["s"] > 3.5
+
+    fast, slow = evolve(H, packets, 2e-3, 100, observables=obs,
+                        record_every=5, stop_when=passed)
+    assert fast.route == slow.route == "fourier-blocks"
+    assert len(fast.times) < len(slow.times) == 21
+    for pkt, traj in zip(packets, (fast, slow)):
+        alone = evolve(H, pkt, 2e-3, 100, observables=obs, record_every=5)
+        assert alone.route == "fourier-blocks"
+        n = len(traj.times)
+        assert np.array_equal(traj.times, alone.times[:n])
+        assert np.abs(traj.norms - alone.norms[:n]).max() < 1e-13
+        for name in obs:
+            diff = traj.observables[name] - alone.observables[name][:n]
+            assert np.abs(diff).max() < 1e-12
+
+
+def test_walled_operator_takes_cayley_steps():
+    # hard walls along s break the shift symmetry: evolve steps the
+    # Cayley recurrence, checked against SciPy's own factor (default
+    # ordering) of A = 1 + i dt H/2
+    H, packets, obs = _two_packets("wall")
+    dt, steps = 2e-3, 30
+    trajs = evolve(H, packets, dt, steps, observables=obs, record_every=5)
+    lu = spla.splu((sp.identity(H.dim) + 0.5j * dt * H.matrix).tocsc())
+    mats = {name: getattr(op, "matrix", op) for name, op in obs.items()}
+    for pkt, traj in zip(packets, trajs):
+        assert traj.route == "cayley"
+        psi = pkt.flat()
+        for step in range(1, steps + 1):
+            psi = 2.0 * lu.solve(psi) - psi
+            if step % 5 == 0:
+                for name, mat in mats.items():
+                    value = (np.vdot(psi, mat @ psi).real
+                             / np.vdot(psi, psi).real)
+                    assert abs(traj.observables[name][step // 5]
+                               - value) < 1e-12
+
+
+def test_cayley_converges_to_the_block_route_at_second_order():
+    # Cayley steps of the periodic window's operator (given without its
+    # grid, so it cannot split) against the exact block route.  The
+    # packet vanishes at the theta walls like the lowest transverse mode:
+    # a Gaussian cut off by the walls holds modes with E dt >> 1, which
+    # lowers the observed order (to ~1.1 for widths (0.05, 1.3) here).
+    setup = BentCylinderSetup(**SMALL)
+    H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
+    H = H0 + Hso
+    grid = H.grid
+    Q1, Q2 = grid.mesh()
+    values = np.zeros((grid.n1, grid.n2, 2), dtype=complex)
+    values[:, :, 0] = (np.cos(math.pi * Q1 / (2.0 * setup.theta0))
+                       * np.exp(-(Q2 - 5.0)**2 / (4.0 * 0.8**2) + 2j * Q2))
+    pkt = SpinorField(grid, values).normalized()
+    s_op = sp.kron(sp.diags(Q2.ravel()), sp.eye(2)).tocsr()
+    obs = {"theta": theta_op, "p_s": ps_op, "s": s_op}
+    bare = HermitianOperator(H.matrix, None, H.terms)
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        steps = int(round(0.4 / dt))
+        exact = evolve(H, pkt, dt, steps, observables=obs,
+                       record_every=steps // 8)
+        cayley = evolve(bare, pkt, dt, steps, observables=obs,
+                        record_every=steps // 8)
+        assert (exact.route, cayley.route) == ("fourier-blocks", "cayley")
+        assert np.array_equal(exact.times, cayley.times)
+        errors.append(max(np.abs(exact.observables[k]
+                                 - cayley.observables[k]).max() for k in obs))
+    order = np.polyfit(np.log([1.0, 0.5, 0.25]), np.log(errors), 1)[0]
+    assert order == pytest.approx(2.0, abs=0.2)
 
 
 def test_force_equality_report_small_regime():

@@ -12,7 +12,9 @@
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
-  benchmark's per-route buckets.
+  benchmark's per-route buckets;
+* the tracer's norm-drift reading of an ``evolve`` result on the exact
+  Fourier-block route is round-off.
 """
 
 import ast
@@ -22,6 +24,8 @@ import pathlib
 import numpy as np
 import scipy.sparse as sp
 
+from spinsurf.dynamics import (BentCylinderSetup, bent_cylinder_operators,
+                               evolve, gaussian_wavepacket)
 from spinsurf.hamiltonian import Grid, assemble_Heff
 from spinsurf.spectra import cylinder_ring_operator, eigensolve
 from spinsurf.surfaces import make_surface
@@ -149,3 +153,16 @@ def test_every_eigensolve_method_has_a_benchmark_bucket(monkeypatch):
                 + out["spectra.eigensolve.sparse.s"]) != 1.0:
             unbucketed.append(f"{route}: {d['method']}")
     assert not unbucketed, unbucketed
+
+
+def test_block_route_norm_drift_reads_round_off(monkeypatch):
+    # the spin-hall workload's norm-drift span reads evolve's result
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    norm_drift = importlib.import_module("tracing")._norm_drift
+    setup = BentCylinderSetup(n_theta=20, n_s=160)
+    H0, Hso, _, _ = bent_cylinder_operators(setup)
+    packets = [gaussian_wavepacket(H0.grid, (0.0, 10.0), (0.045, 2.0), 8.0,
+                                   spin) for spin in (+1, -1)]
+    trajs = evolve(H0 + Hso, packets, 8e-4, 60, record_every=5)
+    assert [t.route for t in trajs] == ["fourier-blocks"] * 2
+    assert norm_drift((), {}, trajs)["norm_drift"] <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import spinsurf.spectra as spectra
+from spinsurf.dynamics import BentCylinderSetup, bent_cylinder_operators
 from spinsurf.errors import EigensolverError
 from spinsurf.hamiltonian import (Grid, HermitianOperator, _factor_shifted,
                                   _fourier_blocks, _inertia, assemble_H0,
@@ -266,6 +267,30 @@ def test_fourier_block_is_one_matrix_per_m():
                 == split.block(np.int64(m)).tobytes()), m
         assert (split.lift(u, m).tobytes()
                 == split.lift(u, np.int64(m)).tobytes()), m
+
+
+def test_fourier_block_transform_inverts_lift():
+    # to_blocks and from_blocks carry the phase convention of block and
+    # lift: a lifted block vector comes back as that one block.  lift's
+    # phase argument 2 pi m j / n reaches ~2 pi n, so its rounding, and
+    # the bound, grow like n (worst 4.5e-14 at n = 96, 2.1e-13 at 384)
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    H0, Hso, _, _ = bent_cylinder_operators(BentCylinderSetup())
+    rng = np.random.default_rng(7)
+    for op in (assemble_Heff(torus, Grid.for_patch(torus, 96, 96)),
+               H0 + Hso):
+        split = _fourier_blocks(op, spectra._DENSE_CUTOFF)
+        b = split.lines.shape[1]
+        psi = (rng.standard_normal((op.dim, 3))
+               + 1j * rng.standard_normal((op.dim, 3)))
+        back = split.from_blocks(split.to_blocks(psi))
+        assert np.abs(back - psi).max() <= 1e-14 * np.abs(psi).max()
+        u = rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))
+        for m in range(split.n):
+            c = split.to_blocks(split.lift(u, m))
+            assert c.shape == (split.n, b, 2)
+            c[m] -= u
+            assert np.abs(c).max() <= 1e-15 * split.n * np.abs(u).max(), m
 
 
 def test_torus_96_lowest_16_solves_few_blocks():
