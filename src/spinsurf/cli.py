@@ -408,12 +408,17 @@ def _load_artifact(path):
 def compare(path_a, path_b, tol=1e-9):
     """Fieldwise relative comparison of two artifacts of the same type.
 
-    Returns a dict {passed, max_rel_diff, diffs}: ``diffs`` lists the
-    fields whose relative difference exceeds ``tol``, and
-    ``max_rel_diff`` is the largest relative difference of any field,
-    within ``tol`` or not.  Raises ConfigError on experiment-type
-    mismatch.
+    A CSV value's difference is relative to the largest finite magnitude
+    in its column of either file, a JSON number's to the larger of the
+    two magnitudes.  Returns a dict {passed, max_rel_diff, diffs}:
+    ``diffs`` lists the fields whose relative difference exceeds
+    ``tol``, and ``max_rel_diff`` is the largest relative difference of
+    any field, within ``tol`` or not.  Raises ConfigError (key ``tol``)
+    unless ``tol`` is finite and >= 0, and on experiment-type mismatch.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tol}",
+                          key="tol")
     kind_a, data_a, cols_a = _load_artifact(path_a)
     kind_b, data_b, cols_b = _load_artifact(path_b)
     if kind_a != kind_b:
@@ -427,7 +432,10 @@ def compare(path_a, path_b, tol=1e-9):
             fields.append(("shape", math.inf,
                            f"{data_a.shape} vs {data_b.shape}"))
         else:
-            rel = _rel_diff(data_a, data_b)
+            finite = np.isfinite(data_a) & np.isfinite(data_b)
+            scale = np.where(finite, np.maximum(abs(data_a), abs(data_b)),
+                             0.0).max(axis=0, initial=0.0)
+            rel = _rel_diff(data_a, data_b, scale)
             for j in range(data_a.shape[1] if data_a.ndim == 2 else 0):
                 row = int(np.argmax(rel[:, j]))
                 name = cols_a[j] if cols_a and j < len(cols_a) else f"col{j}"
@@ -439,16 +447,17 @@ def compare(path_a, path_b, tol=1e-9):
                       for d in diffs]}
 
 
-def _rel_diff(a, b):
-    """|a - b| / max(|a|, 1), elementwise.  A non-finite value matches
-    only the same non-finite value (rel 0); any other pairing is inf."""
+def _rel_diff(a, b, scale):
+    """|a - b| / scale, elementwise, and 0 where a == b.  A non-finite
+    value matches only the same non-finite value (rel 0); any other
+    pairing is inf."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / scale
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    return np.where(np.isfinite(a) & np.isfinite(b), rel,
-                    np.where(same, 0.0, math.inf))
+    return np.where(same, 0.0, np.where(np.isfinite(a) & np.isfinite(b),
+                                        rel, math.inf))
 
 
 def _json_diffs(a, b, prefix, out):
@@ -465,7 +474,8 @@ def _json_diffs(a, b, prefix, out):
         for i, (x, y) in enumerate(zip(a, b)):
             _json_diffs(x, y, f"{prefix}{i}.", out)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        out.append((prefix.rstrip("."), float(_rel_diff(a, b)), "value"))
+        out.append((prefix.rstrip("."),
+                    float(_rel_diff(a, b, max(abs(a), abs(b)))), "value"))
     elif a != b:
         out.append((prefix.rstrip("."), math.inf, f"{a!r} vs {b!r}"))
 

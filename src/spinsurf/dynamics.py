@@ -6,7 +6,8 @@ to a small angular window theta in [theta_c - theta0, theta_c + theta0]
 by default, or hard walls), with theta_c = 0 the outer (K > 0) side and
 theta_c = pi the inner (K < 0) side.  Its H0 and Hso come from the
 general route: one geometry pass of the torus patch on the window grid,
-fed to the same stencil builders as any other surface.  The closed-form
+fed to the same stencil builders (and CSR writer, which also writes
+the observables) as any other surface.  The closed-form
 coefficients (sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R),
 ...) are kept in the test suite as the oracle these operators are
 checked against.
@@ -33,10 +34,9 @@ import scipy.sparse as sp
 
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
-from .frames import SIGMA3
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
                           _factor_shifted, _fourier_blocks, _grid_geometry,
-                          build_h0_operator, build_soi_operator)
+                          _write_csr, build_h0_operator, build_soi_operator)
 from .spectra import _DENSE_CUTOFF
 from .surfaces import SurfacePatch, make_surface
 
@@ -112,25 +112,20 @@ def bent_cylinder_operators(setup: BentCylinderSetup):
     geo = _grid_geometry(patch, grid)
     H0 = build_h0_operator(grid, geo)
     Hso = build_soi_operator(grid, geo.X)
-    theta_op = _diagonal_operator(grid, grid.mesh()[0])
-    ps_op = _momentum_s_operator(grid)
-    return H0, Hso, theta_op, ps_op
+    theta = grid.mesh()[0]
+    theta_op = _spin_diagonal(grid, "theta", theta, theta)
+    # p_s = -i d_s by centered differences, per spin component
+    hop = np.full((grid.n1, grid.n2), complex(0.0, -1.0 / (2.0 * grid.h2)))
+    p_s = _write_csr(grid, {(0, d, s, s): hop if d > 0 else hop.conj()
+                            for d in (1, -1) for s in (0, 1)}, "p_s")
+    return H0, Hso, theta_op, HermitianOperator(p_s, grid, ("p_s",))
 
 
-def _diagonal_operator(grid: Grid, values) -> HermitianOperator:
-    v = np.repeat(np.asarray(values, dtype=float).ravel(), 2)
-    return HermitianOperator(matrix=sp.diags(v).tocsr(), grid=grid,
-                             terms=("diagonal",))
-
-
-def _momentum_s_operator(grid: Grid) -> HermitianOperator:
-    """-i d_s by centered differences (per spin component)."""
-    fwd = sp.eye(grid.n2, k=1)
-    if grid.bc[1] == "periodic":
-        fwd = fwd + sp.eye(grid.n2, k=1 - grid.n2)
-    d_s = sp.kron(sp.eye(grid.n1), (fwd - fwd.T) * (-1j / (2.0 * grid.h2)))
-    return HermitianOperator(matrix=sp.kron(d_s, sp.eye(2), format="csr"),
-                             grid=grid, terms=("p_s",))
+def _spin_diagonal(grid: Grid, term, up, down) -> HermitianOperator:
+    """diag(up, down) at each node, through ``hamiltonian._write_csr``."""
+    return HermitianOperator(_write_csr(grid, {(0, 0, 0, 0): up,
+                                               (0, 0, 1, 1): down}, term),
+                             grid, (term,))
 
 
 def _commutator(scale, a, b):
@@ -461,12 +456,10 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     grid = H0.grid
     s_center = setup.s_length / _S_START_DIVISOR
-    s_op = _diagonal_operator(grid, grid.mesh()[1])
-    sigma3_op = HermitianOperator(
-        matrix=sp.kron(sp.eye(grid.nodes), sp.csr_matrix(SIGMA3)).tocsr(),
-        grid=grid, terms=("sigma3",))
-
-    obs = {"theta": theta_op, "s": s_op, "p_s": ps_op, "sigma3": sigma3_op}
+    s, ones = grid.mesh()[1], np.ones((grid.n1, grid.n2))
+    obs = {"theta": theta_op, "s": _spin_diagonal(grid, "s", s, s),
+           "p_s": ps_op,
+           "sigma3": _spin_diagonal(grid, "sigma3", ones, -ones)}
     s_walls = (grid.domain[1][0], grid.domain[1][1])
     sigma_s = widths[1] if not np.isscalar(widths) else float(widths)
 

@@ -29,12 +29,13 @@ supplies its 2x2 spinor blocks on one node pattern (the node, its +-1
 neighbours on each axis and, when the g^{12} cross term is not zero, the
 four diagonal neighbours), and ``_write_csr`` writes them once into the
 interleaved CSR; H_eff sums the blocks of both terms before that write.
-The writer consumes its blocks and checks each operator it writes for
-hermiticity, once, whichever route builds it.  ``_fourier_blocks``
-splits an operator that the one-node shift along a periodic axis leaves
-unchanged into the dense Fourier blocks that ``eigensolve`` solves and
-``evolve`` propagates on; ``_FourierBlocks.to_blocks`` and
-``from_blocks`` carry vectors to the blocks and back.
+The writer, the one route to that layout (``dynamics``'s observables
+use it too), consumes its blocks and checks each operator it writes for
+hermiticity, once.  ``_fourier_blocks`` splits an operator that the
+one-node shift along a periodic axis leaves unchanged into the dense
+Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
+``_FourierBlocks.to_blocks`` and ``from_blocks`` carry vectors to the
+blocks and back, and ``_zero_mode_block`` reads block 0 sparsely.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -434,7 +435,10 @@ class _FourierBlocks:
     def lift(self, u, m):
         """The operator's eigenvectors of block-m eigenvectors ``u``
         (columns)."""
-        wave = np.exp(2j * math.pi * int(m) / self.n * np.arange(self.n))
+        # the argument from (m j) mod n stays below 2 pi, so its rounding
+        # does not grow with n
+        wave = np.exp(2j * math.pi / self.n
+                      * (int(m) * np.arange(self.n) % self.n))
         vecs = np.empty((self.lines.size, u.shape[1]), complex)
         vecs[self.lines] = wave[:, None, None] * (u / math.sqrt(self.n))
         return vecs
@@ -452,6 +456,26 @@ class _FourierBlocks:
         return vecs
 
 
+def _lines(grid, axis):
+    """Row j: the rows of node line j across ``axis``, spin fastest."""
+    node = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
+    return (2 * np.moveaxis(node, axis, 0)[..., None]
+            + np.arange(2)).reshape(node.shape[axis], -1)
+
+
+def _zero_mode_block(op, axis):
+    """Block 0 of ``_FourierBlocks`` along ``axis`` as CSR: the rows of
+    line 0, each column folded onto its place in its line.  The caller
+    vouches that the one-node shift along ``axis`` leaves ``op``
+    unchanged."""
+    lines = _lines(op.grid, axis)
+    place = np.empty(op.dim, dtype=lines.dtype)
+    place[lines] = np.arange(lines.shape[1])
+    rows = op.matrix[lines[0]].tocoo()
+    return sp.csr_matrix((rows.data, (rows.row, place[rows.col])),
+                         shape=(lines.shape[1],) * 2)
+
+
 def _fourier_blocks(op, max_block):
     """The Fourier split of ``op`` along a periodic axis, or None.
 
@@ -467,18 +491,17 @@ def _fourier_blocks(op, max_block):
     grid, mat = op.grid, op.matrix
     if grid is None or grid.dim != mat.shape[0]:
         return None
-    node = np.arange(grid.nodes).reshape(grid.n1, grid.n2)
+    shape = (grid.n1, grid.n2)
     axes = [a for a in (0, 1) if grid.bc[a] == "periodic"
-            and node.shape[a] >= 3 and grid.dim // node.shape[a] <= max_block]
+            and shape[a] >= 3 and grid.dim // shape[a] <= max_block]
     if not axes:
         return None
     coo = mat.tocoo()
     scale = np.abs(coo.data).max(initial=0.0)
     diag = mat.diagonal()
-    for axis in sorted(axes, key=lambda a: -node.shape[a]):
-        n = node.shape[axis]
-        lines = (2 * np.moveaxis(node, axis, 0)[..., None]
-                 + np.arange(2)).reshape(n, -1)
+    for axis in sorted(axes, key=lambda a: -shape[a]):
+        n = shape[axis]
+        lines = _lines(grid, axis)
         shift = np.empty(grid.dim, dtype=int)
         shift[lines] = np.roll(lines, -1, axis=0)
         if np.abs(diag[shift] - diag).max() > _SHIFT_TOL * scale:

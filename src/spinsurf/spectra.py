@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
-from .hamiltonian import (LU_ORDERING, HermitianOperator, _check_hermitian,
-                          _factor_shifted, _fourier_blocks, _inertia)
+from .hamiltonian import (LU_ORDERING, Grid, HermitianOperator,
+                          _factor_shifted, _fourier_blocks, _inertia,
+                          _zero_mode_block, assemble_H0, assemble_Heff)
+from .surfaces import make_surface
 
 __all__ = [
     "SpectrumResult",
@@ -535,29 +536,14 @@ def conductance_curve(rho: float, energies, with_connection: bool = True
 
 def cylinder_ring_operator(rho: float, n: int, with_connection: bool = True
                            ) -> HermitianOperator:
-    """H_eff of the straight cylinder restricted to the p_z = 0 fiber.
-
-    A dim = 2n operator on the periodic theta ring: kinetic
-    -(1/(2 rho^2)) d_theta^2 (flux form) and, with the connection, the
-    spin-orbit term (i/2){X, d_theta} with the constant X = -sigma_2/(2 rho^2).
-    The gauge potential w vanishes on the cylinder and K = 0, so there is
-    no link phase and no scalar term.
-    """
-    if n < 8:
-        raise ValueError("ring needs n >= 8")
-    h = 2.0 * math.pi / n
-    eye = sp.eye(n, format="csr")
-    # periodic backward shift (shift f)_i = f_{i-1}, wrapping at the seam
-    shift = (sp.eye(n, k=-1) + sp.eye(n, k=n - 1)).tocsr()
-    lap = (2.0 * eye - shift - shift.T) / h**2
-    H = sp.kron(lap * (0.5 / rho**2), sp.eye(2), format="csr")
-    if with_connection:
-        dc = (shift - shift.T) / (2.0 * h)
-        X = np.array([[0.0, 0.5j / rho**2], [-0.5j / rho**2, 0.0]])
-        # i * X * Dc with constant X: anticommutator reduces to the product
-        H = H + sp.kron(dc, 1j * X, format="csr")
-    _check_hermitian(H, "ring")
-    return HermitianOperator(matrix=H, grid=None,
-                             terms=("ring-kinetic",) + (("ring-soi",)
-                                                        if with_connection else ()))
-
+    """H_eff of the straight cylinder restricted to the p_z = 0 fiber: a
+    real dim = 2n operator on the periodic theta ring, the k_z = 0 block
+    of the cylinder on an n x 8 doubly periodic grid (``assemble_Heff``,
+    or ``assemble_H0`` without the connection: w = K = 0 there).  Raises
+    GridError (a ValueError) for n < 8."""
+    patch = make_surface("cylinder", rho=rho)
+    grid = Grid.for_patch(patch, n, 8, bc=("periodic", "periodic"))
+    op = (assemble_Heff if with_connection else assemble_H0)(patch, grid)
+    # exactly real: w = 0 and X^theta = -sigma_2/(2 rho^2) on the cylinder
+    return HermitianOperator(matrix=_zero_mode_block(op, axis=1).real,
+                             grid=None, terms=op.terms)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinsurf.cli import compare, main
+from spinsurf.errors import ConfigError
 
 
 def _run_cli(args):
@@ -453,6 +454,41 @@ def test_compare_reports_the_largest_difference_within_tol(tmp_path):
         failed = compare(a, b, tol=1e-15)
         assert not failed["passed"]
         assert failed["max_rel_diff"] == rep["max_rel_diff"]
+
+
+def test_compare_is_relative_below_one(tmp_path):
+    # two evolve deflections 1.8 % apart; an absolute measure below 1
+    # would read 3.8e-8 and pass --tol 1e-7
+    a, b = _artifact_pair(
+        tmp_path, "evolve.json",
+        '{"deflection": {"down": -2.050049e-06, "up": 2.050049e-06}}',
+        '{"deflection": {"down": -2.012188e-06, "up": 2.012188e-06}}')
+    rep = compare(a, b, tol=1e-7)
+    assert not rep["passed"]
+    assert rep["max_rel_diff"] == pytest.approx(0.018469, rel=1e-4)
+    assert _run_cli(["--compare", a, b, "--tol", "1e-7"]) == 1
+    # a CSV column is scaled by its largest magnitude, so a value near
+    # zero in a column of larger ones is not blown up
+    head = "# spinsurf spectrum\n# columns: index,energy\n"
+    a, b = _artifact_pair(tmp_path, "spectrum.csv",
+                           head + "0,1.0e-15\n1,2.0\n",
+                           head + "0,3.0e-15\n1,2.0\n")
+    assert compare(a, b, tol=2e-15)["passed"]
+    assert compare(a, b)["max_rel_diff"] == pytest.approx(1e-15)
+    assert not compare(a, b, tol=5e-16)["passed"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
+def test_compare_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    # every d > nan is False, so a NaN tolerance would pass anything
+    a, b = _artifact_pair(tmp_path, "flux.json", '{"phi_over_phi0": 1.0}',
+                           '{"phi_over_phi0": 5.0}')
+    assert _run_cli(["--compare", a, b, f"--tol={tol}"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["key"] == "tol"
+    with pytest.raises(ConfigError, match="tolerance"):
+        compare(a, b, tol=float(tol))
 
 
 @pytest.mark.parametrize("x,y", [("nan", "1.5"), ("1.5", "nan"),

@@ -485,7 +485,8 @@ def _bent_operators(patch, grid):
 
 
 def test_one_hermiticity_check_per_assembly(monkeypatch):
-    # the writer checks each operator it writes, the bent ones included
+    # the writer checks each operator it writes, the bent ones and their
+    # observables included
     labels = []
     original = hamiltonian._check_hermitian
 
@@ -498,7 +499,8 @@ def test_one_hermiticity_check_per_assembly(monkeypatch):
     g = Grid.for_patch(p, 10, 12)
     for assemble, expected in ((assemble_Heff, ["Heff"]),
                                (assemble_H0, ["H0"]), (assemble_Hso, ["Hso"]),
-                               (_bent_operators, ["H0", "Hso"])):
+                               (_bent_operators,
+                                ["H0", "Hso", "theta", "p_s"])):
         labels.clear()
         assemble(p, g)
         assert labels == expected

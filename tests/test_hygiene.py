@@ -9,6 +9,10 @@
 * no module binds a top-level ``def`` or ``class`` name twice, so a name
   looked up on the module is the function that the module's own tables
   captured;
+* only ``hamiltonian`` builds a stencil from ``scipy.sparse`` pieces
+  (``kron``, ``diags``, ``eye``), and ``_check_hermitian`` is called only
+  in ``_write_csr``, so every operator is written, and checked, by the
+  one node-block writer;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -116,6 +120,55 @@ def test_no_top_level_definition_twice():
                     twice.append(f"{name}: {node.name}")
                 seen.add(node.name)
     assert not twice, twice
+
+
+def _sparse_stencil_calls(tree):
+    """Calls of scipy.sparse's kron, diags or eye, through a module alias
+    or an imported name."""
+    pieces = {"kron", "diags", "eye"}
+    aliases, bare = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "scipy.sparse"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "sparse"}
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module == "scipy.sparse"):
+            bare |= {alias.asname or alias.name for alias in node.names
+                     if alias.name in pieces}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if ((isinstance(func, ast.Attribute) and func.attr in pieces
+             and isinstance(func.value, ast.Name)
+             and func.value.id in aliases)
+                or (isinstance(func, ast.Name) and func.id in bare)):
+            yield node.lineno
+
+
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_stencils_and_the_hermiticity_check_live_in_hamiltonian():
+    modules = _modules()
+    stencils = [f"{name}:{line}" for name, tree in modules.items()
+                if name != "hamiltonian.py"
+                for line in _sparse_stencil_calls(tree)]
+    assert not stencils, stencils
+    checks = [f"{name}:{node.lineno}" for name, tree in modules.items()
+              for node in _calls_of(tree, "_check_hermitian")]
+    writer = next(node for node in modules["hamiltonian.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_write_csr")
+    in_writer = [f"hamiltonian.py:{node.lineno}"
+                 for node in _calls_of(writer, "_check_hermitian")]
+    assert in_writer and checks == in_writer, checks
 
 
 def test_tracing_targets_resolve(monkeypatch):
