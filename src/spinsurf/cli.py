@@ -409,8 +409,11 @@ def compare(path_a, path_b, tol=1e-9):
     """Fieldwise relative comparison of two artifacts of the same type.
 
     A CSV value's difference is relative to the largest finite magnitude
-    in its column of either file, a JSON number's to the larger of the
-    two magnitudes.  Returns a dict {passed, max_rel_diff, diffs}:
+    in its column of either file, and a JSON number's in a list to the
+    largest finite magnitude among the numbers of that list in either
+    file, so a round-off zero beside larger siblings reads as round-off.
+    Any other JSON number's is relative to the larger of its two
+    magnitudes.  Returns a dict {passed, max_rel_diff, diffs}:
     ``diffs`` lists the fields whose relative difference exceeds
     ``tol``, and ``max_rel_diff`` is the largest relative difference of
     any field, within ``tol`` or not.  Raises ConfigError (key ``tol``)
@@ -460,7 +463,9 @@ def _rel_diff(a, b, scale):
                                         rel, math.inf))
 
 
-def _json_diffs(a, b, prefix, out):
+def _json_diffs(a, b, prefix, out, scale=None):
+    """Append (field, rel_diff, where) for each field of ``a`` and ``b``;
+    ``scale`` is the list scale of a number in a list."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k not in a or k not in b:
@@ -471,11 +476,15 @@ def _json_diffs(a, b, prefix, out):
         if len(a) != len(b):
             out.append((prefix.rstrip("."), math.inf, "length mismatch"))
             return
+        scale = max((abs(v) for v in a + b if isinstance(v, (int, float))
+                     and math.isfinite(v)), default=0.0)
         for i, (x, y) in enumerate(zip(a, b)):
-            _json_diffs(x, y, f"{prefix}{i}.", out)
+            _json_diffs(x, y, f"{prefix}{i}.", out, scale)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        out.append((prefix.rstrip("."),
-                    float(_rel_diff(a, b, max(abs(a), abs(b)))), "value"))
+        if scale is None:
+            scale = max(abs(a), abs(b))
+        out.append((prefix.rstrip("."), float(_rel_diff(a, b, scale)),
+                    "value"))
     elif a != b:
         out.append((prefix.rstrip("."), math.inf, f"{a!r} vs {b!r}"))
 

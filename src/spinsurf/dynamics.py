@@ -15,11 +15,16 @@ checked against.
 Heisenberg forces: theta_dot = -i [theta, H], then
 theta_ddot_pm = -i [theta_dot, H0] and theta_ddot_so = -i [theta_dot, Hso];
 F = m rho^2 theta_ddot.  For sigma_3-polarized packets the two routes give
-equal Lorentz-like forces, opposite for the two spin species.
+equal Lorentz-like forces, opposite for the two spin species.  The report
+reads their expectations from sparse products with the packet, and the
+explicit commutators of ``force_operators`` are kept as its oracle.
 
 Wavepackets evolve exactly on the Fourier blocks of an operator that the
 one-node shift along s leaves unchanged (the periodic window: its
 coefficients depend on theta only), and by Cayley steps otherwise.
+H_eff has no real magnetic field, so it is time-reversal invariant and
+block n - m of the window is the time reverse of block m (Kramers
+pairs): half of the blocks are diagonalized.
 """
 
 from __future__ import annotations
@@ -140,6 +145,29 @@ def _commutator(scale, a, b):
                       for lo, hi in zip(edges[:-1], edges[1:])], format="csr")
 
 
+def _force_expectations(H0, Hso, theta_op, psi, rho):
+    """(<F_pm>, <F_so>) of the flat vector ``psi`` without forming F.
+
+    <F_x> = 2 rho^2 Im <theta_dot psi | H_x psi> / <psi|psi> with
+    theta_dot psi = -i (theta H psi - H theta psi), from sparse products
+    with vectors and the diagonal of ``theta_op``: the expectation of
+    ``force_operators``'s F_x.
+    """
+    h0, hso = H0.matrix @ psi, Hso.matrix @ psi
+    norm = np.vdot(psi, psi).real
+    # [theta, H] = [theta - c, H]: centred on the packet's mean c, the
+    # diagonal theta is small where psi lives, so theta ~ pi costs no
+    # digits
+    theta = theta_op.matrix.diagonal()
+    theta = theta - np.vdot(psi, theta * psi).real / norm
+    th = theta * psi
+    theta_dot = -1j * (theta * (h0 + hso) - H0.matrix @ th
+                       - Hso.matrix @ th)
+    scale = 2.0 * rho**2 / norm
+    return tuple(float(scale * np.vdot(theta_dot, h).imag)
+                 for h in (h0, hso))
+
+
 def force_operators(H0: HermitianOperator, Hso: HermitianOperator,
                     theta_op: HermitianOperator, rho: float = 1.0):
     """Heisenberg force operators (F_pm, F_so) as explicit commutators.
@@ -257,12 +285,15 @@ _EIGH_CHUNK = 32
 
 
 def _block_eigh(split):
-    """Eigenvalues (n, b) and eigenvectors (n, b, b) of every block."""
+    """Eigenvalues (count, b) and eigenvectors (count, b, b) of blocks
+    0 .. count - 1: count = n // 2 + 1 when block n - m is the time
+    reverse of block m (``split.kramers``), and n otherwise."""
+    count = split.n // 2 + 1 if split.kramers else split.n
     b = split.lines.shape[1]
-    vals = np.empty((split.n, b))
-    vecs = np.empty((split.n, b, b), complex)
-    for lo in range(0, split.n, _EIGH_CHUNK):
-        hi = min(lo + _EIGH_CHUNK, split.n)
+    vals = np.empty((count, b))
+    vecs = np.empty((count, b, b), complex)
+    for lo in range(0, count, _EIGH_CHUNK):
+        hi = min(lo + _EIGH_CHUNK, count)
         vals[lo:hi], vecs[lo:hi] = np.linalg.eigh(
             np.stack([split.block(m) for m in range(lo, hi)]))
     return vals, vecs
@@ -276,11 +307,15 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
 
     An operator that ``hamiltonian._fourier_blocks`` splits along a
     periodic axis (blocks of at most ``spectra._DENSE_CUTOFF`` rows) takes
-    the exact route, ``route = "fourier-blocks"``: each block is
+    the exact route, ``route = "fourier-blocks"``: the blocks are
     diagonalized once, the packets are projected on the blocks by one
     FFT along the split axis, and psi(t) = e^{-iHt} psi is formed at each
     record time t = step * dt.  There is no stepping, so dt only sets the
-    record times.  Any other operator takes implicit-midpoint (Cayley)
+    record times.  When block n - m is the time reverse of block m
+    (``_FourierBlocks.kramers``: H is time-reversal invariant), only
+    blocks 0 .. n // 2 are diagonalized, and each one's eigenvectors
+    serve block m and block n - m in one matmul; otherwise all n are.
+    Any other operator takes implicit-midpoint (Cayley)
     steps, ``route = "cayley"``: psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2)
     psi = 2 A^{-1} psi - psi with A = 1 + i dt H/2 factored once, second
     order in dt and unconditionally stable.  Both routes preserve the
@@ -338,13 +373,34 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     else:
         route = "fourier-blocks"
         vals, vecs = _block_eigh(split)
+        kept, b = vals.shape
+        # Kramers pairs: block p = n - m has the eigenvectors T V_m
+        # (T = J conj, ``split.time_reverse``), so V_p^H y = conj(V_m^H
+        # T^-1 y) and V_p e^{-i Lambda t} c = T(V_m e^{i Lambda t} conj(c)).
+        # The state of pair m holds, for each packet, V_m^H y_m and
+        # V_m^H T^-1 y_p (= conj(c_p)) side by side, so one matmul with V_m
+        # serves both blocks.  Blocks 0 and n/2 are their own partners;
+        # their second half is formed and dropped.
+        partner = -np.arange(kept) % split.n
+        coeffs = split.to_blocks(psi)
+        halves = [coeffs[:kept]]
+        if kept < split.n:
+            halves.append(split.time_reverse(coeffs[partner], inverse=True))
+        pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
         # V^H c, formed as (c^H V)^H so that no conjugate copy of V is made
-        state = np.matmul(split.to_blocks(psi).conj().swapaxes(1, 2),
-                          vecs).conj().swapaxes(1, 2)
+        state = np.matmul(pairs.reshape(kept, b, -1).conj().swapaxes(1, 2),
+                          vecs).conj().swapaxes(1, 2).reshape(pairs.shape)
 
         def advance(state, done, step):
-            phase = np.exp(-1j * (step * dt) * vals)[..., None]
-            return state, split.from_blocks(vecs @ (phase * state))
+            phase = np.exp(-1j * (step * dt) * vals)
+            phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
+            w = vecs @ (phase[..., None] * state).reshape(kept, b, -1)
+            w = w.reshape(state.shape)
+            coeffs = np.empty((split.n, b, state.shape[3]), complex)
+            if kept < split.n:
+                coeffs[partner] = split.time_reverse(w[:, :, 1])
+            coeffs[:kept] = w[:, :, 0]
+            return state, split.from_blocks(coeffs)
 
     record(0.0)
     done = 0
@@ -405,11 +461,12 @@ def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
     """Compare <F_pm> and <F_so> on sigma_3-polarized packets.
 
     Builds the four operators, prepares one packet per spin species at
-    (theta_c, s_length / 3), and reports the matrix expectation values
-    next to the closed-form prediction evaluated at (<theta>, <p_s>).
+    (theta_c, s_length / 3), and reports the force expectations (formed
+    from products with the packet, not from the commutators of
+    ``force_operators``) next to the closed-form prediction evaluated
+    at (<theta>, <p_s>).
     """
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
-    F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
     grid = H0.grid
     s_center = setup.s_length / _S_START_DIVISOR
 
@@ -420,8 +477,8 @@ def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
                                   k_s, spin, rho=setup.rho)
         th = pkt.expectation(theta_op).real
         ps = pkt.expectation(ps_op).real
-        fp = pkt.expectation(F_pm).real
-        fs = pkt.expectation(F_so).real
+        fp, fs = _force_expectations(H0, Hso, theta_op, pkt.flat(),
+                                     setup.rho)
         ana = analytic_force(setup, ps, th)
         f_pm[spin] = fp
         f_so[spin] = fs

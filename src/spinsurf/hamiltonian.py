@@ -35,7 +35,10 @@ hermiticity, once.  ``_fourier_blocks`` splits an operator that the
 one-node shift along a periodic axis leaves unchanged into the dense
 Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
 ``_FourierBlocks.to_blocks`` and ``from_blocks`` carry vectors to the
-blocks and back, and ``_zero_mode_block`` reads block 0 sparsely.
+blocks and back, ``_FourierBlocks.kramers`` tells whether block n - m is
+the time reverse of block m and ``time_reverse`` maps coefficients
+between the two, and ``_zero_mode_block`` reads block 0 sparsely.  Only
+this module knows the interleaved spin layout.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -401,7 +404,9 @@ class _FourierBlocks:
     dense couplings H_d of line 0 to line d = -1, 0, 1.  Block
     m = 0 .. n-1 is B_m = sum_d exp(2 pi i m d / n) H_d, and an
     eigenvector u of B_m is the eigenvector u (x) exp(2 pi i m j / n) /
-    sqrt(n) of the operator.
+    sqrt(n) of the operator.  When ``kramers`` holds, block n - m is the
+    time reverse of block m, so blocks 0 .. n // 2 carry every
+    eigenvalue and, through ``time_reverse``, every eigenvector.
     """
 
     axis: int
@@ -431,6 +436,32 @@ class _FourierBlocks:
         return sum(math.sqrt(np.abs(h).sum(axis=0).max()
                              * np.abs(h).sum(axis=1).max())
                    for h in (lower, upper))
+
+    @functools.cached_property
+    def kramers(self):
+        """Whether block n - m is the time reverse of block m.
+
+        It is when each coupling H_d equals J conj(H_d) J^T to
+        ``_SHIFT_TOL`` max |H_d|, J = i sigma_y at each node, read off
+        the 2x2 node blocks in O(b^2).  Then B_{n-m} = J conj(B_m) J^T:
+        block n - m has the eigenvalues of block m, and the
+        ``time_reverse`` of its eigenvectors.
+        """
+        k = self.lines.shape[1] // 2
+        return all(_reversal_gap(h.reshape(k, 2, k, 2).swapaxes(1, 2))
+                   <= _SHIFT_TOL * np.abs(h).max(initial=0.0)
+                   for h in self.couplings)
+
+    @staticmethod
+    def time_reverse(c, inverse=False):
+        """T c = J conj(c) of block coefficients ``c`` (block dimension on
+        axis 1): J = i sigma_y maps each node's (up, down) to (down, -up).
+        ``inverse`` gives T^-1 c = J^T conj(c) = -T c."""
+        sign = -1.0 if inverse else 1.0
+        out = np.empty_like(c)
+        out[:, 0::2] = sign * np.conj(c[:, 1::2])
+        out[:, 1::2] = -sign * np.conj(c[:, 0::2])
+        return out
 
     def lift(self, u, m):
         """The operator's eigenvectors of block-m eigenvectors ``u``
@@ -714,6 +745,15 @@ def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
         grid=op.grid, terms=op.terms)
 
 
+def _spin_columns(values):
+    """Two real columns of per-row ``values``: column 0 holds them on the
+    spin-up rows and column 1 on the spin-down rows, zero elsewhere."""
+    cols = np.zeros((len(values), 2))
+    cols[0::2, 0] = values[0::2]
+    cols[1::2, 1] = values[1::2]
+    return cols
+
+
 def time_reversal_defect(op: HermitianOperator) -> float:
     """max-norm of [T, H] with T = i sigma_y C on the lattice.
 
@@ -724,11 +764,14 @@ def time_reversal_defect(op: HermitianOperator) -> float:
     read off the blocks in O(nnz): the diagonal pair differs from B by
     |d* - a| and the off-diagonal pair by |c* + b|, each twice.
     """
-    B = op.matrix.tobsr((2, 2)).data          # (blocks, 2, 2)
-    if not len(B):
-        return 0.0
-    return float(max(np.abs(np.conj(B[:, 1, 1]) - B[:, 0, 0]).max(),
-                     np.abs(np.conj(B[:, 1, 0]) + B[:, 0, 1]).max()))
+    return _reversal_gap(op.matrix.tobsr((2, 2)).data)
+
+
+def _reversal_gap(B):
+    """max |sigma_y conj(B) sigma_y - B| over 2x2 node blocks B (..., 2, 2)."""
+    diag = np.abs(np.conj(B[..., 1, 1]) - B[..., 0, 0])
+    off = np.abs(np.conj(B[..., 1, 0]) + B[..., 0, 1])
+    return float(max(diag.max(initial=0.0), off.max(initial=0.0)))
 
 
 def export_coo(op: HermitianOperator, path) -> None:

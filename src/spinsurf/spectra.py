@@ -17,7 +17,8 @@ import scipy.sparse.linalg as spla
 from .errors import EigensolverError
 from .hamiltonian import (LU_ORDERING, Grid, HermitianOperator,
                           _factor_shifted, _fourier_blocks, _inertia,
-                          _zero_mode_block, assemble_H0, assemble_Heff)
+                          _spin_columns, _zero_mode_block, assemble_H0,
+                          assemble_Heff)
 from .surfaces import make_surface
 
 __all__ = [
@@ -369,10 +370,8 @@ def _constant_spinor_bound(mat) -> float:
     diag = np.abs(mat.diagonal())
     nonzero = diag > 0
     diag[~nonzero] = diag[nonzero].min() if nonzero.any() else 1.0
-    spinors = np.zeros((mat.shape[0], 4))
-    spinors[0::2, 0] = spinors[1::2, 1] = 1.0
-    spinors[0::2, 2] = diag[0::2] ** -0.5
-    spinors[1::2, 3] = diag[1::2] ** -0.5
+    spinors = np.hstack((_spin_columns(np.ones(len(diag))),
+                         _spin_columns(diag ** -0.5)))
     quotients = (np.einsum("ij,ij->j", spinors, (mat @ spinors).real)
                  / np.einsum("ij,ij->j", spinors, spinors))
     return float(quotients.min())

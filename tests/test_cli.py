@@ -478,6 +478,31 @@ def test_compare_is_relative_below_one(tmp_path):
     assert not compare(a, b, tol=5e-16)["passed"]
 
 
+def test_compare_scales_a_json_list_by_its_largest_number(tmp_path):
+    # the cylinder spectrum.json first cluster without the connection: its
+    # mean is a round-off zero that moved -5.06e-14 -> -7.20e-14 beside
+    # its multiplicity 2
+    a, b = _artifact_pair(
+        tmp_path, "spectrum.json",
+        '{"clusters": [[-5.06e-14, 2], [0.4999749008019706, 4]], '
+        '"with_connection": false}',
+        '{"clusters": [[-7.20e-14, 2], [0.4999749008019706, 4]], '
+        '"with_connection": false}')
+    rep = compare(a, b)
+    assert rep["passed"]
+    assert rep["max_rel_diff"] == pytest.approx(2.14e-14 / 2)
+    # a real move of a list's largest entry still fails
+    a, b = _artifact_pair(
+        tmp_path, "spectrum.json",
+        '{"clusters": [[-5.06e-14, 2], [0.4999749008019706, 4]]}',
+        '{"clusters": [[-5.06e-14, 2], [0.4999749008019706, 4.4]]}')
+    failed = compare(a, b, tol=1e-3)
+    assert failed["diffs"] == [{"field": "clusters.1.1",
+                                "rel_diff": pytest.approx(0.4 / 4.4),
+                                "where": "value"}]
+    assert _run_cli(["--compare", a, b]) == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
 def test_compare_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     # every d > nan is False, so a NaN tolerance would pass anything

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import spinsurf.dynamics as dynamics
 from spinsurf.dynamics import (BentCylinderSetup, analytic_force,
                                bent_cylinder_operators, evolve,
                                force_equality_report, force_operators,
@@ -13,7 +15,8 @@ from spinsurf.errors import (GridError, InvalidWindowError,
                              PacketTooNarrowError, SurfaceParameterError)
 from spinsurf.frames import SIGMA1, SIGMA2
 from spinsurf.hamiltonian import (Grid, GridGeometry, HermitianOperator,
-                                  SpinorField, assemble_H0, assemble_Hso,
+                                  SpinorField, _fourier_blocks, assemble_H0,
+                                  assemble_Hso, assemble_Heff,
                                   build_h0_operator, build_soi_operator)
 from spinsurf.surfaces import make_surface
 
@@ -448,6 +451,106 @@ def test_cayley_converges_to_the_block_route_at_second_order():
                                  - cayley.observables[k]).max() for k in obs))
     order = np.polyfit(np.log([1.0, 0.5, 0.25]), np.log(errors), 1)[0]
     assert order == pytest.approx(2.0, abs=0.2)
+
+
+def _window_operator(n_s, theta_c, zeeman=0.0):
+    """H0 + Hso (+ zeeman sigma_3) of a small periodic bent window."""
+    setup = BentCylinderSetup(n_theta=8, n_s=n_s, s_length=6.0,
+                              theta_c=theta_c)
+    H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
+    H = H0 + Hso
+    if zeeman:
+        ones = np.ones((setup.n_theta, n_s))
+        H = H + dynamics._spin_diagonal(H.grid, "sigma3", zeeman * ones,
+                                        -zeeman * ones)
+    return H, theta_op
+
+
+@pytest.mark.parametrize("n_s,theta_c,zeeman,kept", [
+    (16, 0.0, 0.0, 9), (16, math.pi, 0.0, 9),      # n/2 pairs with itself
+    (15, 0.0, 0.0, 8), (15, math.pi, 0.0, 8),
+    (16, 0.0, 3.0, 16), (15, math.pi, 3.0, 15)])   # sigma_3: T-odd
+def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
+                                                   kept):
+    # Kramers pairs diagonalize blocks 0 .. n // 2 and apply each V_m to
+    # blocks m and n - m; a T-odd term takes all n blocks.  A random
+    # spinor has weight on every block and on both spins.
+    H, theta_op = _window_operator(n_s, theta_c, zeeman)
+    split = _fourier_blocks(H, 192)
+    assert split.kramers == (not zeeman)
+    assert len(dynamics._block_eigh(split)[0]) == kept
+    rng = np.random.default_rng(5)
+    grid = H.grid
+    pkts = [SpinorField(grid, rng.standard_normal((grid.n1, grid.n2, 2))
+                        + 1j * rng.standard_normal((grid.n1, grid.n2, 2)))
+            for _ in range(2)]
+    probe = rng.standard_normal((H.dim, H.dim)) \
+        + 1j * rng.standard_normal((H.dim, H.dim))
+    obs = {"theta": theta_op, "probe": probe + probe.conj().T}
+    dt, steps, every = 2e-3, 20, 5
+    trajs = evolve(H, pkts, dt, steps, observables=obs, record_every=every)
+    dense = H.matrix.toarray()
+    for pkt, traj in zip(pkts, trajs):
+        assert traj.route == "fourier-blocks"
+        for i, t in enumerate(traj.times):
+            assert t == pytest.approx(i * every * dt)
+            psi = scipy.linalg.expm(-1j * t * dense) @ pkt.flat()
+            norm = np.vdot(psi, psi).real
+            assert abs(traj.norms[i] - math.sqrt(grid.h1 * grid.h2 * norm)) \
+                <= 1e-12 * traj.norms[0]
+            for name, op in obs.items():
+                mat = getattr(op, "matrix", op)
+                value = np.vdot(psi, mat @ psi).real / norm
+                scale = np.abs(mat).max()
+                assert abs(traj.observables[name][i] - value) <= 1e-12 * scale
+
+
+def test_kramers_test_accepts_time_reversal_invariant_blocks():
+    # the bent window and torus H_eff pair block n - m with block m; a
+    # sigma_3 term breaks time reversal and the pairing
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    heff = assemble_Heff(torus, Grid.for_patch(torus, 8, 16))
+    for op in (heff, _window_operator(16, 0.0)[0],
+               _window_operator(15, math.pi)[0]):
+        split = _fourier_blocks(op, 192)
+        assert split.kramers
+        J = np.kron(np.eye(split.lines.shape[1] // 2), [[0, 1], [-1, 0]])
+        for m in range(split.n):
+            mirror = J @ split.block(m).conj() @ J.T
+            assert np.abs(mirror - split.block(-m % split.n)).max() \
+                <= 1e-12 * np.abs(split.block(m)).max()
+    assert not _fourier_blocks(_window_operator(16, 0.0, 1e-6)[0],
+                               192).kramers
+
+
+def test_time_reverse_inverts_and_squares_to_minus_one():
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal((3, 8, 2)) + 1j * rng.standard_normal((3, 8, 2))
+    reverse = _fourier_blocks(_window_operator(16, 0.0)[0], 192).time_reverse
+    assert np.array_equal(reverse(reverse(c), inverse=True), c)
+    assert np.array_equal(reverse(reverse(c)), -c)
+    # J = i sigma_y per node: (up, down) -> (down, -up), then conjugated
+    assert np.array_equal(reverse(c)[:, 0::2], c[:, 1::2].conj())
+    assert np.array_equal(reverse(c)[:, 1::2], -c[:, 0::2].conj())
+
+
+@pytest.mark.parametrize("theta_c", [0.0, math.pi])
+def test_force_report_equals_the_commutator_expectations(theta_c):
+    # the report's products with the packet against <psi|F|psi> of the
+    # explicit commutators of force_operators, on the default grid (at
+    # theta_c = pi on a 20x160 grid the explicit products' own round-off
+    # of theta ~ pi reaches 2e-9)
+    setup = BentCylinderSetup(theta_c=theta_c)
+    widths = (0.02, 2.0)
+    rep = force_equality_report(setup, k_s=8.0, widths=widths)
+    H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
+    F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
+    for spin in (+1, -1):
+        pkt = gaussian_wavepacket(H0.grid, (theta_c, setup.s_length / 3.0),
+                                  widths, 8.0, spin)
+        for got, op in ((rep.f_pm[spin], F_pm), (rep.f_so[spin], F_so)):
+            want = pkt.expectation(op).real
+            assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_force_equality_report_small_regime():

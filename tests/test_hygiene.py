@@ -13,6 +13,9 @@
   (``kron``, ``diags``, ``eye``), and ``_check_hermitian`` is called only
   in ``_write_csr``, so every operator is written, and checked, by the
   one node-block writer;
+* only ``hamiltonian`` knows the interleaved spin layout: no other
+  module slices with a step of 2 (``0::2``, ``1::2``) or writes the
+  matrix of J = i sigma_y, the spin map of time reversal;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -169,6 +172,33 @@ def test_stencils_and_the_hermiticity_check_live_in_hamiltonian():
     in_writer = [f"hamiltonian.py:{node.lineno}"
                  for node in _calls_of(writer, "_check_hermitian")]
     assert in_writer and checks == in_writer, checks
+
+
+def _spin_layout_uses(tree):
+    """Lines that slice with a constant step of 2 or write the literal
+    [[0, 1], [-1, 0]] of J = i sigma_y."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Slice)
+                and isinstance(node.step, ast.Constant)
+                and node.step.value == 2):
+            yield node.lineno
+        elif isinstance(node, ast.List):
+            try:
+                if ast.literal_eval(node) == [[0, 1], [-1, 0]]:
+                    yield node.lineno
+            except ValueError:
+                pass
+
+
+def test_spin_layout_lives_in_hamiltonian():
+    found = [f"{name}:{line}" for name, tree in _modules().items()
+             if name != "hamiltonian.py"
+             for line in _spin_layout_uses(tree)]
+    assert not found, found
+    # the rule sees the layout where it is
+    assert list(_spin_layout_uses(_modules()["hamiltonian.py"]))
+    assert sorted(_spin_layout_uses(ast.parse(
+        "a[1::2] = b[0::2]\nJ = [[0, 1], [-1, 0]]"))) == [1, 1, 2]
 
 
 def test_tracing_targets_resolve(monkeypatch):
