@@ -35,14 +35,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
                           _factor_shifted, _fourier_blocks, _grid_geometry,
                           _write_csr, build_h0_operator, build_soi_operator)
-from .spectra import _DENSE_CUTOFF
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -133,18 +131,6 @@ def _spin_diagonal(grid: Grid, term, up, down) -> HermitianOperator:
                              grid, (term,))
 
 
-def _commutator(scale, a, b):
-    """scale * (ab - ba) of two CSR matrices, 32 blocks of rows at a time.
-
-    Each row is the row the whole products give, bit for bit; the blocks
-    bound the temporaries of the sparse products, whose freed heap glibc
-    would otherwise keep through the next factorization.
-    """
-    edges = np.linspace(0, a.shape[0], 33).astype(int)
-    return sp.vstack([scale * (a[lo:hi] @ b - b[lo:hi] @ a)
-                      for lo, hi in zip(edges[:-1], edges[1:])], format="csr")
-
-
 def _force_expectations(H0, Hso, theta_op, psi, rho):
     """(<F_pm>, <F_so>) of the flat vector ``psi`` without forming F.
 
@@ -180,12 +166,14 @@ def force_operators(H0: HermitianOperator, Hso: HermitianOperator,
     hso = Hso.matrix
     if not (th.shape == h0.shape == hso.shape):
         raise GridError("force operators need a common grid")
-    theta_dot = _commutator(-1j, th, h0 + hso)
-    f_pm = _commutator((rho**2) * (-1j), theta_dot, h0)
-    f_so = _commutator((rho**2) * (-1j), theta_dot, hso)
+    htot = h0 + hso
+    theta_dot = -1j * (th @ htot - htot @ th)
+    scale = (rho**2) * (-1j)
+    f_pm = scale * (theta_dot @ h0 - h0 @ theta_dot)
+    f_so = scale * (theta_dot @ hso - hso @ theta_dot)
     grid = H0.grid
-    return (HermitianOperator(matrix=f_pm.tocsr(), grid=grid, terms=("F_pm",)),
-            HermitianOperator(matrix=f_so.tocsr(), grid=grid, terms=("F_so",)))
+    return (HermitianOperator(matrix=f_pm, grid=grid, terms=("F_pm",)),
+            HermitianOperator(matrix=f_so, grid=grid, terms=("F_so",)))
 
 
 @dataclass(frozen=True)
@@ -285,15 +273,14 @@ _EIGH_CHUNK = 32
 
 
 def _block_eigh(split):
-    """Eigenvalues (count, b) and eigenvectors (count, b, b) of blocks
-    0 .. count - 1: count = n // 2 + 1 when block n - m is the time
-    reverse of block m (``split.kramers``), and n otherwise."""
-    count = split.n // 2 + 1 if split.kramers else split.n
-    b = split.lines.shape[1]
-    vals = np.empty((count, b))
-    vecs = np.empty((count, b, b), complex)
-    for lo in range(0, count, _EIGH_CHUNK):
-        hi = min(lo + _EIGH_CHUNK, count)
+    """Eigenvalues (kept, b) and eigenvectors (kept, b, b) of blocks
+    0 .. kept - 1 (``split.kept``: n // 2 + 1 when block n - m is the
+    time reverse of block m, and n otherwise)."""
+    kept, b = split.kept, split.lines.shape[1]
+    vals = np.empty((kept, b))
+    vecs = np.empty((kept, b, b), complex)
+    for lo in range(0, kept, _EIGH_CHUNK):
+        hi = min(lo + _EIGH_CHUNK, kept)
         vals[lo:hi], vecs[lo:hi] = np.linalg.eigh(
             np.stack([split.block(m) for m in range(lo, hi)]))
     return vals, vecs
@@ -306,15 +293,16 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     ``record_every`` steps of ``dt`` and after the last step.
 
     An operator that ``hamiltonian._fourier_blocks`` splits along a
-    periodic axis (blocks of at most ``spectra._DENSE_CUTOFF`` rows) takes
-    the exact route, ``route = "fourier-blocks"``: the blocks are
+    periodic axis (blocks of at most ``hamiltonian._DENSE_CUTOFF`` rows)
+    takes the exact route, ``route = "fourier-blocks"``: the blocks are
     diagonalized once, the packets are projected on the blocks by one
     FFT along the split axis, and psi(t) = e^{-iHt} psi is formed at each
     record time t = step * dt.  There is no stepping, so dt only sets the
-    record times.  When block n - m is the time reverse of block m
-    (``_FourierBlocks.kramers``: H is time-reversal invariant), only
-    blocks 0 .. n // 2 are diagonalized, and each one's eigenvectors
-    serve block m and block n - m in one matmul; otherwise all n are.
+    record times.  Only blocks 0 .. ``_FourierBlocks.kept`` - 1 are
+    diagonalized: when H is time-reversal invariant, block n - m is the
+    time reverse of block m, kept = n // 2 + 1, and each one's
+    eigenvectors serve block m and block n - m in one matmul; otherwise
+    all n are.
     Any other operator takes implicit-midpoint (Cayley)
     steps, ``route = "cayley"``: psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2)
     psi = 2 A^{-1} psi - psi with A = 1 + i dt H/2 factored once, second
@@ -361,7 +349,7 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     # step ``done`` to ``step`` and returns it with psi there.  The state
     # is psi itself when stepping, and its coefficients in the blocks'
     # eigenvectors on the block route.
-    split = _fourier_blocks(op, _DENSE_CUTOFF)
+    split = _fourier_blocks(op)
     if split is None:
         route, state = "cayley", psi
         lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
@@ -440,13 +428,15 @@ class ForceReport:
     mean_ps: dict
 
     def as_dict(self):
+        """The fields of ``forces.json``.  ``rel_pm_vs_so`` is left out:
+        it follows from F_pm and F_so, which nearly cancel in it, so their
+        round-off moves it ~1e-6 relative."""
         def keyed(d):
             return {("up" if s > 0 else "down"): d[s] for s in (+1, -1)}
         return {
             "F_pm": keyed(self.f_pm), "F_so": keyed(self.f_so),
             "analytic_each": keyed(self.analytic_each),
             "analytic_total": keyed(self.analytic_total),
-            "rel_pm_vs_so": keyed(self.rel_pm_vs_so),
             "rel_vs_analytic": keyed(self.rel_vs_analytic),
             "mean_theta": keyed(self.mean_theta),
             "mean_ps": keyed(self.mean_ps),

@@ -35,10 +35,11 @@ hermiticity, once.  ``_fourier_blocks`` splits an operator that the
 one-node shift along a periodic axis leaves unchanged into the dense
 Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
 ``_FourierBlocks.to_blocks`` and ``from_blocks`` carry vectors to the
-blocks and back, ``_FourierBlocks.kramers`` tells whether block n - m is
-the time reverse of block m and ``time_reverse`` maps coefficients
-between the two, and ``_zero_mode_block`` reads block 0 sparsely.  Only
-this module knows the interleaved spin layout.
+blocks and back, ``_FourierBlocks.kept`` counts the blocks that carry
+the spectrum (half of them when ``kramers``: block n - m is the time
+reverse of block m) and ``time_reverse`` maps coefficients between the
+two, and ``_zero_mode_block`` reads block 0 sparsely.  Only this module
+knows the interleaved spin layout.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -394,6 +395,13 @@ def _write_csr(grid, blocks, label):
 # the torus's tube angle.
 _SHIFT_TOL = 1e-12
 
+# Largest matrix, or Fourier block, solved densely: the measured
+# crossover for a whole matrix.  Lowest 16 pairs of torus H_eff at one
+# BLAS thread (2-vCPU Xeon VM, OpenBLAS), dense eigh against
+# shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021 vs 0.017 at 256,
+# 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs 0.21 at 2048.
+_DENSE_CUTOFF = 192
+
 
 @dataclass(frozen=True)
 class _FourierBlocks:
@@ -404,9 +412,9 @@ class _FourierBlocks:
     dense couplings H_d of line 0 to line d = -1, 0, 1.  Block
     m = 0 .. n-1 is B_m = sum_d exp(2 pi i m d / n) H_d, and an
     eigenvector u of B_m is the eigenvector u (x) exp(2 pi i m j / n) /
-    sqrt(n) of the operator.  When ``kramers`` holds, block n - m is the
-    time reverse of block m, so blocks 0 .. n // 2 carry every
-    eigenvalue and, through ``time_reverse``, every eigenvector.
+    sqrt(n) of the operator.  Blocks 0 .. ``kept`` - 1 carry every
+    eigenvalue and, through ``time_reverse`` of block m's eigenvectors
+    for its partner n - m >= ``kept``, every eigenvector.
     """
 
     axis: int
@@ -423,20 +431,6 @@ class _FourierBlocks:
         lower, diag, upper = self.couplings
         return diag + phase * upper + np.conj(phase) * lower
 
-    def distances(self, m):
-        """Upper bounds on ||B_m - B_j||_2 for j = 0 .. n-1, so by Weyl's
-        inequality on how far any eigenvalue moves from block j to m."""
-        wave = np.exp(2j * math.pi * np.arange(self.n) / self.n)
-        return np.abs(wave - wave[m]) * self._reach
-
-    @functools.cached_property
-    def _reach(self):
-        # ||H_-1||_2 + ||H_1||_2, each bounded by sqrt(||H_d||_1 ||H_d||_inf)
-        lower, _, upper = self.couplings
-        return sum(math.sqrt(np.abs(h).sum(axis=0).max()
-                             * np.abs(h).sum(axis=1).max())
-                   for h in (lower, upper))
-
     @functools.cached_property
     def kramers(self):
         """Whether block n - m is the time reverse of block m.
@@ -451,6 +445,13 @@ class _FourierBlocks:
         return all(_reversal_gap(h.reshape(k, 2, k, 2).swapaxes(1, 2))
                    <= _SHIFT_TOL * np.abs(h).max(initial=0.0)
                    for h in self.couplings)
+
+    @property
+    def kept(self) -> int:
+        """The blocks that carry the spectrum: n // 2 + 1 when
+        ``kramers`` holds, so block n - m is the time reverse of block m,
+        and n otherwise."""
+        return self.n // 2 + 1 if self.kramers else self.n
 
     @staticmethod
     def time_reverse(c, inverse=False):
@@ -507,11 +508,11 @@ def _zero_mode_block(op, axis):
                          shape=(lines.shape[1],) * 2)
 
 
-def _fourier_blocks(op, max_block):
+def _fourier_blocks(op):
     """The Fourier split of ``op`` along a periodic axis, or None.
 
     An axis qualifies when the operator's grid matches its matrix, the
-    blocks have dimension 2 n_other <= ``max_block``, every coupling
+    blocks have dimension 2 n_other <= ``_DENSE_CUTOFF``, every coupling
     reaches at most the neighbouring line, and the one-node shift along
     the axis changes no entry by more than ``_SHIFT_TOL`` max |H|.  The
     shifted diagonal is compared first, in O(dim), so an axis along
@@ -524,7 +525,7 @@ def _fourier_blocks(op, max_block):
         return None
     shape = (grid.n1, grid.n2)
     axes = [a for a in (0, 1) if grid.bc[a] == "periodic"
-            and shape[a] >= 3 and grid.dim // shape[a] <= max_block]
+            and shape[a] >= 3 and grid.dim // shape[a] <= _DENSE_CUTOFF]
     if not axes:
         return None
     coo = mat.tocoo()

@@ -15,10 +15,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
-from .hamiltonian import (LU_ORDERING, Grid, HermitianOperator,
-                          _factor_shifted, _fourier_blocks, _inertia,
-                          _spin_columns, _zero_mode_block, assemble_H0,
-                          assemble_Heff)
+from .hamiltonian import (_DENSE_CUTOFF, LU_ORDERING, Grid,
+                          HermitianOperator, _factor_shifted,
+                          _fourier_blocks, _inertia, _spin_columns,
+                          _zero_mode_block, assemble_H0, assemble_Heff)
 from .surfaces import make_surface
 
 __all__ = [
@@ -32,13 +32,6 @@ __all__ = [
     "conductance_curve",
     "cylinder_ring_operator",
 ]
-
-# Largest matrix, or Fourier block, solved densely: the measured
-# crossover for a whole matrix.  Lowest 16 pairs of torus H_eff at one
-# BLAS thread (2-vCPU Xeon VM, OpenBLAS), dense eigh against
-# shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021 vs 0.017 at 256,
-# 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs 0.21 at 2048.
-_DENSE_CUTOFF = 192
 
 # The lowest-k shift: its first step below the constant-spinor bound,
 # relative to max(1, |bound|) (energies are O(1) in hbar = m = 1; each
@@ -72,22 +65,25 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     into Fourier blocks along a periodic axis when the one-node shift
     along it changes no entry by more than 1e-12 max|H| and the blocks
     have dimension 2 n_other <= ``_DENSE_CUTOFF`` (the azimuth of the
-    torus and the sphere).  ``eigvalsh`` runs on the blocks in turn,
-    the k values are selected from all it returned, and ``eigh`` runs
-    again on each block holding a selected value; a block's vector u is
-    the operator's u (x) exp(2 pi i m j / n) / sqrt(n).  For 'lowest' the
-    blocks run in order of increasing |m| = min(m, n - m), and once k
-    values are known a block is skipped when its least diagonal entry
-    exceeds sigma + delta (sigma the k-th lowest value so far, delta the
-    residual contract below) and B_m - (sigma + delta) I has a Cholesky
-    factor, which shows by Sylvester's law of inertia that no eigenvalue
-    of B_m lies below sigma + delta; the Cholesky is not tried when
-    Weyl's inequality and a solved block already show that B_m holds a
-    value below sigma + delta.  The values and vectors are those of the
-    sweep over every block, bit for bit.  An operator whose low levels
-    sit at large |m| (e.g. -H_eff) skips nothing and pays a few failed
-    Cholesky factors.  'nearest' solves every block.  Any other
-    operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which
+    torus and the sphere).  ``eigvalsh`` runs on blocks 0 .. kept - 1 in
+    turn (``_FourierBlocks.kept``: n // 2 + 1 when block n - m is the
+    time reverse of block m, as for H_eff, and n otherwise), a partner
+    block n - m >= kept takes the values of block m, the k values are
+    selected from all of them, and ``eigh`` runs again on each block
+    holding a selected value; a block's vector u is the operator's u (x)
+    exp(2 pi i m j / n) / sqrt(n), and a partner's u is the time reverse
+    of block m's.  For 'lowest' the blocks run in order of increasing
+    |m| = min(m, n - m), and once k values are known a block and its
+    partner are skipped when its least diagonal entry exceeds sigma +
+    delta (sigma the k-th lowest value so far, delta the residual
+    contract below) and B_m - (sigma + delta) I has a Cholesky factor,
+    which shows by Sylvester's law of inertia that no eigenvalue of B_m
+    lies below sigma + delta.  The values and vectors are those of the
+    sweep over blocks 0 .. kept - 1 with the partners merged in block
+    order, bit for bit.  An operator whose low levels sit at large |m|
+    (e.g. -H_eff) skips nothing and pays a failed Cholesky factor for
+    nearly every block.  'nearest' solves blocks 0 .. kept - 1.  Any
+    other operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which
     ARPACK cannot do) is one block.
 
     Shift-invert, for everything else (grid=None such as the ring,
@@ -113,8 +109,8 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     'shift-invert-lanczos'), ``fourier_axis`` (the grid axis of the
     split, None without one), ``blocks`` (the number of dense blocks,
     1 without a split; None on shift-invert) and ``blocks_solved`` (the
-    blocks that ran ``eigvalsh``: ``blocks`` for 'nearest' or without a
-    split; None on shift-invert), ``norm_inf``, ``sigma``,
+    blocks that ran ``eigvalsh``: kept for 'nearest', 1 without a split,
+    None on shift-invert), ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
     ``opinv_solves`` (over every ARPACK run that returned, rejected
     shifts included), ``inertia`` (count below sigma), ``check_count``
@@ -138,7 +134,7 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     norm = _scale(mat)
     contract = 1e-10 * max(norm, 1e-300)
 
-    split = (_fourier_blocks(op, _DENSE_CUTOFF)
+    split = (_fourier_blocks(op)
              if isinstance(op, HermitianOperator) else None)
     if split is not None or dim <= _DENSE_CUTOFF or k >= dim - 1:
         vals, vecs, solved = _dense(mat, split, k, which, target, contract)
@@ -175,66 +171,70 @@ def _dense(mat, split, k, which, target, margin):
     """Lowest / nearest k pairs by dense eigh over the operator's blocks.
 
     The Fourier blocks of ``split``, or the whole matrix as one block.
-    Each block is formed when it is reached, so one is alive at a time.
-    Also returns the number of blocks that ran ``eigvalsh``.
+    Blocks 0 .. kept - 1 run ``eigvalsh``, each formed when it is reached
+    so one is alive at a time, and a partner block n - m >= kept takes
+    the values of block m and the ``time_reverse`` of its vectors.  Also
+    returns the number of blocks that ran ``eigvalsh``.
     """
-    if split is None:       # one block: no distances between blocks
-        count, block, lift, distances = (1, lambda m: mat.toarray(),
-                                         lambda u, m: u, None)
+    if split is None:       # one block
+        count, kept, block, lift = (1, 1, lambda m: mat.toarray(),
+                                    lambda u, m: u)
     else:
-        count, block, lift, distances = (split.n, split.block, split.lift,
-                                         split.distances)
+        count, kept, block, lift = split.n, split.kept, split.block, split.lift
     if which == "lowest":
-        found = _lowest_blocks(block, distances, count, k, margin)
+        found = _lowest_blocks(block, count, kept, k, margin)
     else:
-        found = {m: np.linalg.eigvalsh(block(m)) for m in range(count)}
+        found = {m: np.linalg.eigvalsh(block(m)) for m in range(kept)}
+    solved = len(found)
+    found.update({-m % count: found[m] for m in list(found)
+                  if -m % count >= kept})
     ran = np.array(sorted(found))
     values = np.concatenate([found[m] for m in ran])
     size = len(values) // len(ran)
     key = values if which == "lowest" else np.abs(values - target)
     sel = np.argsort(key, kind="stable")[:k]
-    vals, vecs = [], []
-    for i in np.unique(sel // size):
-        w, u = np.linalg.eigh(block(ran[i]))
-        pick = sel[sel // size == i] % size
-        vals.append(w[pick])
-        vecs.append(lift(u[:, pick], ran[i]))
-    vals = np.concatenate(vals)
+    picks = {ran[i]: sel[sel // size == i] % size      # in block order
+             for i in np.unique(sel // size)}
+    source = {m: m if m < kept else count - m for m in picks}
+    vals, vecs = {}, {}
+    for s in set(source.values()):      # one eigh per pair of blocks
+        w, u = np.linalg.eigh(block(s))
+        for m in (m for m in picks if source[m] == s):
+            vals[m], v = w[picks[m]], u[:, picks[m]]
+            vecs[m] = lift(v if m == s else split.time_reverse(v.T).T, m)
+    vals = np.concatenate([vals[m] for m in picks])
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.hstack(vecs)[:, order], len(ran)
+    return (vals[order], np.hstack([vecs[m] for m in picks])[:, order],
+            solved)
 
 
-def _lowest_blocks(block, distances, count, k, margin):
-    """{m: eigvalsh(B_m)} over the blocks that may hold a lowest-k value.
+def _lowest_blocks(block, count, kept, k, margin):
+    """{m: eigvalsh(B_m)} over the blocks m < kept that may hold a
+    lowest-k value, counting the values of block m twice when its
+    partner n - m >= kept shares them.
 
     Blocks run in order of increasing |m| = min(m, n - m).  Once k values
-    are known, sigma is the k-th lowest so far, and a block is skipped
-    when its least diagonal entry exceeds sigma + margin (a cheap
-    necessary condition) and B_m - (sigma + margin) I has a Cholesky
-    factor: by Sylvester's law of inertia it has no eigenvalue below
-    sigma + margin, and the margin lies far above the backward error of
-    Cholesky and ``eigvalsh``.  The Cholesky, a quarter of an
-    ``eigvalsh``, is not tried when a solved block j shows by Weyl's
-    inequality, lambda_min(B_m) <= lambda_min(B_j) + ||B_m - B_j||, that
-    it would fail; that keeps its cost off an operator whose low levels
-    sit at large |m|.
+    are known, sigma is the k-th lowest so far, and a block (with its
+    partner) is skipped when its least diagonal entry exceeds
+    sigma + margin (a cheap necessary condition) and B_m - (sigma +
+    margin) I has a Cholesky factor: by Sylvester's law of inertia it
+    has no eigenvalue below sigma + margin, and the margin lies far above
+    the backward error of Cholesky and ``eigvalsh``.
     """
     found, lowest = {}, np.empty(0)
-    floors = np.full(count, np.inf)         # lambda_min of solved blocks
-    for m in sorted(range(count), key=lambda m: min(m, count - m)):
+    for m in sorted(range(kept), key=lambda m: min(m, count - m)):
         b = block(m)
         if len(lowest) == k:
             shift = lowest[-1] + margin
-            if (np.diagonal(b).real.min() > shift
-                    and (floors + distances(m)).min() > shift):
+            if np.diagonal(b).real.min() > shift:
                 try:
                     np.linalg.cholesky(b - shift * np.eye(len(b)))
                     continue
                 except np.linalg.LinAlgError:
                     pass
         found[m] = np.linalg.eigvalsh(b)
-        floors[m] = found[m][0]
-        lowest = np.sort(np.concatenate((lowest, found[m])))[:k]
+        values = np.tile(found[m], 2 if -m % count >= kept else 1)
+        lowest = np.sort(np.concatenate((lowest, values)))[:k]
     return found
 
 

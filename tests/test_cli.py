@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinsurf.cli import compare, main
+from spinsurf.dynamics import BentCylinderSetup, force_equality_report
 from spinsurf.errors import ConfigError
 
 
@@ -501,6 +503,22 @@ def test_compare_scales_a_json_list_by_its_largest_number(tmp_path):
                                 "rel_diff": pytest.approx(0.4 / 4.4),
                                 "where": "value"}]
     assert _run_cli(["--compare", a, b]) == 1
+
+
+def test_forces_json_passes_compare_when_the_forces_move_by_round_off(
+        tmp_path):
+    # |F_pm - F_so| / |F_pm| ~ 5e-5 is a difference of nearly equal
+    # forces: a 1e-10 move of F_pm moves it ~2e-6, so forces.json keeps
+    # the forces and leaves the ratio out
+    rep = force_equality_report(BentCylinderSetup())
+    f_pm = {s: f * (1.0 + 1e-10) for s, f in rep.f_pm.items()}
+    moved = dataclasses.replace(rep, f_pm=f_pm, rel_pm_vs_so={
+        s: abs(f_pm[s] - rep.f_so[s]) / abs(f_pm[s]) for s in f_pm})
+    a, b = _artifact_pair(tmp_path, "forces.json",
+                          *(json.dumps(r.as_dict()) for r in (rep, moved)))
+    result = compare(a, b, tol=1e-9)
+    assert result["passed"], result
+    assert result["max_rel_diff"] == pytest.approx(1e-10, rel=1e-3)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])

@@ -177,8 +177,8 @@ def test_commutator_antihermitian():
 
 
 def test_force_operators_equal_the_whole_products():
-    # the row blocks of force_operators give the bits of the commutators
-    # taken over the whole matrices
+    # force_operators gives the bits of the commutators taken over the
+    # whole matrices
     setup = BentCylinderSetup()
     H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
     th, h0, hso = theta_op.matrix, H0.matrix, Hso.matrix
@@ -476,7 +476,7 @@ def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
     # blocks m and n - m; a T-odd term takes all n blocks.  A random
     # spinor has weight on every block and on both spins.
     H, theta_op = _window_operator(n_s, theta_c, zeeman)
-    split = _fourier_blocks(H, 192)
+    split = _fourier_blocks(H)
     assert split.kramers == (not zeeman)
     assert len(dynamics._block_eigh(split)[0]) == kept
     rng = np.random.default_rng(5)
@@ -512,21 +512,20 @@ def test_kramers_test_accepts_time_reversal_invariant_blocks():
     heff = assemble_Heff(torus, Grid.for_patch(torus, 8, 16))
     for op in (heff, _window_operator(16, 0.0)[0],
                _window_operator(15, math.pi)[0]):
-        split = _fourier_blocks(op, 192)
+        split = _fourier_blocks(op)
         assert split.kramers
         J = np.kron(np.eye(split.lines.shape[1] // 2), [[0, 1], [-1, 0]])
         for m in range(split.n):
             mirror = J @ split.block(m).conj() @ J.T
             assert np.abs(mirror - split.block(-m % split.n)).max() \
                 <= 1e-12 * np.abs(split.block(m)).max()
-    assert not _fourier_blocks(_window_operator(16, 0.0, 1e-6)[0],
-                               192).kramers
+    assert not _fourier_blocks(_window_operator(16, 0.0, 1e-6)[0]).kramers
 
 
 def test_time_reverse_inverts_and_squares_to_minus_one():
     rng = np.random.default_rng(2)
     c = rng.standard_normal((3, 8, 2)) + 1j * rng.standard_normal((3, 8, 2))
-    reverse = _fourier_blocks(_window_operator(16, 0.0)[0], 192).time_reverse
+    reverse = _fourier_blocks(_window_operator(16, 0.0)[0]).time_reverse
     assert np.array_equal(reverse(reverse(c), inverse=True), c)
     assert np.array_equal(reverse(reverse(c)), -c)
     # J = i sigma_y per node: (up, down) -> (down, -up), then conjugated

@@ -16,6 +16,9 @@
 * only ``hamiltonian`` knows the interleaved spin layout: no other
   module slices with a step of 2 (``0::2``, ``1::2``) or writes the
   matrix of J = i sigma_y, the spin map of time reversal;
+* only ``hamiltonian`` reads ``.kramers``: it decides how many Fourier
+  blocks carry the spectrum, and ``spectra`` and ``dynamics`` read that
+  count, ``.kept``;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -199,6 +202,21 @@ def test_spin_layout_lives_in_hamiltonian():
     assert list(_spin_layout_uses(_modules()["hamiltonian.py"]))
     assert sorted(_spin_layout_uses(ast.parse(
         "a[1::2] = b[0::2]\nJ = [[0, 1], [-1, 0]]"))) == [1, 1, 2]
+
+
+def _attribute_reads(tree, attr):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_kramers_is_read_only_in_hamiltonian():
+    modules = _modules()
+    found = [f"{name}:{line}" for name, tree in modules.items()
+             if name != "hamiltonian.py"
+             for line in _attribute_reads(tree, "kramers")]
+    assert not found, found
+    for name in ("spectra.py", "dynamics.py"):
+        assert _attribute_reads(modules[name], "kept"), name
 
 
 def test_tracing_targets_resolve(monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 import spinsurf.spectra as spectra
-from spinsurf.dynamics import BentCylinderSetup, bent_cylinder_operators
+from spinsurf.dynamics import (BentCylinderSetup, _spin_diagonal,
+                               bent_cylinder_operators)
 from spinsurf.errors import EigensolverError
 from spinsurf.hamiltonian import (Grid, HermitianOperator, _factor_shifted,
                                   _fourier_blocks, _inertia, assemble_H0,
@@ -178,8 +179,8 @@ def test_fourier_blocks_match_the_full_matrix(case):
         assert d["method"] == "dense-eigh"
         assert d["fourier_axis"] == axis
         assert d["blocks"] == (n1, n2)[axis]
-        if which == "nearest":
-            assert d["blocks_solved"] == d["blocks"]
+        if which == "nearest":       # Kramers: blocks 0 .. n // 2
+            assert d["blocks_solved"] == d["blocks"] // 2 + 1
         else:
             assert 1 <= d["blocks_solved"] < d["blocks"]
         assert all(d[key] is None for key in (
@@ -190,18 +191,24 @@ def test_fourier_blocks_match_the_full_matrix(case):
 
 
 def _full_sweep(split, k):
-    """The lowest k pairs from ``eigvalsh`` on every block in index order:
-    the oracle for the block route, which skips blocks."""
-    values = np.concatenate([np.linalg.eigvalsh(split.block(m))
+    """The lowest k pairs from ``eigvalsh`` on every block in index order,
+    a partner block n - m >= kept taking the values of block m and the
+    time reverse of its vectors: the oracle for the block route, which
+    skips blocks."""
+    source = [m if m < split.kept else split.n - m for m in range(split.n)]
+    values = np.concatenate([np.linalg.eigvalsh(split.block(source[m]))
                              for m in range(split.n)])
     size = len(values) // split.n
     sel = np.argsort(values, kind="stable")[:k]
     vals, vecs = [], []
     for m in np.unique(sel // size):
-        w, u = np.linalg.eigh(split.block(m))
+        w, u = np.linalg.eigh(split.block(source[m]))
         pick = sel[sel // size == m] % size
         vals.append(w[pick])
-        vecs.append(split.lift(u[:, pick], m))
+        u = u[:, pick]
+        if source[m] != m:
+            u = split.time_reverse(u.T).T
+        vecs.append(split.lift(u, m))
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
     return vals[order], np.hstack(vecs)[:, order]
@@ -219,8 +226,13 @@ def _skip_case(case):
                             64, assemble_Heff),
         "-H_eff torus 32x32": (torus, 32, 32, 16, assemble_Heff),
         "torus 16x16 k=40": (torus, 16, 16, 40, assemble_Heff),
+        "H_eff + sigma_3 torus 32x32": (torus, 32, 32, 16, assemble_Heff),
+        "-H_eff - sigma_3 torus 32x32": (torus, 32, 32, 16, assemble_Heff),
     }[case]
     H = assemble(patch, Grid.for_patch(patch, n1, n2))
+    if "sigma_3" in case:       # a Zeeman term breaks time reversal
+        ones = np.ones((n1, n2))
+        H = H + _spin_diagonal(H.grid, "sigma3", 0.05 * ones, -0.05 * ones)
     if case.startswith("-"):
         H = HermitianOperator(-H.matrix, H.grid, H.terms)
     return H, k
@@ -229,29 +241,38 @@ def _skip_case(case):
 @pytest.mark.parametrize("case", ["torus 32x32", "torus 64x64",
                                   "sphere H0 64x128", "sphere H_eff 48x96",
                                   "torus R=2 48x64", "-H_eff torus 32x32",
-                                  "torus 16x16 k=40"])
+                                  "torus 16x16 k=40",
+                                  "H_eff + sigma_3 torus 32x32",
+                                  "-H_eff - sigma_3 torus 32x32"])
 def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
     # blocks run in order of |m| and are skipped by an inertia test; the
-    # result must be the full sweep's, bit for bit
+    # result must be the full sweep's, bit for bit, and its values those
+    # of eigvalsh on every block to round-off
     H, k = _skip_case(case)
-    split = _fourier_blocks(H, spectra._DENSE_CUTOFF)
+    split = _fourier_blocks(H)
+    assert split.kramers == ("sigma_3" not in case)
+    assert split.kept == (split.n if "sigma_3" in case else split.n // 2 + 1)
     res = eigensolve(H, k=k)
     vals, vecs = _full_sweep(split, k)
     assert res.values.tobytes() == vals.tobytes()
     assert res.vectors.tobytes() == vecs.tobytes()
-
+    every = np.sort(np.concatenate([np.linalg.eigvalsh(split.block(m))
+                                    for m in range(split.n)]))[:k]
     d = res.diagnostics
-    solved = spectra._lowest_blocks(split.block, split.distances, split.n, k,
+    assert np.abs(res.values - every).max() <= 1e-12 * d["norm_inf"]
+
+    solved = spectra._lowest_blocks(split.block, split.n, split.kept, k,
                                     d["contract"])
     assert d["blocks"] == split.n and d["blocks_solved"] == len(solved)
     if case.startswith("-"):
-        assert len(solved) == split.n       # nothing can be skipped
+        assert len(solved) == split.kept    # nothing can be skipped
     else:
-        assert len(solved) < split.n
+        assert len(solved) < split.kept
     if case == "torus 16x16 k=40":
         assert k > split.lines.shape[1]     # k exceeds one block
-    for m in set(range(split.n)) - set(solved):
-        assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
+    for m in range(split.n):
+        if m not in solved and (m < split.kept or split.n - m not in solved):
+            assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
 
 
 def test_fourier_block_is_one_matrix_per_m():
@@ -259,8 +280,7 @@ def test_fourier_block_is_one_matrix_per_m():
     # lifts it for a numpy int m: both must see the same phase
     torus = make_surface("torus", rho=1.0, R=3.0)
     split = _fourier_blocks(
-        assemble_Heff(torus, Grid.for_patch(torus, 96, 96)),
-        spectra._DENSE_CUTOFF)
+        assemble_Heff(torus, Grid.for_patch(torus, 96, 96)))
     u = np.eye(split.lines.shape[1])[:, :2]
     for m in range(split.n):
         assert (split.block(m).tobytes()
@@ -279,7 +299,7 @@ def test_fourier_block_transform_inverts_lift():
     rng = np.random.default_rng(7)
     for op in (assemble_Heff(torus, Grid.for_patch(torus, 96, 96)),
                H0 + Hso):
-        split = _fourier_blocks(op, spectra._DENSE_CUTOFF)
+        split = _fourier_blocks(op)
         b = split.lines.shape[1]
         psi = (rng.standard_normal((op.dim, 3))
                + 1j * rng.standard_normal((op.dim, 3)))
@@ -300,33 +320,22 @@ def test_torus_96_lowest_16_solves_few_blocks():
     assert d["blocks"] == 96 and d["blocks_solved"] <= 8
 
 
-def test_block_distances_bound_the_block_differences():
-    H, _ = _skip_case("torus 16x16 k=40")
-    split = _fourier_blocks(H, spectra._DENSE_CUTOFF)
-    for m in (0, 1, 5, 8):
-        bound = split.distances(m)
-        assert bound[m] == 0.0
-        for j in range(split.n):
-            diff = np.linalg.norm(split.block(m) - split.block(j), 2)
-            assert diff <= bound[j] * (1 + 1e-12)
-
-
-def test_weyl_bound_spares_the_cholesky_where_nothing_skips(monkeypatch):
-    # on -H_eff the low levels sit at large |m|: every block is solved,
-    # and a solved neighbour shows most of them cannot be skipped before
-    # a Cholesky is tried
+def test_kramers_pairs_halve_the_blocks_where_nothing_skips(monkeypatch):
+    # on -H_eff the low levels sit at large |m|: no block is skipped, and
+    # block n - m takes the values of block m, so 17 of the 32 blocks run
+    # eigvalsh
     H, k = _skip_case("-H_eff torus 32x32")
-    tried = []
-    cholesky = np.linalg.cholesky
+    ran = []
+    eigvalsh = np.linalg.eigvalsh
 
     def counting(a):
-        tried.append(1)
-        return cholesky(a)
+        ran.append(1)
+        return eigvalsh(a)
 
-    monkeypatch.setattr(spectra.np.linalg, "cholesky", counting)
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", counting)
     d = eigensolve(H, k=k, return_vectors=False).diagnostics
-    assert d["blocks_solved"] == d["blocks"] == 32
-    assert len(tried) < d["blocks"] // 2
+    assert d["blocks"] == 32
+    assert d["blocks_solved"] == len(ran) == 17
 
 
 def _sparse_case(case):
