@@ -323,8 +323,7 @@ def _exp_evolve(cfg):
     return ([("evolve.csv", (columns, "t in m L0^2/hbar", rows)),
              ("evolve.json", {"deflection": out["deflection"],
                               "opposite_sign": bool(out["opposite_sign"]),
-                              "asymmetry": out["asymmetry"],
-                              "route": up.route})],
+                              "asymmetry": out["asymmetry"]})],
             f"evolve: deflections {out['deflection']['up']:.3e} / "
             f"{out['deflection']['down']:.3e}")
 

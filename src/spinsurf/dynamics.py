@@ -2,15 +2,14 @@
 
 The bent cylinder is the torus patch in coordinates (theta, s) restricted
 to a small angular window theta in [theta_c - theta0, theta_c + theta0]
-(hard walls in theta) and a length s_length of the azimuth s (periodic
-by default, or hard walls), with theta_c = 0 the outer (K > 0) side and
-theta_c = pi the inner (K < 0) side.  Its H0 and Hso come from the
-general route: one geometry pass of the torus patch on the window grid,
-fed to the same stencil builders (and CSR writer, which also writes
-the observables) as any other surface.  The closed-form
-coefficients (sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R),
-...) are kept in the test suite as the oracle these operators are
-checked against.
+(hard walls in theta) and one period s_length of the azimuth s, with
+theta_c = 0 the outer (K > 0) side and theta_c = pi the inner (K < 0)
+side.  Its H0 and Hso come from the general route: one geometry pass of
+the torus patch on the window grid, fed to the same stencil builders
+(and CSR writer, which also writes the observables) as any other
+surface.  The closed-form coefficients (sqrt(g) = rho (R + rho cos
+theta)/R, w_s = -sin(theta)/(2R), ...) are kept in the test suite as the
+oracle these operators are checked against.
 
 Heisenberg forces: theta_dot = -i [theta, H], then
 theta_ddot_pm = -i [theta_dot, H0] and theta_ddot_so = -i [theta_dot, Hso];
@@ -20,11 +19,12 @@ reads their expectations from sparse products with the packet, and the
 explicit commutators of ``force_operators`` are kept as its oracle.
 
 Wavepackets evolve exactly on the Fourier blocks of an operator that the
-one-node shift along s leaves unchanged (the periodic window: its
-coefficients depend on theta only), and by Cayley steps otherwise.
-H_eff has no real magnetic field, so it is time-reversal invariant and
-block n - m of the window is the time reverse of block m (Kramers
-pairs): half of the blocks are diagonalized.
+one-node shift along a periodic axis leaves unchanged (the window's
+coefficients depend on theta only, so it splits along s), at any block
+size; ``evolve`` has no other route.  H_eff has no real magnetic field,
+so it is time-reversal invariant and block n - m of the window is the
+time reverse of block m (Kramers pairs): half of the blocks are
+diagonalized.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _factor_shifted, _fourier_blocks, _grid_geometry,
-                          _write_csr, build_h0_operator, build_soi_operator)
+                          _fourier_blocks, _grid_geometry, _write_csr,
+                          build_h0_operator, build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -63,12 +63,9 @@ __all__ = [
 class BentCylinderSetup:
     """Geometry, window, and grid of a bent-cylinder experiment.
 
-    The theta window always has hard walls.  ``bc_s`` is the boundary
-    condition along s: ``"periodic"`` (the default: s_length is then one
-    period, and the window's operators split into Fourier blocks along s,
-    so ``evolve`` propagates on them exactly) or ``"wall"`` (hard walls at
-    s = 0 and s_length; ``evolve`` takes Cayley steps).  Raises GridError
-    for any other ``bc_s``.
+    The window has hard walls in theta and is periodic in s, with
+    s_length one period, so its operators split into Fourier blocks
+    along s and ``evolve`` propagates on them exactly.
     """
 
     rho: float = 1.0
@@ -78,11 +75,8 @@ class BentCylinderSetup:
     s_length: float = 30.0
     n_theta: int = 40
     n_s: int = 384
-    bc_s: str = "periodic"
 
     def __post_init__(self):
-        if self.bc_s not in ("periodic", "wall"):
-            raise GridError(f"unknown boundary condition {self.bc_s!r}")
         if self.R <= self.rho:
             raise SurfaceParameterError(
                 f"bent cylinder needs R > rho, got R={self.R:g}, "
@@ -104,7 +98,7 @@ class BentCylinderSetup:
     def grid(self) -> Grid:
         return Grid.for_patch(
             self.patch(), self.n_theta, self.n_s,
-            bc=("wall", self.bc_s),
+            bc=("wall", "periodic"),
             domain=((self.theta_c - self.theta0, self.theta_c + self.theta0),
                     (0.0, self.s_length)))
 
@@ -253,7 +247,6 @@ class Trajectory:
     times: np.ndarray
     observables: dict      # name -> array of expectation values
     norms: np.ndarray
-    route: str             # "fourier-blocks" or "cayley"
 
 
 class Trajectories(tuple):
@@ -266,7 +259,7 @@ class Trajectories(tuple):
         return np.concatenate([t.norms for t in self])
 
 
-# Blocks per batched eigh of the block route: the whole eigenvector stack
+# Blocks per batched eigh in ``evolve``: the whole eigenvector stack
 # is written one chunk at a time, so no second stack of all the blocks is
 # alive beside it.
 _EIGH_CHUNK = 32
@@ -292,22 +285,17 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     """Unitary evolution of packets under ``op``, recorded every
     ``record_every`` steps of ``dt`` and after the last step.
 
-    An operator that ``hamiltonian._fourier_blocks`` splits along a
-    periodic axis (blocks of at most ``hamiltonian._DENSE_CUTOFF`` rows)
-    takes the exact route, ``route = "fourier-blocks"``: the blocks are
+    The operator must split into Fourier blocks along a periodic axis
+    (``hamiltonian._fourier_blocks``, at any block size).  The blocks are
     diagonalized once, the packets are projected on the blocks by one
     FFT along the split axis, and psi(t) = e^{-iHt} psi is formed at each
     record time t = step * dt.  There is no stepping, so dt only sets the
-    record times.  Only blocks 0 .. ``_FourierBlocks.kept`` - 1 are
-    diagonalized: when H is time-reversal invariant, block n - m is the
-    time reverse of block m, kept = n // 2 + 1, and each one's
-    eigenvectors serve block m and block n - m in one matmul; otherwise
-    all n are.
-    Any other operator takes implicit-midpoint (Cayley)
-    steps, ``route = "cayley"``: psi' = (1 + i dt H/2)^{-1} (1 - i dt H/2)
-    psi = 2 A^{-1} psi - psi with A = 1 + i dt H/2 factored once, second
-    order in dt and unconditionally stable.  Both routes preserve the
-    norm.
+    record times, and the norm is kept to round-off.  Only blocks
+    0 .. ``_FourierBlocks.kept`` - 1 are diagonalized: when H is
+    time-reversal invariant, block n - m is the time reverse of block m,
+    kept = n // 2 + 1, and each one's eigenvectors serve block m and its
+    partner (``_FourierBlocks.partners``) in one matmul; otherwise all n
+    are.
 
     ``fields`` is one SpinorField or a sequence of them on one grid; the
     running packets advance together as the columns of one array.
@@ -316,7 +304,7 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     others run on.  Returns a Trajectory, or Trajectories for a sequence
     of fields.  Raises ValueError unless dt > 0, steps >= 1 and
     record_every >= 1, and GridError unless all fields share one grid of
-    the operator's dim.
+    the operator's dim and the operator splits.
     """
     if not dt > 0.0:   # NaN fails too
         raise ValueError(f"evolve needs dt > 0, got dt = {dt}")
@@ -330,6 +318,13 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     grid = fields[0].grid
     if grid.dim != op.dim or any(f.grid != grid for f in fields):
         raise GridError(f"evolve needs all fields on one grid of dim {op.dim}")
+    split = _fourier_blocks(op)
+    if split is None:
+        raise GridError(
+            "evolve propagates on Fourier blocks, and this operator does not "
+            "split: it needs a grid that matches its matrix, with a periodic "
+            "axis along which the one-node shift leaves it unchanged and its "
+            "couplings reach only the neighbouring line of nodes")
     mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
             for k, obs in (observables or {}).items()}
     cell = grid.h1 * grid.h2
@@ -345,56 +340,36 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
             logs[p].append((t, math.sqrt(cell * sq[col]),
                             {k: float(v[col]) for k, v in values.items()}))
 
-    # advance(state, done, step) takes the running packets' state from
-    # step ``done`` to ``step`` and returns it with psi there.  The state
-    # is psi itself when stepping, and its coefficients in the blocks'
-    # eigenvectors on the block route.
-    split = _fourier_blocks(op)
-    if split is None:
-        route, state = "cayley", psi
-        lu = _factor_shifted(op.matrix, 1.0, scale=0.5j * dt)
-
-        def advance(state, done, step):
-            for _ in range(done, step):
-                state = 2.0 * lu.solve(state) - state
-            return state, state
-    else:
-        route = "fourier-blocks"
-        vals, vecs = _block_eigh(split)
-        kept, b = vals.shape
-        # Kramers pairs: block p = n - m has the eigenvectors T V_m
-        # (T = J conj, ``split.time_reverse``), so V_p^H y = conj(V_m^H
-        # T^-1 y) and V_p e^{-i Lambda t} c = T(V_m e^{i Lambda t} conj(c)).
-        # The state of pair m holds, for each packet, V_m^H y_m and
-        # V_m^H T^-1 y_p (= conj(c_p)) side by side, so one matmul with V_m
-        # serves both blocks.  Blocks 0 and n/2 are their own partners;
-        # their second half is formed and dropped.
-        partner = -np.arange(kept) % split.n
-        coeffs = split.to_blocks(psi)
-        halves = [coeffs[:kept]]
-        if kept < split.n:
-            halves.append(split.time_reverse(coeffs[partner], inverse=True))
-        pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
-        # V^H c, formed as (c^H V)^H so that no conjugate copy of V is made
-        state = np.matmul(pairs.reshape(kept, b, -1).conj().swapaxes(1, 2),
-                          vecs).conj().swapaxes(1, 2).reshape(pairs.shape)
-
-        def advance(state, done, step):
-            phase = np.exp(-1j * (step * dt) * vals)
-            phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
-            w = vecs @ (phase[..., None] * state).reshape(kept, b, -1)
-            w = w.reshape(state.shape)
-            coeffs = np.empty((split.n, b, state.shape[3]), complex)
-            if kept < split.n:
-                coeffs[partner] = split.time_reverse(w[:, :, 1])
-            coeffs[:kept] = w[:, :, 0]
-            return state, split.from_blocks(coeffs)
+    vals, vecs = _block_eigh(split)
+    kept, b = vals.shape
+    # Kramers pairs: block p = n - m has the eigenvectors T V_m (T = J
+    # conj, ``split.time_reverse``), so V_p^H y = conj(V_m^H T^-1 y) and
+    # V_p e^{-i Lambda t} c = T(V_m e^{i Lambda t} conj(c)).  The state of
+    # pair m holds, for each packet, V_m^H y_m and V_m^H T^-1 y_p
+    # (= conj(c_p)) side by side, so one matmul with V_m serves both
+    # blocks.  Blocks 0 and n/2 are their own partners; their second half
+    # is formed and dropped.
+    partner = split.partners()
+    coeffs = split.to_blocks(psi)
+    halves = [coeffs[:kept]]
+    if kept < split.n:
+        halves.append(split.time_reverse(coeffs[partner], inverse=True))
+    pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
+    # V^H c, formed as (c^H V)^H so that no conjugate copy of V is made
+    state = np.matmul(pairs.reshape(kept, b, -1).conj().swapaxes(1, 2),
+                      vecs).conj().swapaxes(1, 2).reshape(pairs.shape)
 
     record(0.0)
-    done = 0
     for step in [*range(record_every, steps, record_every), steps]:
-        state, psi = advance(state, done, step)
-        done = step
+        phase = np.exp(-1j * (step * dt) * vals)
+        phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
+        w = vecs @ (phase[..., None] * state).reshape(kept, b, -1)
+        w = w.reshape(state.shape)
+        coeffs = np.empty((split.n, b, state.shape[3]), complex)
+        if kept < split.n:
+            coeffs[partner] = split.time_reverse(w[:, :, 1])
+        coeffs[:kept] = w[:, :, 0]
+        psi = split.from_blocks(coeffs)
         record(step * dt)
         if stop_when is not None:
             keep = [c for c, p in enumerate(active)
@@ -405,7 +380,7 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     trajs = [Trajectory(times=np.array([r[0] for r in log]),
                         norms=np.array([r[1] for r in log]),
                         observables={k: np.array([r[2][k] for r in log])
-                                     for k in mats}, route=route)
+                                     for k in mats})
              for log in logs]
     return trajs[0] if single else Trajectories(trajs)
 
@@ -494,9 +469,8 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     The measured interval follows the ballistic-window rule: recording
     stops once the packet has traveled 10 s-widths or its center comes
     within 5 widths of an s-wall, which on a periodic s axis is the seam
-    s = 0 = s_length.  On the default periodic window the packets
-    propagate exactly on Fourier blocks and ``dt`` only spaces the
-    records; on a walled window they take Cayley steps of ``dt``.
+    s = 0 = s_length.  The packets propagate exactly on Fourier blocks,
+    so ``dt`` only spaces the records.
     Returns a dict with both trajectories and the deflection summary
     (mean of <theta> - theta_c over the window per spin).
     """

@@ -37,8 +37,9 @@ Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
 ``_FourierBlocks.to_blocks`` and ``from_blocks`` carry vectors to the
 blocks and back, ``_FourierBlocks.kept`` counts the blocks that carry
 the spectrum (half of them when ``kramers``: block n - m is the time
-reverse of block m) and ``time_reverse`` maps coefficients between the
-two, and ``_zero_mode_block`` reads block 0 sparsely.  Only this module
+reverse of block m), ``partners`` names each one's pair and
+``time_reverse`` maps coefficients between the two, and
+``_zero_mode_block`` reads block 0 sparsely.  Only this module
 knows the interleaved spin layout.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
@@ -54,7 +55,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import GridError, HermiticityError
 from .frames import frame_fields
@@ -248,51 +248,6 @@ def hermiticity_defect(op) -> float:
     return float(defect / np.abs(m.data).max()) if defect else 0.0
 
 
-# Fill-reducing column ordering of the package's one sparse LU: minimum
-# degree on the pattern of A^T + A suits the structurally symmetric
-# stencils (SciPy's default COLAMD gives the Cayley matrix ~1.7x the fill).
-LU_ORDERING = "MMD_AT_PLUS_A"
-
-
-def _factor_shifted(mat, shift, scale=1.0, hermitian=False):
-    """SuperLU factor of ``scale * mat + shift * I``.
-
-    The one sparse factorization of the package: ``eigensolve`` factors
-    H - sigma I for shift-invert and ``evolve`` the Cayley matrix
-    I + (i dt/2) H of an operator without a Fourier split.  SuperLU
-    raises RuntimeError on an exactly singular matrix.
-
-    By default SuperLU pivots by rows.  ``hermitian=True`` is for a
-    Hermitian ``mat`` with real ``scale`` and ``shift``: SuperLU then
-    keeps the diagonal pivots of the symmetric ordering
-    (``diag_pivot_thresh=0``, ``SymmetricMode``), so P A P^T = L U with
-    U = D L^H, and by Sylvester's law of inertia ``_inertia`` reads the
-    number of negative eigenvalues of A off the signs of diag(U).
-    """
-    shifted = scale * mat + shift * sp.identity(mat.shape[0], format="csc")
-    if not hermitian:
-        return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING)
-    return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING,
-                     diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-
-
-def _inertia(lu, tiny):
-    """Negative pivots of a ``hermitian=True`` factor, or None if unusable.
-
-    The count is the number of eigenvalues below zero of the factored
-    matrix only when SuperLU kept the diagonal pivots (``perm_r ==
-    perm_c``) and no pivot is within ``tiny`` of zero.  Reading ``lu.U``
-    makes SuperLU cache CSC copies of L and U for the factor's lifetime.
-    """
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    pivots = lu.U.diagonal().real
-    if not np.all(np.abs(pivots) > tiny):      # NaN pivots fail too
-        return None
-    return int(np.count_nonzero(pivots < 0))
-
-
 def _check_hermitian(mat, label):
     defect = hermiticity_defect(mat)
     if not defect <= 1e-12:     # NaN fails too
@@ -395,14 +350,6 @@ def _write_csr(grid, blocks, label):
 # the torus's tube angle.
 _SHIFT_TOL = 1e-12
 
-# Largest matrix, or Fourier block, solved densely: the measured
-# crossover for a whole matrix.  Lowest 16 pairs of torus H_eff at one
-# BLAS thread (2-vCPU Xeon VM, OpenBLAS), dense eigh against
-# shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021 vs 0.017 at 256,
-# 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs 0.21 at 2048.
-_DENSE_CUTOFF = 192
-
-
 @dataclass(frozen=True)
 class _FourierBlocks:
     """An operator that the one-node shift along ``axis`` leaves unchanged.
@@ -452,6 +399,12 @@ class _FourierBlocks:
         ``kramers`` holds, so block n - m is the time reverse of block m,
         and n otherwise."""
         return self.n // 2 + 1 if self.kramers else self.n
+
+    def partners(self):
+        """The block that shares the values of each block 0 .. kept - 1:
+        n - m (mod n) when ``kramers`` holds, and m itself otherwise."""
+        m = np.arange(self.kept)
+        return -m % self.n if self.kramers else m
 
     @staticmethod
     def time_reverse(c, inverse=False):
@@ -511,21 +464,21 @@ def _zero_mode_block(op, axis):
 def _fourier_blocks(op):
     """The Fourier split of ``op`` along a periodic axis, or None.
 
-    An axis qualifies when the operator's grid matches its matrix, the
-    blocks have dimension 2 n_other <= ``_DENSE_CUTOFF``, every coupling
-    reaches at most the neighbouring line, and the one-node shift along
-    the axis changes no entry by more than ``_SHIFT_TOL`` max |H|.  The
-    shifted diagonal is compared first, in O(dim), so an axis along
-    which the diagonal varies (the torus's tube angle) is rejected
-    before the O(nnz) tests.  Of two qualifying axes the one with the
-    smaller blocks is taken.
+    An axis qualifies when the operator's grid matches its matrix, every
+    coupling reaches at most the neighbouring line, and the one-node
+    shift along the axis changes no entry by more than ``_SHIFT_TOL``
+    max |H|.  The block size sets no limit: the blocks of dimension
+    2 n_other are dense at any size, and a split operator has no other
+    route in ``eigensolve`` or ``evolve``.  The shifted diagonal is
+    compared first, in O(dim), so an axis along which the diagonal
+    varies (the torus's tube angle) is rejected before the O(nnz) tests.
+    Of two qualifying axes the one with the smaller blocks is taken.
     """
     grid, mat = op.grid, op.matrix
     if grid is None or grid.dim != mat.shape[0]:
         return None
     shape = (grid.n1, grid.n2)
-    axes = [a for a in (0, 1) if grid.bc[a] == "periodic"
-            and shape[a] >= 3 and grid.dim // shape[a] <= _DENSE_CUTOFF]
+    axes = [a for a in (0, 1) if grid.bc[a] == "periodic" and shape[a] >= 3]
     if not axes:
         return None
     coo = mat.tocoo()

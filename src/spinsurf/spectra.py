@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
-from .hamiltonian import (_DENSE_CUTOFF, LU_ORDERING, Grid,
-                          HermitianOperator, _factor_shifted,
-                          _fourier_blocks, _inertia, _spin_columns,
-                          _zero_mode_block, assemble_H0, assemble_Heff)
+from .hamiltonian import (Grid, HermitianOperator, _fourier_blocks,
+                          _spin_columns, _zero_mode_block, assemble_H0,
+                          assemble_Heff)
 from .surfaces import make_surface
 
 __all__ = [
@@ -40,6 +40,19 @@ __all__ = [
 _FIRST_STEP = 1e-2
 _TINY_PIVOT = 1e-12
 
+# Largest whole matrix solved densely: the measured crossover.  Lowest 16
+# pairs of torus H_eff at one BLAS thread (2-vCPU Xeon VM, OpenBLAS),
+# dense eigh against shift-invert: 0.010 s vs 0.015 s at dim 192, 0.021
+# vs 0.017 at 256, 0.17 vs 0.034 at 512, 1.3 vs 0.08 at 1024 and 15 vs
+# 0.21 at 2048.  Fourier blocks are dense at any size.
+_DENSE_CUTOFF = 192
+
+# Fill-reducing column ordering of the package's one sparse LU: minimum
+# degree on the pattern of A^T + A suits the structurally symmetric
+# stencils (SciPy's default COLAMD gave the default bent window's H_eff
+# pattern ~1.7x the fill).
+LU_ORDERING = "MMD_AT_PLUS_A"
+
 
 @dataclass
 class SpectrumResult:
@@ -55,39 +68,39 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
                ) -> SpectrumResult:
     """Hermitian eigensolve with a residual contract.
 
-    Dense ``eigh`` over the operator's blocks where they are small, else
-    shift-invert Lanczos (ARPACK) on a factor of H - sigma I from the
-    package's sparse LU, passed as ``OPinv``.  ``which`` is 'lowest' or
-    'nearest' (the k values nearest ``target``); ``k`` must be an int
-    with 1 <= k < dim.
+    Dense ``eigh`` over the operator's Fourier blocks when it splits, or
+    over the whole matrix when it is small, else shift-invert Lanczos
+    (ARPACK) on a factor of H - sigma I from the package's sparse LU,
+    passed as ``OPinv``.  ``which`` is 'lowest' or 'nearest' (the k
+    values nearest ``target``); ``k`` must be an int with 1 <= k < dim.
 
     Blocks: a ``HermitianOperator`` whose grid matches its matrix splits
     into Fourier blocks along a periodic axis when the one-node shift
-    along it changes no entry by more than 1e-12 max|H| and the blocks
-    have dimension 2 n_other <= ``_DENSE_CUTOFF`` (the azimuth of the
-    torus and the sphere).  ``eigvalsh`` runs on blocks 0 .. kept - 1 in
-    turn (``_FourierBlocks.kept``: n // 2 + 1 when block n - m is the
-    time reverse of block m, as for H_eff, and n otherwise), a partner
-    block n - m >= kept takes the values of block m, the k values are
-    selected from all of them, and ``eigh`` runs again on each block
-    holding a selected value; a block's vector u is the operator's u (x)
-    exp(2 pi i m j / n) / sqrt(n), and a partner's u is the time reverse
-    of block m's.  For 'lowest' the blocks run in order of increasing
-    |m| = min(m, n - m), and once k values are known a block and its
-    partner are skipped when its least diagonal entry exceeds sigma +
-    delta (sigma the k-th lowest value so far, delta the residual
-    contract below) and B_m - (sigma + delta) I has a Cholesky factor,
-    which shows by Sylvester's law of inertia that no eigenvalue of B_m
-    lies below sigma + delta.  The values and vectors are those of the
-    sweep over blocks 0 .. kept - 1 with the partners merged in block
-    order, bit for bit.  An operator whose low levels sit at large |m|
+    along it changes no entry by more than 1e-12 max|H| (the azimuth of
+    the torus and the sphere), whatever the block dimension 2 n_other.
+    ``eigvalsh`` runs on blocks 0 .. kept - 1 in turn
+    (``_FourierBlocks.kept``: n // 2 + 1 when block n - m is the time
+    reverse of block m, as for H_eff, and n otherwise), a partner block
+    n - m >= kept (``_FourierBlocks.partners``) takes the values of
+    block m, the k values are selected from all of them, and ``eigh``
+    runs again on each block holding a selected value; a block's vector
+    u is the operator's u (x) exp(2 pi i m j / n) / sqrt(n), and a
+    partner's u is the time reverse of block m's.  For 'lowest' the
+    blocks run in order of increasing |m| = min(m, n - m), and once k
+    values are known a block and its partner are skipped when its least
+    diagonal entry exceeds sigma + delta (sigma the k-th lowest value so
+    far, delta the residual contract below) and B_m - (sigma + delta) I
+    has a Cholesky factor, which shows by Sylvester's law of inertia
+    that no eigenvalue of B_m lies below sigma + delta.  The values and
+    vectors are those of the sweep over blocks 0 .. kept - 1 with the
+    partners merged in block order, bit for bit.  An operator whose low levels sit at large |m|
     (e.g. -H_eff) skips nothing and pays a failed Cholesky factor for
     nearly every block.  'nearest' solves blocks 0 .. kept - 1.  Any
     other operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which
     ARPACK cannot do) is one block.
 
     Shift-invert, for everything else (grid=None such as the ring,
-    walled windows, bare matrices, blocks above the cutoff): for
+    walled or expression surfaces, bare matrices): for
     'nearest' sigma = ``target`` with the row-pivoting LU (a target
     exactly on an eigenvalue raises EigensolverError; a target that is
     not finite raises ValueError on every route).  For 'lowest'
@@ -172,22 +185,25 @@ def _dense(mat, split, k, which, target, margin):
 
     The Fourier blocks of ``split``, or the whole matrix as one block.
     Blocks 0 .. kept - 1 run ``eigvalsh``, each formed when it is reached
-    so one is alive at a time, and a partner block n - m >= kept takes
-    the values of block m and the ``time_reverse`` of its vectors.  Also
-    returns the number of blocks that ran ``eigvalsh``.
+    so one is alive at a time, and the partner of block m, when it is
+    another block, takes the values of block m and the ``time_reverse``
+    of its vectors.  Also returns the number of blocks that ran
+    ``eigvalsh``.
     """
     if split is None:       # one block
-        count, kept, block, lift = (1, 1, lambda m: mat.toarray(),
-                                    lambda u, m: u)
+        count, partners, block, lift = (1, np.zeros(1, int),
+                                        lambda m: mat.toarray(),
+                                        lambda u, m: u)
     else:
-        count, kept, block, lift = split.n, split.kept, split.block, split.lift
+        count, partners, block, lift = (split.n, split.partners(),
+                                        split.block, split.lift)
     if which == "lowest":
-        found = _lowest_blocks(block, count, kept, k, margin)
+        found = _lowest_blocks(block, count, partners, k, margin)
     else:
-        found = {m: np.linalg.eigvalsh(block(m)) for m in range(kept)}
+        found = {m: np.linalg.eigvalsh(block(m))
+                 for m in range(len(partners))}
     solved = len(found)
-    found.update({-m % count: found[m] for m in list(found)
-                  if -m % count >= kept})
+    found.update({partners[m]: found[m] for m in list(found)})
     ran = np.array(sorted(found))
     values = np.concatenate([found[m] for m in ran])
     size = len(values) // len(ran)
@@ -195,9 +211,11 @@ def _dense(mat, split, k, which, target, margin):
     sel = np.argsort(key, kind="stable")[:k]
     picks = {ran[i]: sel[sel // size == i] % size      # in block order
              for i in np.unique(sel // size)}
-    source = {m: m if m < kept else count - m for m in picks}
+    kept = len(partners)
+    # the block whose eigh serves block m: m itself, or its pair's
+    source = {m: m for m in range(kept)} | dict(zip(partners, range(kept)))
     vals, vecs = {}, {}
-    for s in set(source.values()):      # one eigh per pair of blocks
+    for s in {source[m] for m in picks}:    # one eigh per pair of blocks
         w, u = np.linalg.eigh(block(s))
         for m in (m for m in picks if source[m] == s):
             vals[m], v = w[picks[m]], u[:, picks[m]]
@@ -208,21 +226,23 @@ def _dense(mat, split, k, which, target, margin):
             solved)
 
 
-def _lowest_blocks(block, count, kept, k, margin):
+def _lowest_blocks(block, count, partners, k, margin):
     """{m: eigvalsh(B_m)} over the blocks m < kept that may hold a
     lowest-k value, counting the values of block m twice when its
-    partner n - m >= kept shares them.
+    partner is another block.
 
-    Blocks run in order of increasing |m| = min(m, n - m).  Once k values
-    are known, sigma is the k-th lowest so far, and a block (with its
-    partner) is skipped when its least diagonal entry exceeds
-    sigma + margin (a cheap necessary condition) and B_m - (sigma +
-    margin) I has a Cholesky factor: by Sylvester's law of inertia it
-    has no eigenvalue below sigma + margin, and the margin lies far above
-    the backward error of Cholesky and ``eigvalsh``.
+    Blocks run in order of increasing |m| = min(m, n - m), the magnitude
+    of the block's FFT frequency.  Once k values are known, sigma is the
+    k-th lowest so far, and a block (with its partner) is skipped when
+    its least diagonal entry exceeds sigma + margin (a cheap necessary
+    condition) and B_m - (sigma + margin) I has a Cholesky factor: by
+    Sylvester's law of inertia it has no eigenvalue below sigma +
+    margin, and the margin lies far above the backward error of Cholesky
+    and ``eigvalsh``.
     """
     found, lowest = {}, np.empty(0)
-    for m in sorted(range(kept), key=lambda m: min(m, count - m)):
+    frequency = np.abs(np.fft.fftfreq(count))
+    for m in sorted(range(len(partners)), key=frequency.__getitem__):
         b = block(m)
         if len(lowest) == k:
             shift = lowest[-1] + margin
@@ -233,7 +253,7 @@ def _lowest_blocks(block, count, kept, k, margin):
                 except np.linalg.LinAlgError:
                     pass
         found[m] = np.linalg.eigvalsh(b)
-        values = np.tile(found[m], 2 if -m % count >= kept else 1)
+        values = np.tile(found[m], 2 if partners[m] != m else 1)
         lowest = np.sort(np.concatenate((lowest, values)))[:k]
     return found
 
@@ -356,6 +376,42 @@ def _count_below(mat, sigma, tiny):
     except RuntimeError:                # a zero pivot: no count
         return None
     return _inertia(lu, tiny)
+
+
+def _factor_shifted(mat, shift, hermitian=False):
+    """SuperLU factor of ``mat + shift * I``, the package's one sparse
+    factorization (H - sigma I for shift-invert).  SuperLU raises
+    RuntimeError on an exactly singular matrix.
+
+    By default SuperLU pivots by rows.  ``hermitian=True`` is for a
+    Hermitian ``mat`` and a real ``shift``: SuperLU then keeps the
+    diagonal pivots of the symmetric ordering (``diag_pivot_thresh=0``,
+    ``SymmetricMode``), so P A P^T = L U with U = D L^H, and by
+    Sylvester's law of inertia ``_inertia`` reads the number of negative
+    eigenvalues of A off the signs of diag(U).
+    """
+    shifted = mat + shift * sp.identity(mat.shape[0], format="csc")
+    if not hermitian:
+        return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING)
+    return spla.splu(shifted.tocsc(), permc_spec=LU_ORDERING,
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _inertia(lu, tiny):
+    """Negative pivots of a ``hermitian=True`` factor, or None if unusable.
+
+    The count is the number of eigenvalues below zero of the factored
+    matrix only when SuperLU kept the diagonal pivots (``perm_r ==
+    perm_c``) and no pivot is within ``tiny`` of zero.  Reading ``lu.U``
+    makes SuperLU cache CSC copies of L and U for the factor's lifetime.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal().real
+    if not np.all(np.abs(pivots) > tiny):      # NaN pivots fail too
+        return None
+    return int(np.count_nonzero(pivots < 0))
 
 
 def _constant_spinor_bound(mat) -> float:

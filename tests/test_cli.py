@@ -575,9 +575,7 @@ def test_evolve_experiment_artifacts_and_compare(tmp_path):
     assert len(rows) == 20 // 5 + 1
     assert all(len(l.split(",")) == 6 for l in rows)
     payload = json.loads((outs[0] / "evolve.json").read_text())
-    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign",
-                               "route"]
-    assert payload["route"] == "fourier-blocks"     # periodic s by default
+    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign"]
     assert sorted(payload["deflection"]) == ["down", "up"]
     for name in ("evolve.csv", "evolve.json"):
         assert _run_cli(["--compare", str(outs[0] / name),

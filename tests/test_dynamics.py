@@ -33,16 +33,15 @@ def test_setup_validation():
     BentCylinderSetup(theta0=0.19)             # boundary of the regime
 
 
-def test_setup_rejects_unknown_s_boundary():
-    # a misspelt bc_s once built and failed only at .grid()
-    with pytest.raises(GridError, match="priodic"):
-        BentCylinderSetup(bc_s="priodic")
-    assert BentCylinderSetup().bc_s == "periodic"
-    assert BentCylinderSetup(bc_s="wall").grid().bc == ("wall", "wall")
+def _walled_s_grid(setup):
+    """The window grid of ``setup`` with hard walls in s as well."""
+    return Grid.for_patch(setup.patch(), setup.n_theta, setup.n_s,
+                          bc=("wall", "wall"), domain=setup.grid().domain)
 
 
-def _closed_form_bent_operators(setup):
-    """The bent cylinder's H0 and Hso from its closed-form coefficients.
+def _closed_form_bent_operators(setup, grid):
+    """The bent cylinder's H0 and Hso on ``grid`` (the window, or the
+    window walled in s) from its closed-form coefficients.
 
     With W = (R + rho cos theta)/R on the torus patch (theta, s):
     sqrt(g) = rho W, sqrt(g) g^{theta theta} = W/rho, sqrt(g) g^{ss} = rho/W,
@@ -53,7 +52,6 @@ def _closed_form_bent_operators(setup):
     X^s = +(R cos theta / (2 (R + rho cos theta)^2)) sigma_1.
     """
     rho, R = setup.rho, setup.R
-    grid = setup.grid()
 
     def width(th):
         return (R + rho * np.cos(th)) / R
@@ -77,11 +75,15 @@ def _closed_form_bent_operators(setup):
 
 def test_bent_operators_match_general_assembler():
     # the library's bent-cylinder operators (general route) against the
-    # closed-form coefficients fed to the same stencil builders
-    for bc_s in ("wall", "periodic"):
-        setup = BentCylinderSetup(bc_s=bc_s, **SMALL)
-        H0b, Hsob, _, _ = bent_cylinder_operators(setup)
-        H0c, Hsoc = _closed_form_bent_operators(setup)
+    # closed-form coefficients fed to the same stencil builders, on the
+    # window and, through the assemblers, on the window walled in s
+    setup = BentCylinderSetup(**SMALL)
+    patch, walled = setup.patch(), _walled_s_grid(setup)
+    for (H0b, Hsob), grid in (
+            (bent_cylinder_operators(setup)[:2], setup.grid()),
+            ((assemble_H0(patch, walled), assemble_Hso(patch, walled)),
+             walled)):
+        H0c, Hsoc = _closed_form_bent_operators(setup, grid)
         scale = abs(H0c.matrix).max()
         assert abs((H0b.matrix - H0c.matrix)).max() < 1e-11 * scale
         assert abs((Hsob.matrix - Hsoc.matrix)).max() < 1e-11 * scale
@@ -106,7 +108,7 @@ def test_straightening_limit_matches_cylinder():
     H0b, Hsob, _, _ = bent_cylinder_operators(setup)
     cyl = make_surface("cylinder", rho=1.0, length=SMALL["s_length"])
     grid = Grid.for_patch(cyl, SMALL["n_theta"], SMALL["n_s"],
-                          bc=("wall", setup.bc_s),
+                          bc=("wall", "periodic"),
                           domain=((-0.1, 0.1), (0.0, SMALL["s_length"])))
     H0c = assemble_H0(cyl, grid)
     Hsoc = assemble_Hso(cyl, grid)
@@ -176,21 +178,19 @@ def test_commutator_antihermitian():
     assert abs((C + C.getH())).max() < 1e-12 * max(abs(C).max(), 1e-300)
 
 
-def test_force_operators_equal_the_whole_products():
-    # force_operators gives the bits of the commutators taken over the
-    # whole matrices
-    setup = BentCylinderSetup()
+def test_force_operators_match_dense_products():
+    # theta_dot = -i [theta, H0 + Hso] and F_x = -i rho^2 [theta_dot, H_x]
+    # from numpy products of the dense matrices, on a small window with
+    # rho != 1
+    setup = BentCylinderSetup(rho=1.5, **SMALL)
     H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
-    th, h0, hso = theta_op.matrix, H0.matrix, Hso.matrix
-    htot = h0 + hso
-    theta_dot = -1j * (th @ htot - htot @ th)
-    c = setup.rho**2 * (-1j)
+    th, h0, hso = (op.matrix.toarray() for op in (theta_op, H0, Hso))
+    theta_dot = -1j * (th @ (h0 + hso) - (h0 + hso) @ th)
     F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
-    for op, whole in ((F_pm, c * (theta_dot @ h0 - h0 @ theta_dot)),
-                      (F_so, c * (theta_dot @ hso - hso @ theta_dot))):
-        for name in ("indptr", "indices", "data"):
-            new, old = getattr(op.matrix, name), getattr(whole, name)
-            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    for op, h in ((F_pm, h0), (F_so, hso)):
+        dense = -1j * setup.rho**2 * (theta_dot @ h - h @ theta_dot)
+        assert np.abs(op.matrix.toarray() - dense).max() \
+            <= 1e-12 * np.abs(dense).max()
 
 
 def test_force_operators_vanish_on_plane():
@@ -319,19 +319,9 @@ def test_free_packet_drift():
     assert drift == pytest.approx(k * t_end, rel=0.01)
 
 
-def test_unitarity_drift_thousand_steps():
-    # walls along s: a thousand Cayley steps
-    setup = BentCylinderSetup(n_theta=8, n_s=16, s_length=5.0, bc_s="wall")
-    grid = setup.grid()
-    H0, Hso, _, _ = bent_cylinder_operators(setup)
-    pkt = gaussian_wavepacket(grid, (0.0, 2.5), (0.095, 1.3), 2.0, "up")
-    traj = evolve(H0 + Hso, pkt, 5e-3, 1000, record_every=200)
-    assert np.abs(traj.norms - traj.norms[0]).max() < 1e-10
-
-
-def _two_packets(bc_s="periodic"):
+def _two_packets():
     """A fast spin-up and a slow spin-down packet on a small bent cylinder."""
-    setup = BentCylinderSetup(n_theta=16, n_s=64, s_length=10.0, bc_s=bc_s)
+    setup = BentCylinderSetup(n_theta=16, n_s=64, s_length=10.0)
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     grid = H0.grid
     s_op = sp.kron(sp.diags(grid.mesh()[1].ravel()), sp.eye(2)).tocsr()
@@ -341,7 +331,7 @@ def _two_packets(bc_s="periodic"):
 
 
 def test_block_evolve_matches_single_calls():
-    H, packets, obs = _two_packets("wall")
+    H, packets, obs = _two_packets()
     block = evolve(H, packets, 2e-3, 60, observables=obs, record_every=5)
     assert len(block) == 2
     for pkt, traj in zip(packets, block):
@@ -356,7 +346,7 @@ def test_block_evolve_matches_single_calls():
 
 
 def test_block_evolve_stops_packets_independently():
-    H, packets, obs = _two_packets("wall")
+    H, packets, obs = _two_packets()
 
     def passed(snap):
         return snap["s"] > 3.5
@@ -385,11 +375,9 @@ def test_block_route_stop_leaves_the_other_packet_as_run_alone():
 
     fast, slow = evolve(H, packets, 2e-3, 100, observables=obs,
                         record_every=5, stop_when=passed)
-    assert fast.route == slow.route == "fourier-blocks"
     assert len(fast.times) < len(slow.times) == 21
     for pkt, traj in zip(packets, (fast, slow)):
         alone = evolve(H, pkt, 2e-3, 100, observables=obs, record_every=5)
-        assert alone.route == "fourier-blocks"
         n = len(traj.times)
         assert np.array_equal(traj.times, alone.times[:n])
         assert np.abs(traj.norms - alone.norms[:n]).max() < 1e-13
@@ -398,34 +386,47 @@ def test_block_route_stop_leaves_the_other_packet_as_run_alone():
             assert np.abs(diff).max() < 1e-12
 
 
-def test_walled_operator_takes_cayley_steps():
-    # hard walls along s break the shift symmetry: evolve steps the
-    # Cayley recurrence, checked against SciPy's own factor (default
-    # ordering) of A = 1 + i dt H/2
-    H, packets, obs = _two_packets("wall")
-    dt, steps = 2e-3, 30
-    trajs = evolve(H, packets, dt, steps, observables=obs, record_every=5)
+def test_evolve_rejects_an_operator_that_does_not_split():
+    # the window's H0 + Hso without its grid, walled in s, and with a
+    # potential that depends on s: evolve has no route for them
+    setup = BentCylinderSetup(**SMALL)
+    H0, Hso, _, _ = bent_cylinder_operators(setup)
+    H = H0 + Hso
+    patch, walled = setup.patch(), _walled_s_grid(setup)
+    ramp = np.cos(2.0 * math.pi * H.grid.mesh()[1] / setup.s_length)
+    pkt = gaussian_wavepacket(H.grid, (0.0, 5.0), (0.05, 1.5), 2.0, "up")
+    for op in (HermitianOperator(H.matrix, None, H.terms),
+               assemble_H0(patch, walled) + assemble_Hso(patch, walled),
+               H + dynamics._spin_diagonal(H.grid, "ramp", ramp, ramp)):
+        with pytest.raises(GridError, match="does not split"):
+            evolve(op, pkt, 1e-3, 10)
+
+
+def _cayley_records(H, pkt, dt, steps, observables, record_every):
+    """Observables of implicit-midpoint (Cayley) steps psi' = 2 A^-1 psi -
+    psi, A = 1 + i dt H / 2, at steps 0, record_every, ..., steps: second
+    order in dt."""
     lu = spla.splu((sp.identity(H.dim) + 0.5j * dt * H.matrix).tocsc())
-    mats = {name: getattr(op, "matrix", op) for name, op in obs.items()}
-    for pkt, traj in zip(packets, trajs):
-        assert traj.route == "cayley"
-        psi = pkt.flat()
-        for step in range(1, steps + 1):
+    mats = {name: getattr(op, "matrix", op)
+            for name, op in observables.items()}
+    psi = pkt.flat()
+    records = {name: [] for name in mats}
+    for step in range(steps + 1):
+        if step:
             psi = 2.0 * lu.solve(psi) - psi
-            if step % 5 == 0:
-                for name, mat in mats.items():
-                    value = (np.vdot(psi, mat @ psi).real
-                             / np.vdot(psi, psi).real)
-                    assert abs(traj.observables[name][step // 5]
-                               - value) < 1e-12
+        if step % record_every == 0:
+            for name, mat in mats.items():
+                records[name].append(np.vdot(psi, mat @ psi).real
+                                     / np.vdot(psi, psi).real)
+    return {name: np.array(values) for name, values in records.items()}
 
 
 def test_cayley_converges_to_the_block_route_at_second_order():
-    # Cayley steps of the periodic window's operator (given without its
-    # grid, so it cannot split) against the exact block route.  The
-    # packet vanishes at the theta walls like the lowest transverse mode:
-    # a Gaussian cut off by the walls holds modes with E dt >> 1, which
-    # lowers the observed order (to ~1.1 for widths (0.05, 1.3) here).
+    # Cayley steps of the window's operator against the exact block
+    # route.  The packet vanishes at the theta walls like the lowest
+    # transverse mode: a Gaussian cut off by the walls holds modes with
+    # E dt >> 1, which lowers the observed order (to ~1.1 for widths
+    # (0.05, 1.3) here).
     setup = BentCylinderSetup(**SMALL)
     H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
     H = H0 + Hso
@@ -437,26 +438,24 @@ def test_cayley_converges_to_the_block_route_at_second_order():
     pkt = SpinorField(grid, values).normalized()
     s_op = sp.kron(sp.diags(Q2.ravel()), sp.eye(2)).tocsr()
     obs = {"theta": theta_op, "p_s": ps_op, "s": s_op}
-    bare = HermitianOperator(H.matrix, None, H.terms)
     errors = []
     for dt in (2e-3, 1e-3, 5e-4):
         steps = int(round(0.4 / dt))
         exact = evolve(H, pkt, dt, steps, observables=obs,
                        record_every=steps // 8)
-        cayley = evolve(bare, pkt, dt, steps, observables=obs,
-                        record_every=steps // 8)
-        assert (exact.route, cayley.route) == ("fourier-blocks", "cayley")
-        assert np.array_equal(exact.times, cayley.times)
-        errors.append(max(np.abs(exact.observables[k]
-                                 - cayley.observables[k]).max() for k in obs))
+        cayley = _cayley_records(H, pkt, dt, steps, obs, steps // 8)
+        assert len(exact.times) == 9
+        errors.append(max(np.abs(exact.observables[k] - cayley[k]).max()
+                          for k in obs))
     order = np.polyfit(np.log([1.0, 0.5, 0.25]), np.log(errors), 1)[0]
     assert order == pytest.approx(2.0, abs=0.2)
 
 
-def _window_operator(n_s, theta_c, zeeman=0.0):
-    """H0 + Hso (+ zeeman sigma_3) of a small periodic bent window."""
-    setup = BentCylinderSetup(n_theta=8, n_s=n_s, s_length=6.0,
-                              theta_c=theta_c)
+def _window_operator(n_s, theta_c, zeeman=0.0, **overrides):
+    """H0 + Hso (+ zeeman sigma_3) of a small bent window, n_theta = 8
+    unless ``overrides`` set it or other ``BentCylinderSetup`` fields."""
+    setup = BentCylinderSetup(**{"n_theta": 8, "n_s": n_s, "s_length": 6.0,
+                                 "theta_c": theta_c, **overrides})
     H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
     H = H0 + Hso
     if zeeman:
@@ -466,18 +465,11 @@ def _window_operator(n_s, theta_c, zeeman=0.0):
     return H, theta_op
 
 
-@pytest.mark.parametrize("n_s,theta_c,zeeman,kept", [
-    (16, 0.0, 0.0, 9), (16, math.pi, 0.0, 9),      # n/2 pairs with itself
-    (15, 0.0, 0.0, 8), (15, math.pi, 0.0, 8),
-    (16, 0.0, 3.0, 16), (15, math.pi, 3.0, 15)])   # sigma_3: T-odd
-def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
-                                                   kept):
-    # Kramers pairs diagonalize blocks 0 .. n // 2 and apply each V_m to
-    # blocks m and n - m; a T-odd term takes all n blocks.  A random
-    # spinor has weight on every block and on both spins.
-    H, theta_op = _window_operator(n_s, theta_c, zeeman)
+def _assert_block_route_matches(H, theta_op, kept, exact):
+    """``evolve`` of two random spinors against ``exact(t, psi)`` =
+    e^{-iHt} psi, with ``kept`` blocks diagonalized.  A random spinor has
+    weight on every block and on both spins."""
     split = _fourier_blocks(H)
-    assert split.kramers == (not zeeman)
     assert len(dynamics._block_eigh(split)[0]) == kept
     rng = np.random.default_rng(5)
     grid = H.grid
@@ -489,12 +481,10 @@ def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
     obs = {"theta": theta_op, "probe": probe + probe.conj().T}
     dt, steps, every = 2e-3, 20, 5
     trajs = evolve(H, pkts, dt, steps, observables=obs, record_every=every)
-    dense = H.matrix.toarray()
     for pkt, traj in zip(pkts, trajs):
-        assert traj.route == "fourier-blocks"
         for i, t in enumerate(traj.times):
             assert t == pytest.approx(i * every * dt)
-            psi = scipy.linalg.expm(-1j * t * dense) @ pkt.flat()
+            psi = exact(t, pkt.flat())
             norm = np.vdot(psi, psi).real
             assert abs(traj.norms[i] - math.sqrt(grid.h1 * grid.h2 * norm)) \
                 <= 1e-12 * traj.norms[0]
@@ -503,6 +493,35 @@ def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
                 value = np.vdot(psi, mat @ psi).real / norm
                 scale = np.abs(mat).max()
                 assert abs(traj.observables[name][i] - value) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_s,theta_c,zeeman,kept", [
+    (16, 0.0, 0.0, 9), (16, math.pi, 0.0, 9),      # n/2 pairs with itself
+    (15, 0.0, 0.0, 8), (15, math.pi, 0.0, 8),
+    (16, 0.0, 3.0, 16), (15, math.pi, 3.0, 15)])   # sigma_3: T-odd
+def test_block_route_matches_the_dense_exponential(n_s, theta_c, zeeman,
+                                                   kept):
+    # Kramers pairs diagonalize blocks 0 .. n // 2 and apply each V_m to
+    # blocks m and n - m; a T-odd term takes all n blocks
+    H, theta_op = _window_operator(n_s, theta_c, zeeman)
+    assert _fourier_blocks(H).kramers == (not zeeman)
+    dense = H.matrix.toarray()
+    _assert_block_route_matches(
+        H, theta_op, kept,
+        lambda t, psi: scipy.linalg.expm(-1j * t * dense) @ psi)
+
+
+def test_block_route_matches_the_exponential_above_192_rows():
+    # blocks of 2 n_theta = 194 rows, above the whole-matrix dense cutoff
+    # that once also capped the blocks.  A wide tube keeps ||H|| small, so
+    # e^{-iHt} psi comes from SciPy's truncated Taylor series
+    # (expm_multiply) on the sparse matrix, not a dense exponential of the
+    # dim-1552 matrix.
+    H, theta_op = _window_operator(8, 0.0, n_theta=97, rho=20.0, R=400.0)
+    assert _fourier_blocks(H).lines.shape[1] == 194
+    _assert_block_route_matches(
+        H, theta_op, 5,
+        lambda t, psi: spla.expm_multiply(-1j * t * H.matrix, psi))
 
 
 def test_kramers_test_accepts_time_reversal_invariant_blocks():

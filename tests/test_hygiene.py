@@ -17,8 +17,13 @@
   module slices with a step of 2 (``0::2``, ``1::2``) or writes the
   matrix of J = i sigma_y, the spin map of time reversal;
 * only ``hamiltonian`` reads ``.kramers``: it decides how many Fourier
-  blocks carry the spectrum, and ``spectra`` and ``dynamics`` read that
-  count, ``.kept``;
+  blocks carry the spectrum and which block pairs with which, and
+  ``spectra`` and ``dynamics`` read both from ``.partners()``;
+* only ``spectra`` reads ``_DENSE_CUTOFF`` and calls ``splu``: the
+  cutoff means only "solve a whole matrix densely", and the one sparse
+  factorization serves shift-invert;
+* ``dynamics`` imports nothing from ``scipy.sparse.linalg``: it
+  propagates on Fourier blocks and factors nothing;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -216,7 +221,39 @@ def test_kramers_is_read_only_in_hamiltonian():
              for line in _attribute_reads(tree, "kramers")]
     assert not found, found
     for name in ("spectra.py", "dynamics.py"):
-        assert _attribute_reads(modules[name], "kept"), name
+        assert _attribute_reads(modules[name], "partners"), name
+
+
+def test_dense_cutoff_and_splu_live_in_spectra():
+    modules = _modules()
+    cutoff = [name for name, tree in modules.items()
+              if "_DENSE_CUTOFF" in _read_names(tree)]
+    splu = [name for name, tree in modules.items() if _calls_of(tree, "splu")]
+    assert cutoff == splu == ["spectra.py"], (cutoff, splu)
+
+
+def _sparse_linalg_imports(tree):
+    """Lines that import ``scipy.sparse.linalg`` or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.sparse.linalg")
+                   for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if ((node.module or "").startswith("scipy.sparse.linalg")
+                    or (node.module == "scipy.sparse"
+                        and any(alias.name == "linalg"
+                                for alias in node.names))):
+                yield node.lineno
+
+
+def test_dynamics_imports_no_sparse_solver():
+    assert not list(_sparse_linalg_imports(_modules()["dynamics.py"]))
+    # the rule sees each form of the import
+    assert sorted(_sparse_linalg_imports(ast.parse(
+        "import scipy.sparse.linalg as spla\n"
+        "from scipy.sparse.linalg import splu\n"
+        "from scipy.sparse import linalg\n"))) == [1, 2, 3]
 
 
 def test_tracing_targets_resolve(monkeypatch):
@@ -265,5 +302,4 @@ def test_block_route_norm_drift_reads_round_off(monkeypatch):
     packets = [gaussian_wavepacket(H0.grid, (0.0, 10.0), (0.045, 2.0), 8.0,
                                    spin) for spin in (+1, -1)]
     trajs = evolve(H0 + Hso, packets, 8e-4, 60, record_every=5)
-    assert [t.route for t in trajs] == ["fourier-blocks"] * 2
     assert norm_drift((), {}, trajs)["norm_drift"] <= 1e-12

@@ -9,10 +9,10 @@ import spinsurf.spectra as spectra
 from spinsurf.dynamics import (BentCylinderSetup, _spin_diagonal,
                                bent_cylinder_operators)
 from spinsurf.errors import EigensolverError
-from spinsurf.hamiltonian import (Grid, HermitianOperator, _factor_shifted,
-                                  _fourier_blocks, _inertia, assemble_H0,
-                                  assemble_Heff)
-from spinsurf.spectra import (conductance_curve, cylinder_analytic_spectrum,
+from spinsurf.hamiltonian import (Grid, HermitianOperator, _fourier_blocks,
+                                  assemble_H0, assemble_Heff)
+from spinsurf.spectra import (_factor_shifted, _inertia, conductance_curve,
+                              cylinder_analytic_spectrum,
                               cylinder_ring_operator, cylinder_thresholds,
                               degeneracy_clusters, eigensolve)
 from spinsurf.surfaces import make_surface
@@ -261,8 +261,8 @@ def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
     d = res.diagnostics
     assert np.abs(res.values - every).max() <= 1e-12 * d["norm_inf"]
 
-    solved = spectra._lowest_blocks(split.block, split.n, split.kept, k,
-                                    d["contract"])
+    solved = spectra._lowest_blocks(split.block, split.n, split.partners(),
+                                    k, d["contract"])
     assert d["blocks"] == split.n and d["blocks_solved"] == len(solved)
     if case.startswith("-"):
         assert len(solved) == split.kept    # nothing can be skipped
@@ -340,8 +340,6 @@ def test_kramers_pairs_halve_the_blocks_where_nothing_skips(monkeypatch):
 
 def _sparse_case(case):
     torus = make_surface("torus", rho=1.0, R=3.0)
-    if case == "blocks above the cutoff":
-        return assemble_Heff(torus, Grid.for_patch(torus, 100, 16))
     grid = Grid.for_patch(torus, 16, 32)
     H = assemble_Heff(torus, grid)
     if case == "grid off the matrix":
@@ -354,18 +352,31 @@ def _sparse_case(case):
 
 
 @pytest.mark.parametrize("case", ["q2-dependent potential",
-                                  "blocks above the cutoff",
                                   "grid off the matrix"])
 def test_operators_without_a_split_keep_the_sparse_route(case):
     H = _sparse_case(case)
-    if case == "blocks above the cutoff":
-        assert 2 * H.grid.n1 > spectra._DENSE_CUTOFF
     res = eigensolve(H, k=8, seed=3, return_vectors=False)
     d = res.diagnostics
     assert d["method"] == "shift-invert-lanczos"
     assert d["fourier_axis"] is None and d["blocks"] is None
     assert d["blocks_solved"] is None
     assert d["inertia"] == 0 and d["fallback"] is False
+
+
+def test_blocks_above_the_dense_cutoff_are_solved_densely():
+    # torus 100 x 16: blocks of 2 n1 = 200 rows along the azimuth, above
+    # the whole-matrix cutoff that once also capped the blocks; the bare
+    # matrix's shift-invert solve is the oracle
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    H = assemble_Heff(torus, Grid.for_patch(torus, 100, 16))
+    assert 2 * H.grid.n1 > spectra._DENSE_CUTOFF
+    res = eigensolve(H, k=8, seed=3, return_vectors=False)
+    d = res.diagnostics
+    assert d["method"] == "dense-eigh"
+    assert d["fourier_axis"] == 1 and d["blocks"] == 16
+    ref = eigensolve(H.matrix, k=8, seed=3, return_vectors=False)
+    assert ref.diagnostics["method"] == "shift-invert-lanczos"
+    assert np.abs(res.values - ref.values).max() <= d["contract"]
 
 
 def _record_factors(monkeypatch):
@@ -494,8 +505,8 @@ class _PermutedFactor:
 
 
 def test_unusable_inertia_falls_back_to_pivoting(monkeypatch):
-    def factor(mat, shift, scale=1.0, hermitian=False):
-        lu = _factor_shifted(mat, shift, scale, hermitian)
+    def factor(mat, shift, hermitian=False):
+        lu = _factor_shifted(mat, shift, hermitian)
         return _PermutedFactor(lu) if hermitian else lu
 
     monkeypatch.setattr(spectra, "_factor_shifted", factor)
