@@ -320,12 +320,15 @@ def _exp_evolve(cfg):
                up.observables["sigma3"][:n], dn.observables["sigma3"][:n])
     columns = ["t", "mean_theta_up", "mean_theta_down", "mean_ps",
                "sigma3_up", "sigma3_down"]
+    # the asymmetry |d_up + d_dn| / |d_up| is a remainder of nearly
+    # cancelling deflections, so their round-off moves it by its own size:
+    # it is printed, not written
     return ([("evolve.csv", (columns, "t in m L0^2/hbar", rows)),
              ("evolve.json", {"deflection": out["deflection"],
-                              "opposite_sign": bool(out["opposite_sign"]),
-                              "asymmetry": out["asymmetry"]})],
+                              "opposite_sign": bool(out["opposite_sign"])})],
             f"evolve: deflections {out['deflection']['up']:.3e} / "
-            f"{out['deflection']['down']:.3e}")
+            f"{out['deflection']['down']:.3e}, asymmetry "
+            f"{out['asymmetry']:.1e}")
 
 def _exp_expansions(cfg):
     q1, q2 = cfg.values["expansions"].values()

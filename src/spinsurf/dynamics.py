@@ -24,7 +24,8 @@ coefficients depend on theta only, so it splits along s), at any block
 size; ``evolve`` has no other route.  H_eff has no real magnetic field,
 so it is time-reversal invariant and block n - m of the window is the
 time reverse of block m (Kramers pairs): half of the blocks are
-diagonalized.
+diagonalized.  Its blocks are real, so their eigenvectors are too, and
+``evolve`` multiplies by them in real arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
@@ -268,15 +270,41 @@ _EIGH_CHUNK = 32
 def _block_eigh(split):
     """Eigenvalues (kept, b) and eigenvectors (kept, b, b) of blocks
     0 .. kept - 1 (``split.kept``: n // 2 + 1 when block n - m is the
-    time reverse of block m, and n otherwise)."""
+    time reverse of block m, and n otherwise), real when the blocks are."""
     kept, b = split.kept, split.lines.shape[1]
     vals = np.empty((kept, b))
-    vecs = np.empty((kept, b, b), complex)
+    vecs = np.empty((kept, b, b), split.block(0).dtype)
     for lo in range(0, kept, _EIGH_CHUNK):
         hi = min(lo + _EIGH_CHUNK, kept)
         vals[lo:hi], vecs[lo:hi] = np.linalg.eigh(
             np.stack([split.block(m) for m in range(lo, hi)]))
     return vals, vecs
+
+
+def _stack_times(vecs, x, adjoint=False):
+    """V x, or V^H x when ``adjoint``, for each block of the eigenvector
+    stack ``vecs`` and complex ``x`` (kept, b, columns).
+
+    A real V multiplies the (re, im) float view of x in one real GEMM:
+    ``real @ complex`` would copy V to complex and run a complex GEMM.  A
+    complex V^H x is formed as (x^H V)^H, so no conjugate copy of V is
+    made.
+    """
+    if np.isrealobj(vecs):
+        v = vecs.swapaxes(1, 2) if adjoint else vecs
+        return (v @ np.ascontiguousarray(x).view(np.float64)).view(complex)
+    if adjoint:
+        return np.matmul(x.conj().swapaxes(1, 2), vecs).conj().swapaxes(1, 2)
+    return vecs @ x
+
+
+def _diagonal(mat):
+    """The real diagonal of a sparse observable with no entry off it,
+    else None: <psi|D|psi> is then a dot product with |psi|^2."""
+    if not sp.issparse(mat):
+        return None
+    coo = mat.tocoo()
+    return mat.diagonal().real if np.all(coo.row == coo.col) else None
 
 
 def evolve(op: HermitianOperator, fields, dt: float, steps: int,
@@ -295,11 +323,18 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     time-reversal invariant, block n - m is the time reverse of block m,
     kept = n // 2 + 1, and each one's eigenvectors serve block m and its
     partner (``_FourierBlocks.partners``) in one matmul; otherwise all n
-    are.
+    are.  When the blocks are real (the operator commutes with complex
+    conjugation combined with the reflection of the split axis, as the
+    bent window and H_eff along the torus and sphere azimuth do), the
+    eigenvector stack is real, half the bytes, and every product with it
+    is a real GEMM on the (re, im) float view of the state; otherwise it
+    is complex.
 
     ``fields`` is one SpinorField or a sequence of them on one grid; the
     running packets advance together as the columns of one array.
-    Observables is a dict name -> operator; ``stop_when(obs_snapshot)``
+    Observables is a dict name -> operator (a HermitianOperator, a sparse
+    or a dense matrix); a sparse one with no entry off its diagonal is
+    read from |psi|^2, formed once per record.  ``stop_when(obs_snapshot)``
     may end a packet's run early (the ballistic-window rule) while the
     others run on.  Returns a Trajectory, or Trajectories for a sequence
     of fields.  Raises ValueError unless dt > 0, steps >= 1 and
@@ -327,14 +362,20 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
             "couplings reach only the neighbouring line of nodes")
     mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
             for k, obs in (observables or {}).items()}
+    diagonals = {k: d for k, m in mats.items()
+                 if (d := _diagonal(m)) is not None}
+    # row 0 sums |psi|^2, each other row reads a diagonal observable
+    weights = np.vstack([np.ones(grid.dim), *diagonals.values()])
     cell = grid.h1 * grid.h2
     psi = np.column_stack([f.flat() for f in fields])
     logs = [[] for _ in fields]           # per packet: (t, norm, snapshot)
     active = list(range(len(fields)))     # packet of each column of psi
 
     def record(t):
-        sq = np.einsum("ij,ij->j", psi.conj(), psi).real
-        values = {k: np.einsum("ij,ij->j", psi.conj(), m @ psi).real / sq
+        sq, *sums = weights @ (psi.real ** 2 + psi.imag ** 2)
+        sums = dict(zip(diagonals, sums))
+        values = {k: (sums[k] if k in sums else np.einsum(
+                      "ij,ij->j", psi.conj(), m @ psi).real) / sq
                   for k, m in mats.items()}
         for col, p in enumerate(active):
             logs[p].append((t, math.sqrt(cell * sq[col]),
@@ -355,16 +396,15 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     if kept < split.n:
         halves.append(split.time_reverse(coeffs[partner], inverse=True))
     pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
-    # V^H c, formed as (c^H V)^H so that no conjugate copy of V is made
-    state = np.matmul(pairs.reshape(kept, b, -1).conj().swapaxes(1, 2),
-                      vecs).conj().swapaxes(1, 2).reshape(pairs.shape)
+    state = _stack_times(vecs, pairs.reshape(kept, b, -1),
+                         adjoint=True).reshape(pairs.shape)
 
     record(0.0)
     for step in [*range(record_every, steps, record_every), steps]:
         phase = np.exp(-1j * (step * dt) * vals)
         phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
-        w = vecs @ (phase[..., None] * state).reshape(kept, b, -1)
-        w = w.reshape(state.shape)
+        w = _stack_times(vecs, (phase[..., None] * state).reshape(
+            kept, b, -1)).reshape(state.shape)
         coeffs = np.empty((split.n, b, state.shape[3]), complex)
         if kept < split.n:
             coeffs[partner] = split.time_reverse(w[:, :, 1])

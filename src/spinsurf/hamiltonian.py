@@ -38,7 +38,8 @@ Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
 blocks and back, ``_FourierBlocks.kept`` counts the blocks that carry
 the spectrum (half of them when ``kramers``: block n - m is the time
 reverse of block m), ``partners`` names each one's pair and
-``time_reverse`` maps coefficients between the two, and
+``time_reverse`` maps coefficients between the two, ``real_blocks``
+decides whether ``block`` returns real matrices, and
 ``_zero_mode_block`` reads block 0 sparsely.  Only this module
 knows the interleaved spin layout.
 
@@ -373,10 +374,33 @@ class _FourierBlocks:
         return len(self.lines)
 
     def block(self, m):
+        """B_m: a float64 matrix when ``real_blocks`` holds, complex
+        otherwise."""
         # int(m): a numpy int m rounds 2 pi i m / n differently
         phase = np.exp(2j * math.pi * int(m) / self.n)
         lower, diag, upper = self.couplings
+        if self.real_blocks:
+            # H_0 + 2 Re(e^{i phi} H_{+1}), in real arithmetic
+            return diag.real + 2.0 * (phase.real * upper.real
+                                      - phase.imag * upper.imag)
         return diag + phase * upper + np.conj(phase) * lower
+
+    @functools.cached_property
+    def real_blocks(self):
+        """Whether every block B_m is real (and so real symmetric).
+
+        It is when H_0 is real and H_{-1} = conj(H_{+1}), each to
+        ``_SHIFT_TOL`` max |H_d|: the operator commutes with complex
+        conjugation combined with the reflection j -> -j of the split
+        axis.  Then B_m = H_0 + 2 Re(e^{i phi} H_{+1}), phi = 2 pi m / n,
+        and its eigenvectors are real.
+        """
+        lower, diag, upper = self.couplings
+        scale = _SHIFT_TOL * max(np.abs(h).max(initial=0.0)
+                                 for h in self.couplings)
+        return bool(np.abs(diag.imag).max(initial=0.0) <= scale
+                    and np.abs(lower - np.conj(upper)).max(initial=0.0)
+                    <= scale)
 
     @functools.cached_property
     def kramers(self):
@@ -435,10 +459,12 @@ class _FourierBlocks:
 
     def from_blocks(self, c):
         """The operator vectors sum_m lift(c[m], m) of block coefficients
-        ``c``; the inverse of ``to_blocks``."""
-        vecs = np.empty((self.lines.size, c.shape[2]), complex)
-        vecs[self.lines] = np.fft.ifft(c, axis=0) * math.sqrt(self.n)
-        return vecs
+        ``c``; the inverse of ``to_blocks``.  The lines are read back by
+        a reshape and a transpose: node (i1, i2) sits at line i_axis,
+        place (i_other, spin)."""
+        lines = np.fft.ifft(c, axis=0) * math.sqrt(self.n)
+        nodes = lines.reshape(self.n, -1, 2, c.shape[2])
+        return np.moveaxis(nodes, 0, self.axis).reshape(self.lines.size, -1)
 
 
 def _lines(grid, axis):

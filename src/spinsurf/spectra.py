@@ -93,11 +93,17 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     has a Cholesky factor, which shows by Sylvester's law of inertia
     that no eigenvalue of B_m lies below sigma + delta.  The values and
     vectors are those of the sweep over blocks 0 .. kept - 1 with the
-    partners merged in block order, bit for bit.  An operator whose low levels sit at large |m|
-    (e.g. -H_eff) skips nothing and pays a failed Cholesky factor for
-    nearly every block.  'nearest' solves blocks 0 .. kept - 1.  Any
-    other operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which
-    ARPACK cannot do) is one block.
+    partners merged in block order, bit for bit.  An operator whose low
+    levels sit at large |m| (e.g. -H_eff) skips nothing and pays a failed
+    Cholesky factor for nearly every block.  'nearest' solves blocks
+    0 .. kept - 1.  The blocks are real symmetric when H_0 is real and
+    H_{-1} = conj(H_{+1}) (H0 and H_eff along the torus and sphere
+    azimuth, the bent window along s): ``block`` then returns float64,
+    so ``eigvalsh``, ``cholesky`` and ``eigh`` run LAPACK's real
+    routines, the block vectors are real and a partner's are J u
+    (J = i sigma_y at each node).  Other blocks are complex.  Any other
+    operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which ARPACK
+    cannot do) is one block.
 
     Shift-invert, for everything else (grid=None such as the ring,
     walled or expression surfaces, bare matrices): for

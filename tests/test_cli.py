@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import spinsurf.cli as cli
 from spinsurf.cli import compare, main
 from spinsurf.dynamics import BentCylinderSetup, force_equality_report
 from spinsurf.errors import ConfigError
@@ -575,11 +576,39 @@ def test_evolve_experiment_artifacts_and_compare(tmp_path):
     assert len(rows) == 20 // 5 + 1
     assert all(len(l.split(",")) == 6 for l in rows)
     payload = json.loads((outs[0] / "evolve.json").read_text())
-    assert sorted(payload) == ["asymmetry", "deflection", "opposite_sign"]
+    # the asymmetry is printed, not written: see the next test
+    assert sorted(payload) == ["deflection", "opposite_sign"]
     assert sorted(payload["deflection"]) == ["down", "up"]
     for name in ("evolve.csv", "evolve.json"):
         assert _run_cli(["--compare", str(outs[0] / name),
                          str(outs[1] / name)]) == 0
+
+
+def test_evolve_json_passes_compare_when_a_deflection_moves_by_round_off(
+        tmp_path, monkeypatch):
+    # |d_up + d_dn| / |d_up| ~ 1e-10 is the remainder of nearly cancelling
+    # deflections: a 1e-10 move of d_dn moves it by its own size, so
+    # evolve.json keeps the deflections and leaves it out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = cylinder\n[run]\nexperiment = evolve\n"
+                   "[forces]\nn_theta = 20\nn_s = 160\n"
+                   "[evolve]\nsteps = 20\n")
+    run = cli.spin_hall_run
+
+    def moved(*args, **kwargs):
+        out = run(*args, **kwargs)
+        up = out["deflection"]["up"]
+        down = out["deflection"]["down"] * (1.0 + 1e-10)
+        return {**out, "deflection": {"up": up, "down": down},
+                "asymmetry": abs(up + down) / abs(up)}
+
+    assert _run_cli(["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "spin_hall_run", moved)
+    assert _run_cli(["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    result = compare(str(tmp_path / "a" / "evolve.json"),
+                     str(tmp_path / "b" / "evolve.json"), tol=1e-9)
+    assert result["passed"], result
+    assert result["max_rel_diff"] == pytest.approx(1e-10, rel=1e-3)
 
 
 _COMPARE_MISMATCHES = {

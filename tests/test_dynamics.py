@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import spinsurf.dynamics as dynamics
+import spinsurf.hamiltonian as hamiltonian
 from spinsurf.dynamics import (BentCylinderSetup, analytic_force,
                                bent_cylinder_operators, evolve,
                                force_equality_report, force_operators,
@@ -358,24 +359,8 @@ def test_block_evolve_stops_packets_independently():
     assert not passed({"s": fast.observables["s"][-2]})
     assert len(fast.times) < len(slow.times) == 21
     assert slow.times[-1] == pytest.approx(0.2)
-    # dropping the stopped column leaves the other packet's steps intact
-    for pkt, traj in zip(packets, (fast, slow)):
-        alone = evolve(H, pkt, 2e-3, 100, observables=obs, record_every=5)
-        n = len(traj.times)
-        for name in obs:
-            diff = traj.observables[name] - alone.observables[name][:n]
-            assert np.abs(diff).max() < 1e-10
-
-
-def test_block_route_stop_leaves_the_other_packet_as_run_alone():
-    H, packets, obs = _two_packets()
-
-    def passed(snap):
-        return snap["s"] > 3.5
-
-    fast, slow = evolve(H, packets, 2e-3, 100, observables=obs,
-                        record_every=5, stop_when=passed)
-    assert len(fast.times) < len(slow.times) == 21
+    # dropping the stopped column leaves the other packet's records as
+    # run alone
     for pkt, traj in zip(packets, (fast, slow)):
         alone = evolve(H, pkt, 2e-3, 100, observables=obs, record_every=5)
         n = len(traj.times)
@@ -478,7 +463,11 @@ def _assert_block_route_matches(H, theta_op, kept, exact):
             for _ in range(2)]
     probe = rng.standard_normal((H.dim, H.dim)) \
         + 1j * rng.standard_normal((H.dim, H.dim))
-    obs = {"theta": theta_op, "probe": probe + probe.conj().T}
+    probe = probe + probe.conj().T
+    # theta is read from |psi|^2, the dense probe and its sparse band
+    # from products with the state
+    obs = {"theta": theta_op, "probe": probe,
+           "band": sp.csr_matrix(np.triu(np.tril(probe, 1), -1))}
     dt, steps, every = 2e-3, 20, 5
     trajs = evolve(H, pkts, dt, steps, observables=obs, record_every=every)
     for pkt, traj in zip(pkts, trajs):
@@ -522,6 +511,54 @@ def test_block_route_matches_the_exponential_above_192_rows():
     _assert_block_route_matches(
         H, theta_op, 5,
         lambda t, psi: spla.expm_multiply(-1j * t * H.matrix, psi))
+
+
+def test_complex_blocks_match_the_dense_exponential():
+    # complex blocks: the window with an imaginary on-site sigma_y term
+    # (time reversal broken, all n blocks diagonalized), and the sheared
+    # plane, whose g^{12} cross term makes H_{+1} antisymmetric (Kramers
+    # pairs, n // 2 + 1 blocks)
+    H, theta_op = _window_operator(16, 0.0)
+    sigma_y = 0.05 * np.array([[0.0, -1j], [1j, 0.0]])
+    H = H + HermitianOperator(sp.kron(sp.eye(H.dim // 2), sigma_y,
+                                      format="csr"), H.grid, ("sigma_y",))
+    plane = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                         domain=((0.0, 1.0), (0.0, 1.0)),
+                         periodic=(True, True))
+    grid = Grid.for_patch(plane, 12, 8)
+    q2 = grid.mesh()[1]
+    for op, obs, kept in (
+            (H, theta_op, 16),
+            (assemble_Heff(plane, grid),
+             dynamics._spin_diagonal(grid, "q2", q2, q2), 7)):
+        split = _fourier_blocks(op)
+        assert split.block(1).dtype == np.complex128
+        assert dynamics._block_eigh(split)[1].dtype == np.complex128
+        dense = op.matrix.toarray()
+        _assert_block_route_matches(
+            op, obs, kept,
+            lambda t, psi: scipy.linalg.expm(-1j * t * dense) @ psi)
+
+
+def test_real_blocks_evolve_as_the_complex_route(monkeypatch):
+    # the window's blocks are real: a real eigenvector stack and real
+    # GEMMs, against the complex route the same operator takes when its
+    # blocks are formed complex
+    H, packets, obs = _two_packets()
+    assert dynamics._block_eigh(_fourier_blocks(H))[1].dtype == np.float64
+    real = evolve(H, packets, 2e-3, 60, observables=obs, record_every=5)
+    monkeypatch.setattr(hamiltonian._FourierBlocks, "real_blocks",
+                        property(lambda self: False))
+    assert dynamics._block_eigh(_fourier_blocks(H))[1].dtype \
+        == np.complex128
+    cplx = evolve(H, packets, 2e-3, 60, observables=obs, record_every=5)
+    for a, b in zip(real, cplx):
+        assert np.array_equal(a.times, b.times)
+        assert np.abs(a.norms - b.norms).max() <= 1e-12 * a.norms[0]
+        for name, op in obs.items():
+            scale = abs(getattr(op, "matrix", op)).max()
+            diff = a.observables[name] - b.observables[name]
+            assert np.abs(diff).max() <= 1e-12 * scale, name
 
 
 def test_kramers_test_accepts_time_reversal_invariant_blocks():

@@ -19,6 +19,9 @@
 * only ``hamiltonian`` reads ``.kramers``: it decides how many Fourier
   blocks carry the spectrum and which block pairs with which, and
   ``spectra`` and ``dynamics`` read both from ``.partners()``;
+* only ``hamiltonian`` reads ``.real_blocks``: it decides whether a
+  Fourier block is real, and ``spectra`` and ``dynamics`` follow the
+  dtype of what ``block`` returns;
 * only ``spectra`` reads ``_DENSE_CUTOFF`` and calls ``splu``: the
   cutoff means only "solve a whole matrix densely", and the one sparse
   factorization serves shift-invert;
@@ -222,6 +225,16 @@ def test_kramers_is_read_only_in_hamiltonian():
     assert not found, found
     for name in ("spectra.py", "dynamics.py"):
         assert _attribute_reads(modules[name], "partners"), name
+
+
+def test_real_blocks_is_read_only_in_hamiltonian():
+    modules = _modules()
+    found = [f"{name}:{line}" for name, tree in modules.items()
+             if name != "hamiltonian.py"
+             for line in _attribute_reads(tree, "real_blocks")]
+    assert not found, found
+    # the rule sees the read where it is
+    assert _attribute_reads(modules["hamiltonian.py"], "real_blocks")
 
 
 def test_dense_cutoff_and_splu_live_in_spectra():

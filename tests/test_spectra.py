@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import spinsurf.hamiltonian as hamiltonian
 import spinsurf.spectra as spectra
 from spinsurf.dynamics import (BentCylinderSetup, _spin_diagonal,
                                bent_cylinder_operators)
@@ -273,6 +274,92 @@ def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
     for m in range(split.n):
         if m not in solved and (m < split.kept or split.n - m not in solved):
             assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
+
+
+def _plus_sigma_y(H, strength):
+    """H + strength sigma_y at every node: an imaginary on-site term that
+    breaks time reversal."""
+    sigma_y = strength * np.array([[0.0, -1j], [1j, 0.0]])
+    return H + HermitianOperator(sp.kron(sp.eye(H.dim // 2), sigma_y,
+                                         format="csr"), H.grid, ("sigma_y",))
+
+
+def _dtype_cases():
+    """name -> (operator, real_blocks, kramers) for the block dtypes."""
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    sphere = make_surface("sphere", r=1.0)
+    plane, n1, n2, _ = _block_cases()["sheared plane 16x16"]
+    heff = assemble_Heff(torus, Grid.for_patch(torus, 32, 32))
+    cases = {
+        "torus H_eff 32x32": (heff, True, True),
+        "sphere H_eff 16x32": (
+            assemble_Heff(sphere, Grid.for_patch(sphere, 16, 32)), True,
+            True),
+        "torus H_eff + sigma_y 32x32": (_plus_sigma_y(heff, 0.05), False,
+                                        False),
+        # the g^{12} cross term makes H_{+1} antisymmetric: time reversal
+        # pairs the blocks, and they are complex
+        "sheared plane 16x16": (
+            assemble_Heff(plane, Grid.for_patch(plane, n1, n2)), False,
+            True)}
+    for theta_c in (0.0, math.pi):
+        H0, Hso, _, _ = bent_cylinder_operators(BentCylinderSetup(
+            theta_c=theta_c, n_theta=16, n_s=32, s_length=10.0))
+        cases[f"bent window theta_c={theta_c:.4g}"] = (H0 + Hso, True, True)
+    return cases
+
+
+def test_blocks_are_real_when_the_split_axis_reflects_conjugation():
+    # H_0 real and H_{-1} = conj(H_{+1}): block(m) is the float64
+    # H_0 + 2 Re(e^{i phi} H_{+1}), equal to sum_d e^{i phi d} H_d
+    for name, (op, real, kramers) in _dtype_cases().items():
+        split = _fourier_blocks(op)
+        assert (split.real_blocks, split.kramers) == (real, kramers), name
+        lower, diag, upper = split.couplings
+        scale = max(np.abs(h).max() for h in split.couplings)
+        for m in range(split.n):
+            block = split.block(m)
+            assert block.dtype == (np.float64 if real else np.complex128)
+            phase = np.exp(2j * math.pi * m / split.n)
+            whole = diag + phase * upper + np.conj(phase) * lower
+            assert np.abs(block - whole).max() <= 1e-12 * scale, (name, m)
+
+
+def test_complex_blocks_match_the_full_matrix():
+    # an imaginary on-site sigma_y term: complex blocks, no Kramers pairs
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    H = _plus_sigma_y(assemble_Heff(torus, Grid.for_patch(torus, 16, 32)),
+                      0.05)
+    split = _fourier_blocks(H)
+    assert not split.real_blocks and not split.kramers
+    ref = np.linalg.eigvalsh(H.matrix.toarray())
+    target = ref[20] + 0.3 * (ref[24] - ref[20])
+    k_near = _whole_clusters(ref[:40], target, 6)
+    nearest = np.sort(ref[np.argsort(np.abs(ref - target))[:k_near]])
+    for which, k, expected in (("lowest", 16, ref[:16]),
+                               ("nearest", k_near, nearest)):
+        res = eigensolve(H, k=k, which=which, target=target)
+        assert res.vectors.dtype == np.complex128
+        assert np.abs(res.values - expected).max() \
+            <= 1e-12 * res.diagnostics["norm_inf"]
+        assert res.diagnostics["method"] == "dense-eigh"
+        if which == "nearest":       # no pairs: every block is solved
+            assert res.diagnostics["blocks_solved"] == split.n
+
+
+@pytest.mark.parametrize("case", ["torus H_eff 32x32", "sphere H_eff 16x32",
+                                  "bent window theta_c=3.142"])
+def test_real_blocks_agree_with_the_complex_route(case, monkeypatch):
+    H = _dtype_cases()[case][0]
+    real = eigensolve(H, k=16)
+    monkeypatch.setattr(hamiltonian._FourierBlocks, "real_blocks",
+                        property(lambda self: False))
+    assert _fourier_blocks(H).block(1).dtype == np.complex128
+    cplx = eigensolve(H, k=16)
+    assert np.abs(real.values - cplx.values).max() \
+        <= 1e-12 * real.diagnostics["norm_inf"]
+    assert (real.diagnostics["blocks_solved"]
+            == cplx.diagnostics["blocks_solved"])
 
 
 def test_fourier_block_is_one_matrix_per_m():
