@@ -359,6 +359,17 @@ def test_block_evolve_stops_packets_independently():
     assert not passed({"s": fast.observables["s"][-2]})
     assert len(fast.times) < len(slow.times) == 21
     assert slow.times[-1] == pytest.approx(0.2)
+
+
+def test_block_route_stop_leaves_the_other_packet_as_run_alone():
+    H, packets, obs = _two_packets()
+
+    def passed(snap):
+        return snap["s"] > 3.5
+
+    fast, slow = evolve(H, packets, 2e-3, 100, observables=obs,
+                        record_every=5, stop_when=passed)
+    assert len(fast.times) < len(slow.times) == 21
     # dropping the stopped column leaves the other packet's records as
     # run alone
     for pkt, traj in zip(packets, (fast, slow)):
