@@ -16,6 +16,7 @@ scalar results are JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,6 +40,9 @@ from .surfaces import (SurfacePatch, _as_bool, _surface_from_section,
 
 __all__ = ["RunConfig", "run", "compare", "main"]
 
+# the least node counts of the bent-cylinder window's grid
+_WINDOW_LEAST = {"n_theta": 8, "n_s": 8}
+
 # section -> key -> (type, default, least).  A None default is filled in
 # by the experiment that reads it: the grid size (48 / 32 / 24 by
 # experiment), the packet widths (from the grid spacing), the expansion
@@ -55,10 +59,11 @@ _SCHEMA = {
                  "with_connection": (bool, True, None)},
     "conductance": {"e_max": (float, 8.0, 0.0),
                     "n_points": (int, 400, 1)},
-    "forces": {"rho": (float, 1.0, None), "R": (float, 20.0, None),
-               "theta0": (float, 0.1, None), "theta_c": (float, 0.0, None),
-               "s_length": (float, 30.0, None), "n_theta": (int, 40, 8),
-               "n_s": (int, 384, 8), "k_s": (float, 8.0, None),
+    # the window's keys and defaults are BentCylinderSetup's fields
+    "forces": {**{f.name: (type(f.default), f.default,
+                           _WINDOW_LEAST.get(f.name))
+                  for f in dataclasses.fields(BentCylinderSetup)},
+               "k_s": (float, 8.0, None),
                "width_theta": (float, None, None),
                "width_s": (float, None, None)},
     "evolve": {"dt": (float, 8e-4, 0.0), "steps": (int, 400, 1),
@@ -291,8 +296,8 @@ def _bent_setup(cfg):
     """The [forces] bent cylinder, packet momentum k_s and packet widths
     (which default to grid-resolvable values)."""
     opts = cfg.values["forces"]
-    setup = BentCylinderSetup(**{key: opts[key] for key in (
-        "rho", "R", "theta0", "theta_c", "s_length", "n_theta", "n_s")})
+    setup = BentCylinderSetup(**{
+        f.name: opts[f.name] for f in dataclasses.fields(BentCylinderSetup)})
     grid = setup.grid()
     widths = (max(0.02, 4.5 * grid.h1) if opts["width_theta"] is None
               else opts["width_theta"],

@@ -4,28 +4,39 @@ The bent cylinder is the torus patch in coordinates (theta, s) restricted
 to a small angular window theta in [theta_c - theta0, theta_c + theta0]
 (hard walls in theta) and one period s_length of the azimuth s, with
 theta_c = 0 the outer (K > 0) side and theta_c = pi the inner (K < 0)
-side.  Its H0 and Hso come from the general route: one geometry pass of
-the torus patch on the window grid, fed to the same stencil builders
-(and CSR writer, which also writes the observables) as any other
-surface.  The closed-form coefficients (sqrt(g) = rho (R + rho cos
-theta)/R, w_s = -sin(theta)/(2R), ...) are kept in the test suite as the
-oracle these operators are checked against.
+side.  Its coefficients depend on theta only, so its operators split
+into Fourier blocks along s.  The experiments run on blocks with the
+exact symbol of the s terms (``hamiltonian._spectral_blocks``): the
+Peierls-linked kinetic term (1/2) g^{ss} (k +- w_s)^2 and the spin-orbit
+term -k X^s at the block's wavenumber k, theta kept three-point.  With
+the s axis exact, the default n_s = 96 resolves the spin-Hall deflection
+to 1e-7 relative, where the three-point s axis left it 6.4 % low at
+n_s = 384.  ``bent_cylinder_operators`` builds the three-point H0 and Hso
+from the general route (one geometry pass of the torus patch on the
+window grid, fed to the same stencil builders and CSR writer as any other
+surface, which also writes the observables); it and ``force_operators``
+are kept as the oracle of the block routes, and the closed-form
+coefficients (sqrt(g) = rho (R + rho cos theta)/R, w_s = -sin(theta)/(2R),
+...) as the test suite's oracle of both.
 
 Heisenberg forces: theta_dot = -i [theta, H], then
 theta_ddot_pm = -i [theta_dot, H0] and theta_ddot_so = -i [theta_dot, Hso];
 F = m rho^2 theta_ddot.  For sigma_3-polarized packets the two routes give
-equal Lorentz-like forces, opposite for the two spin species.  The report
-reads their expectations from sparse products with the packet, and the
-explicit commutators of ``force_operators`` are kept as its oracle.
+equal Lorentz-like forces, opposite for the two spin species.  theta is
+diagonal and the same on every line across s, so the report reads each
+expectation as a sum of per-block products with the packet's block
+coefficients, and the explicit commutators of ``force_operators`` are
+kept as its oracle.
 
 Wavepackets evolve exactly on the Fourier blocks of an operator that the
-one-node shift along a periodic axis leaves unchanged (the window's
-coefficients depend on theta only, so it splits along s), at any block
+one-node shift along a periodic axis leaves unchanged, at any block
 size; ``evolve`` has no other route.  H_eff has no real magnetic field,
 so it is time-reversal invariant and block n - m of the window is the
 time reverse of block m (Kramers pairs): half of the blocks are
 diagonalized.  Its blocks are real, so their eigenvectors are too, and
-``evolve`` multiplies by them in real arithmetic.
+``evolve`` multiplies by them in real arithmetic.  On a split, theta,
+sigma_3 and the norm are read from the block coefficients, p_s from the
+wavenumber of each block, and only s from real space.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ import scipy.sparse as sp
 from .errors import (GridError, InvalidWindowError, PacketTooNarrowError,
                      SurfaceParameterError)
 from .hamiltonian import (Grid, HermitianOperator, SpinorField,
-                          _fourier_blocks, _grid_geometry, _write_csr,
-                          build_h0_operator, build_soi_operator)
+                          _FourierBlocks, _fourier_blocks, _grid_geometry,
+                          _spectral_blocks, _write_csr, build_h0_operator,
+                          build_soi_operator)
 from .surfaces import SurfacePatch, make_surface
 
 __all__ = [
@@ -67,7 +79,11 @@ class BentCylinderSetup:
 
     The window has hard walls in theta and is periodic in s, with
     s_length one period, so its operators split into Fourier blocks
-    along s and ``evolve`` propagates on them exactly.
+    along s and ``evolve`` propagates on them exactly.  The experiments
+    take the exact symbol of the s terms on those blocks, so n_s = 96
+    resolves them: the deflection, F_pm and <p_s> move by < 1e-6
+    relative up to n_s = 768.  The defaults are the CLI's ``[forces]``
+    defaults.
     """
 
     rho: float = 1.0
@@ -76,7 +92,7 @@ class BentCylinderSetup:
     theta_c: float = 0.0
     s_length: float = 30.0
     n_theta: int = 40
-    n_s: int = 384
+    n_s: int = 96
 
     def __post_init__(self):
         if self.R <= self.rho:
@@ -106,7 +122,9 @@ class BentCylinderSetup:
 
 
 def bent_cylinder_operators(setup: BentCylinderSetup):
-    """(H0, Hso, theta_op, p_s op) on the bent-cylinder window grid."""
+    """(H0, Hso, theta_op, p_s op) on the bent-cylinder window grid, all
+    three-point: the oracle of the spectral blocks of ``_window_blocks``
+    (theta terms equal, s terms to O((k h_s)^2))."""
     patch, grid = setup.patch(), setup.grid()
     geo = _grid_geometry(patch, grid)
     H0 = build_h0_operator(grid, geo)
@@ -127,27 +145,41 @@ def _spin_diagonal(grid: Grid, term, up, down) -> HermitianOperator:
                              grid, (term,))
 
 
-def _force_expectations(H0, Hso, theta_op, psi, rho):
-    """(<F_pm>, <F_so>) of the flat vector ``psi`` without forming F.
+def _window_blocks(setup: BentCylinderSetup):
+    """(H0, Hso) of the window as Fourier blocks along s with the exact
+    symbol of the s terms (``hamiltonian._spectral_blocks``); theta stays
+    three-point."""
+    grid = setup.grid()
+    return _spectral_blocks(grid, _grid_geometry(setup.patch(), grid), 1)
 
-    <F_x> = 2 rho^2 Im <theta_dot psi | H_x psi> / <psi|psi> with
-    theta_dot psi = -i (theta H psi - H theta psi), from sparse products
-    with vectors and the diagonal of ``theta_op``: the expectation of
-    ``force_operators``'s F_x.
+
+def _block_forces(h0, hso, theta, c, rho):
+    """(<F_pm>, <F_so>) per column of block coefficients ``c`` (n, b,
+    columns) of H0's and Hso's splits ``h0`` and ``hso``, without
+    forming F.
+
+    theta is diagonal and does not vary along the split axis, so it is
+    the same diagonal ``theta`` (its values on the rows of a line) in
+    every block, and each force is a sum of per-block products:
+    <F_x> = 2 rho^2 Im sum_m <theta_dot c_m | B^x_m c_m> / |c|^2 with
+    theta_dot c_m = -i (theta B_m c_m - B_m theta c_m), B = B^pm + B^so:
+    the expectation of ``force_operators``'s F_x when the splits are
+    three-point.
     """
-    h0, hso = H0.matrix @ psi, Hso.matrix @ psi
-    norm = np.vdot(psi, psi).real
-    # [theta, H] = [theta - c, H]: centred on the packet's mean c, the
-    # diagonal theta is small where psi lives, so theta ~ pi costs no
-    # digits
-    theta = theta_op.matrix.diagonal()
-    theta = theta - np.vdot(psi, theta * psi).real / norm
-    th = theta * psi
-    theta_dot = -1j * (theta * (h0 + hso) - H0.matrix @ th
-                       - Hso.matrix @ th)
-    scale = 2.0 * rho**2 / norm
-    return tuple(float(scale * np.vdot(theta_dot, h).imag)
-                 for h in (h0, hso))
+    sq = c.real ** 2 + c.imag ** 2
+    norm = sq.sum(axis=(0, 1))
+    # [theta, H] = [theta - mean, H]: centred on each packet's mean, the
+    # diagonal theta is small where the packet lives, so theta ~ pi costs
+    # no digits
+    theta = theta[:, None] - (theta @ sq.sum(axis=0)) / norm
+    forces = np.zeros((2, c.shape[2]))
+    for m in range(h0.n):
+        b0, bso, x = h0.block(m), hso.block(m), c[m]
+        h0x, hsox, th = b0 @ x, bso @ x, theta * x
+        theta_dot = -1j * (theta * (h0x + hsox) - b0 @ th - bso @ th)
+        for f, hx in zip(forces, (h0x, hsox)):
+            f += np.einsum("ij,ij->j", theta_dot.conj(), hx).imag
+    return forces * (2.0 * rho**2 / norm)
 
 
 def force_operators(H0: HermitianOperator, Hso: HermitianOperator,
@@ -307,23 +339,117 @@ def _diagonal(mat):
     return mat.diagonal().real if np.all(coo.row == coo.col) else None
 
 
-def evolve(op: HermitianOperator, fields, dt: float, steps: int,
+def _field_reader(grid, observables):
+    """psi -> (|psi|^2 of each column, name -> expectation per column) for
+    operator observables.  A sparse one with no entry off its diagonal is
+    read from |psi|^2 in one GEMM with the norm row, any other from a
+    product with psi."""
+    mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
+            for k, obs in observables.items()}
+    diagonals = {k: d for k, m in mats.items()
+                 if (d := _diagonal(m)) is not None}
+    # row 0 sums |psi|^2, each other row reads a diagonal observable
+    weights = np.vstack([np.ones(grid.dim), *diagonals.values()])
+
+    def read(psi):
+        sq, *sums = weights @ (psi.real ** 2 + psi.imag ** 2)
+        sums = dict(zip(diagonals, sums))
+        return sq, {k: (sums[k] if k in sums else np.einsum(
+                        "ij,ij->j", psi.conj(), m @ psi).real) / sq
+                    for k, m in mats.items()}
+    return read
+
+
+def _block_reader(split, observables):
+    """c -> (|c|^2 of each column, name -> expectation per column) for
+    block coefficients c (n, b, columns) and observables name -> (kind,
+    weights).  'rows' and 'blocks' are read from |c|^2 summed over the
+    blocks or over the rows; 'lines' from the line densities of psi, one
+    inverse FFT along the split axis, the only step in real space."""
+    for name, (kind, _) in observables.items():
+        if kind not in ("rows", "blocks", "lines"):
+            raise ValueError(f"observable {name!r} of a split has kind "
+                             f"{kind!r}; expected 'rows', 'blocks' or "
+                             f"'lines'")
+
+    # sums over the rows of a block as a product with ones: a reduction
+    # along the middle axis is ~10x slower
+    ones = np.ones(split.lines.shape[1])
+    lines = any(kind == "lines" for kind, _ in observables.values())
+
+    def read(c):
+        sq = c.real ** 2 + c.imag ** 2
+        sums = {"rows": sq.sum(axis=0), "blocks": ones @ sq}
+        total = sums["blocks"].sum(axis=0)
+        if lines:
+            psi = np.fft.ifft(c, axis=0)
+            sums["lines"] = split.n * (ones @ (psi.real ** 2
+                                               + psi.imag ** 2))
+        return total, {k: (weights @ sums[kind]) / total
+                       for k, (kind, weights) in observables.items()}
+    return read
+
+
+def _propagate(split, coeffs, times, record):
+    """e^{-iHt} on the blocks of ``split``, from block coefficients
+    ``coeffs`` (n, b, columns) at t = 0 to each of ``times``.
+
+    The blocks are diagonalized once (``_block_eigh``).  At each time
+    ``record(t, c)`` gets the coefficients c of the running columns and
+    returns the indices of those that run on, or None for all of them;
+    the run ends when none does.
+    """
+    vals, vecs = _block_eigh(split)
+    kept, b = vals.shape
+    # Kramers pairs: block p = n - m has the eigenvectors T V_m (T = J
+    # conj, ``split.time_reverse``), so V_p^H y = conj(V_m^H T^-1 y) and
+    # V_p e^{-i Lambda t} c = T(V_m e^{i Lambda t} conj(c)).  The state of
+    # pair m holds, for each packet, V_m^H y_m and V_m^H T^-1 y_p
+    # (= conj(c_p)) side by side, so one matmul with V_m serves both
+    # blocks.  Blocks 0 and n/2 are their own partners; their second half
+    # is formed and dropped.
+    partner = split.partners()
+    halves = [coeffs[:kept]]
+    if kept < split.n:
+        halves.append(split.time_reverse(coeffs[partner], inverse=True))
+    pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
+    state = _stack_times(vecs, pairs.reshape(kept, b, -1),
+                         adjoint=True).reshape(pairs.shape)
+    for t in times:
+        phase = np.exp(-1j * t * vals)
+        phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
+        w = _stack_times(vecs, (phase[..., None] * state).reshape(
+            kept, b, -1)).reshape(state.shape)
+        coeffs = np.empty((split.n, b, state.shape[3]), complex)
+        if kept < split.n:
+            coeffs[partner] = split.time_reverse(w[:, :, 1])
+        coeffs[:kept] = w[:, :, 0]
+        keep = record(t, coeffs)
+        if keep is not None:
+            state = state[..., keep]
+            if not keep:
+                break
+
+
+def evolve(op, fields, dt: float, steps: int,
            observables: Optional[dict] = None, record_every: int = 1,
            stop_when=None):
     """Unitary evolution of packets under ``op``, recorded every
     ``record_every`` steps of ``dt`` and after the last step.
 
-    The operator must split into Fourier blocks along a periodic axis
-    (``hamiltonian._fourier_blocks``, at any block size).  The blocks are
-    diagonalized once, the packets are projected on the blocks by one
-    FFT along the split axis, and psi(t) = e^{-iHt} psi is formed at each
-    record time t = step * dt.  There is no stepping, so dt only sets the
-    record times, and the norm is kept to round-off.  Only blocks
-    0 .. ``_FourierBlocks.kept`` - 1 are diagonalized: when H is
-    time-reversal invariant, block n - m is the time reverse of block m,
-    kept = n // 2 + 1, and each one's eigenvectors serve block m and its
-    partner (``_FourierBlocks.partners``) in one matmul; otherwise all n
-    are.  When the blocks are real (the operator commutes with complex
+    ``op`` is a HermitianOperator that splits into Fourier blocks along a
+    periodic axis (``hamiltonian._fourier_blocks``, at any block size),
+    or such a split itself (``hamiltonian._FourierBlocks``, three-point
+    or spectral).  The blocks are diagonalized once, the packets are
+    projected on the blocks by one FFT along the split axis, and psi(t) =
+    e^{-iHt} psi is formed at each record time t = step * dt.  There is
+    no stepping, so dt only sets the record times, and the norm is kept
+    to round-off.  Only blocks 0 .. ``_FourierBlocks.kept`` - 1 are
+    diagonalized: when H is time-reversal invariant, block n - m is the
+    time reverse of block m, kept = n // 2 + 1, and each one's
+    eigenvectors serve block m and its partner
+    (``_FourierBlocks.partners``) in one matmul; otherwise all n are.
+    When the blocks are real (the operator commutes with complex
     conjugation combined with the reflection of the split axis, as the
     bent window and H_eff along the torus and sphere azimuth do), the
     eigenvector stack is real, half the bytes, and every product with it
@@ -331,15 +457,23 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     is complex.
 
     ``fields`` is one SpinorField or a sequence of them on one grid; the
-    running packets advance together as the columns of one array.
-    Observables is a dict name -> operator (a HermitianOperator, a sparse
-    or a dense matrix); a sparse one with no entry off its diagonal is
-    read from |psi|^2, formed once per record.  ``stop_when(obs_snapshot)``
+    running packets advance together as the columns of one array.  For an
+    operator, observables is a dict name -> operator (a
+    HermitianOperator, a sparse or a dense matrix), read from psi
+    brought back to the grid at each record; a sparse one with no entry
+    off its diagonal is read from |psi|^2, formed once per record.  For a
+    split, observables is a dict name -> (kind, weights), read from the
+    block coefficients: 'rows' is a diagonal that does not vary along
+    the split axis, weights on the rows of one line (``rows``); 'blocks'
+    a function of the block, one weight per block (``momenta``); 'lines'
+    a function of the position along the split axis, one weight per line
+    of nodes, read from the line densities.  ``stop_when(obs_snapshot)``
     may end a packet's run early (the ballistic-window rule) while the
     others run on.  Returns a Trajectory, or Trajectories for a sequence
     of fields.  Raises ValueError unless dt > 0, steps >= 1 and
-    record_every >= 1, and GridError unless all fields share one grid of
-    the operator's dim and the operator splits.
+    record_every >= 1 or for an unknown kind, and GridError unless all
+    fields share one grid, the operator splits and the fields lie on its
+    grid (for a split: its lines have the shape of theirs).
     """
     if not dt > 0.0:   # NaN fails too
         raise ValueError(f"evolve needs dt > 0, got dt = {dt}")
@@ -351,76 +485,60 @@ def evolve(op: HermitianOperator, fields, dt: float, steps: int,
     single = isinstance(fields, SpinorField)
     fields = [fields] if single else list(fields)
     grid = fields[0].grid
-    if grid.dim != op.dim or any(f.grid != grid for f in fields):
-        raise GridError(f"evolve needs all fields on one grid of dim {op.dim}")
-    split = _fourier_blocks(op)
+    blocks = isinstance(op, _FourierBlocks)
+    dim = op.lines.size if blocks else op.dim
+    if grid.dim != dim or any(f.grid != grid for f in fields):
+        raise GridError(f"evolve needs all fields on one grid of dim {dim}")
+    split = op if blocks else _fourier_blocks(op)
     if split is None:
         raise GridError(
             "evolve propagates on Fourier blocks, and this operator does not "
             "split: it needs a grid that matches its matrix, with a periodic "
             "axis along which the one-node shift leaves it unchanged and its "
             "couplings reach only the neighbouring line of nodes")
-    mats = {k: obs.matrix if isinstance(obs, HermitianOperator) else obs
-            for k, obs in (observables or {}).items()}
-    diagonals = {k: d for k, m in mats.items()
-                 if (d := _diagonal(m)) is not None}
-    # row 0 sums |psi|^2, each other row reads a diagonal observable
-    weights = np.vstack([np.ones(grid.dim), *diagonals.values()])
-    cell = grid.h1 * grid.h2
+    # another grid of the same dim would be read by the wrong lines; a
+    # split knows its grid only by the shape of its lines
+    shape = (grid.n1, grid.n2)
+    if (split.lines.shape != (shape[split.axis], 2 * shape[1 - split.axis])
+            or not (blocks or op.grid == grid)):
+        raise GridError("evolve needs the fields on the operator's grid")
+    observables = observables or {}
     psi = np.column_stack([f.flat() for f in fields])
-    logs = [[] for _ in fields]           # per packet: (t, norm, snapshot)
-    active = list(range(len(fields)))     # packet of each column of psi
+    coeffs = split.to_blocks(psi)
+    if blocks:
+        read = _block_reader(split, observables)
+        first = read(coeffs)
+    else:
+        field_reader = _field_reader(grid, observables)
+        first = field_reader(psi)
 
-    def record(t):
-        sq, *sums = weights @ (psi.real ** 2 + psi.imag ** 2)
-        sums = dict(zip(diagonals, sums))
-        values = {k: (sums[k] if k in sums else np.einsum(
-                      "ij,ij->j", psi.conj(), m @ psi).real) / sq
-                  for k, m in mats.items()}
+        def read(c):
+            return field_reader(split.from_blocks(c))
+    cell = grid.h1 * grid.h2
+    logs = [[] for _ in fields]           # per packet: (t, norm, snapshot)
+    active = list(range(len(fields)))     # packet of each column
+
+    def write(t, sq, values):
         for col, p in enumerate(active):
             logs[p].append((t, math.sqrt(cell * sq[col]),
                             {k: float(v[col]) for k, v in values.items()}))
 
-    vals, vecs = _block_eigh(split)
-    kept, b = vals.shape
-    # Kramers pairs: block p = n - m has the eigenvectors T V_m (T = J
-    # conj, ``split.time_reverse``), so V_p^H y = conj(V_m^H T^-1 y) and
-    # V_p e^{-i Lambda t} c = T(V_m e^{i Lambda t} conj(c)).  The state of
-    # pair m holds, for each packet, V_m^H y_m and V_m^H T^-1 y_p
-    # (= conj(c_p)) side by side, so one matmul with V_m serves both
-    # blocks.  Blocks 0 and n/2 are their own partners; their second half
-    # is formed and dropped.
-    partner = split.partners()
-    coeffs = split.to_blocks(psi)
-    halves = [coeffs[:kept]]
-    if kept < split.n:
-        halves.append(split.time_reverse(coeffs[partner], inverse=True))
-    pairs = np.stack(halves, axis=2)          # (kept, b, halves, cols)
-    state = _stack_times(vecs, pairs.reshape(kept, b, -1),
-                         adjoint=True).reshape(pairs.shape)
+    def record(t, c):
+        write(t, *read(c))
+        if stop_when is None:
+            return None
+        keep = [col for col, p in enumerate(active)
+                if not stop_when(logs[p][-1][2])]
+        active[:] = [active[col] for col in keep]
+        return keep
 
-    record(0.0)
-    for step in [*range(record_every, steps, record_every), steps]:
-        phase = np.exp(-1j * (step * dt) * vals)
-        phase = np.stack((phase, phase.conj())[:state.shape[2]], axis=2)
-        w = _stack_times(vecs, (phase[..., None] * state).reshape(
-            kept, b, -1)).reshape(state.shape)
-        coeffs = np.empty((split.n, b, state.shape[3]), complex)
-        if kept < split.n:
-            coeffs[partner] = split.time_reverse(w[:, :, 1])
-        coeffs[:kept] = w[:, :, 0]
-        psi = split.from_blocks(coeffs)
-        record(step * dt)
-        if stop_when is not None:
-            keep = [c for c, p in enumerate(active)
-                    if not stop_when(logs[p][-1][2])]
-            state, active = state[..., keep], [active[c] for c in keep]
-            if not active:
-                break
+    write(0.0, *first)
+    _propagate(split, coeffs, [step * dt for step in [
+        *range(record_every, steps, record_every), steps]], record)
     trajs = [Trajectory(times=np.array([r[0] for r in log]),
                         norms=np.array([r[1] for r in log]),
                         observables={k: np.array([r[2][k] for r in log])
-                                     for k in mats})
+                                     for k in observables})
              for log in logs]
     return trajs[0] if single else Trajectories(trajs)
 
@@ -465,25 +583,33 @@ def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
                           widths=(0.02, 2.0)) -> ForceReport:
     """Compare <F_pm> and <F_so> on sigma_3-polarized packets.
 
-    Builds the four operators, prepares one packet per spin species at
-    (theta_c, s_length / 3), and reports the force expectations (formed
-    from products with the packet, not from the commutators of
-    ``force_operators``) next to the closed-form prediction evaluated
-    at (<theta>, <p_s>).
+    Splits the window's H0 and Hso into Fourier blocks along s with the
+    exact symbol of the s terms (``_window_blocks``), prepares one packet
+    per spin species at (theta_c, s_length / 3), and reports the force
+    expectations (per-block products with the packets' block
+    coefficients, ``_block_forces``) next to the closed-form prediction
+    evaluated at (<theta>, <p_s>).  <theta> comes from the block
+    coefficients and <p_s> from the wavenumber of each block.
     """
-    H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
-    grid = H0.grid
+    h0, hso = _window_blocks(setup)
+    grid = setup.grid()
     s_center = setup.s_length / _S_START_DIVISOR
+    spins = (+1, -1)
+    packets = [gaussian_wavepacket(grid, (setup.theta_c, s_center), widths,
+                                   k_s, spin, rho=setup.rho)
+               for spin in spins]
+    coeffs = h0.to_blocks(np.column_stack([p.flat() for p in packets]))
+    q1 = grid.mesh()[0]
+    theta = h0.rows(q1, q1)
+    _, means = _block_reader(h0, {"theta": ("rows", theta),
+                                  "p_s": ("blocks", h0.momenta())})(coeffs)
+    forces = _block_forces(h0, hso, theta, coeffs, setup.rho)
 
     f_pm, f_so, ana_each, ana_tot = {}, {}, {}, {}
     rel_eq, rel_ana, mean_th, mean_ps = {}, {}, {}, {}
-    for spin in (+1, -1):
-        pkt = gaussian_wavepacket(grid, (setup.theta_c, s_center), widths,
-                                  k_s, spin, rho=setup.rho)
-        th = pkt.expectation(theta_op).real
-        ps = pkt.expectation(ps_op).real
-        fp, fs = _force_expectations(H0, Hso, theta_op, pkt.flat(),
-                                     setup.rho)
+    for col, spin in enumerate(spins):
+        th, ps = float(means["theta"][col]), float(means["p_s"][col])
+        fp, fs = (float(f) for f in forces[:, col])
         ana = analytic_force(setup, ps, th)
         f_pm[spin] = fp
         f_so[spin] = fs
@@ -506,21 +632,28 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
                   record_every: int = 5):
     """Evolve spin-up and spin-down packets; report the theta deflections.
 
-    The measured interval follows the ballistic-window rule: recording
-    stops once the packet has traveled 10 s-widths or its center comes
-    within 5 widths of an s-wall, which on a periodic s axis is the seam
-    s = 0 = s_length.  The packets propagate exactly on Fourier blocks,
-    so ``dt`` only spaces the records.
+    The packets propagate exactly on the window's Fourier blocks along s
+    with the exact symbol of the s terms (``_window_blocks``), so ``dt``
+    only spaces the records, and s is resolved to round-off at the
+    default n_s.  theta, sigma_3 and the norm are read from the block
+    coefficients, p_s from the wavenumber of each block and s from the
+    line densities.  The measured interval follows the ballistic-window
+    rule: recording stops once the packet has traveled 10 s-widths or its
+    center comes within 5 widths of an s-wall, which on a periodic s axis
+    is the seam s = 0 = s_length.
     Returns a dict with both trajectories and the deflection summary
     (mean of <theta> - theta_c over the window per spin).
     """
-    H0, Hso, theta_op, ps_op = bent_cylinder_operators(setup)
-    grid = H0.grid
+    h0, hso = _window_blocks(setup)
+    split = h0 + hso
+    grid = setup.grid()
     s_center = setup.s_length / _S_START_DIVISOR
-    s, ones = grid.mesh()[1], np.ones((grid.n1, grid.n2))
-    obs = {"theta": theta_op, "s": _spin_diagonal(grid, "s", s, s),
-           "p_s": ps_op,
-           "sigma3": _spin_diagonal(grid, "sigma3", ones, -ones)}
+    theta = grid.mesh()[0]
+    ones = np.ones_like(theta)
+    obs = {"theta": ("rows", split.rows(theta, theta)),
+           "s": ("lines", grid.q2),
+           "p_s": ("blocks", split.momenta()),
+           "sigma3": ("rows", split.rows(ones, -ones))}
     s_walls = (grid.domain[1][0], grid.domain[1][1])
     sigma_s = widths[1] if not np.isscalar(widths) else float(widths)
 
@@ -533,7 +666,7 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     packets = [gaussian_wavepacket(grid, (setup.theta_c, s_center), widths,
                                    k_s, spin, rho=setup.rho)
                for spin in (+1, -1)]
-    trajs = evolve(H0 + Hso, packets, dt, steps, observables=obs,
+    trajs = evolve(split, packets, dt, steps, observables=obs,
                    record_every=record_every, stop_when=left_window)
     d_up, d_dn = (float(np.mean(t.observables["theta"] - setup.theta_c))
                   for t in trajs)

@@ -40,8 +40,15 @@ the spectrum (half of them when ``kramers``: block n - m is the time
 reverse of block m), ``partners`` names each one's pair and
 ``time_reverse`` maps coefficients between the two, ``real_blocks``
 decides whether ``block`` returns real matrices, and
-``_zero_mode_block`` reads block 0 sparsely.  Only this module
-knows the interleaved spin layout.
+``_zero_mode_block`` reads block 0 sparsely.  ``_spectral_blocks``
+builds H0 and Hso of geometry that does not vary along a periodic axis
+as blocks with the exact (Fourier) symbol of the axis terms, from the
+stencil coefficients, the transverse terms staying three-point.  The
+split-axis wavenumbers and symbols are formed here only:
+``_FourierBlocks.wavenumber`` and ``momenta`` (the symbol of -i d on each
+block), ``rows`` (node fields on the rows of a line) and ``_sweep_order``
+(blocks by increasing |wavenumber|).  Only this module knows the
+interleaved spin layout.
 
 Grid boundary conditions are periodic or hard wall (field vanishes on the
 wall); wall grids place nodes strictly inside the open interval.
@@ -49,6 +56,7 @@ wall); wall grids place nodes strictly inside the open interval.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -356,26 +364,77 @@ class _FourierBlocks:
     """An operator that the one-node shift along ``axis`` leaves unchanged.
 
     ``lines[j]`` holds the rows of the j-th line of nodes across ``axis``
-    (node along the other axis, spin fastest), and ``couplings`` the
-    dense couplings H_d of line 0 to line d = -1, 0, 1.  Block
-    m = 0 .. n-1 is B_m = sum_d exp(2 pi i m d / n) H_d, and an
-    eigenvector u of B_m is the eigenvector u (x) exp(2 pi i m j / n) /
-    sqrt(n) of the operator.  Blocks 0 .. ``kept`` - 1 carry every
-    eigenvalue and, through ``time_reverse`` of block m's eigenvectors
-    for its partner n - m >= ``kept``, every eigenvector.
+    (node along the other axis, spin fastest), and ``step`` is the grid
+    spacing along ``axis``.  Block m = 0 .. n-1 acts on the wave
+    exp(2 pi i m j / n) along the axis: an eigenvector u of B_m is the
+    eigenvector u (x) exp(2 pi i m j / n) / sqrt(n) of the operator.
+    Three-point (``spectral`` false): ``couplings`` are the dense
+    couplings H_d of line 0 to line d = -1, 0, 1, and B_m = sum_d
+    exp(2 pi i m d / n) H_d.  Spectral: ``couplings`` are the
+    coefficients (C_0, C_1, C_2) of the symbol B(k) = C_0 + k C_1 +
+    k^2 C_2 at the block's ``wavenumber`` k, exact for the derivatives
+    along the axis; the Nyquist block (even n) takes the mean of its
+    symbol at +k and -k, C_0 + k^2 C_2.  Blocks 0 .. ``kept`` - 1 carry
+    every eigenvalue and, through ``time_reverse`` of block m's
+    eigenvectors for its partner n - m >= ``kept``, every eigenvector.
     """
 
     axis: int
     lines: np.ndarray      # (n, block dimension)
     couplings: tuple
+    step: float
+    spectral: bool = False
 
     @property
     def n(self) -> int:
         return len(self.lines)
 
+    def __add__(self, other: "_FourierBlocks") -> "_FourierBlocks":
+        """The blocks of the sum of two operators split alike."""
+        if ((self.axis, self.lines.shape, self.step, self.spectral)
+                != (other.axis, other.lines.shape, other.step,
+                    other.spectral)):
+            raise GridError("cannot add Fourier blocks of different splits")
+        return dataclasses.replace(self, couplings=tuple(
+            a + b for a, b in zip(self.couplings, other.couplings)))
+
+    def _wrapped(self, m):
+        """Block index m wrapped into (-n/2, n/2]."""
+        m = int(m) % self.n
+        return m - self.n if 2 * m > self.n else m
+
+    def wavenumber(self, m):
+        """k = 2 pi m' / (n step) of block m, m' wrapped into (-n/2, n/2]."""
+        return 2.0 * math.pi * self._wrapped(m) / (self.n * self.step)
+
+    def momenta(self):
+        """The symbol of p = -i d along the axis on each block: the
+        centred difference's sin(2 pi m / n) / step on three-point blocks,
+        the wavenumber on spectral ones (0 on the Nyquist block, whose
+        symbol is the mean of +k and -k)."""
+        m = np.arange(self.n)
+        if not self.spectral:
+            return np.sin(2.0 * math.pi * m / self.n) / self.step
+        return np.array([0.0 if 2 * j == self.n else self.wavenumber(j)
+                         for j in m])
+
+    def rows(self, up, down):
+        """Values of node fields ``up`` and ``down`` (shaped like the
+        nodes) on the rows of line 0: a field that does not vary along
+        the axis has these values on every line."""
+        field = np.empty(2 * np.size(up))
+        field[0::2], field[1::2] = np.ravel(up), np.ravel(down)
+        return field[self.lines[0]]
+
     def block(self, m):
         """B_m: a float64 matrix when ``real_blocks`` holds, complex
         otherwise."""
+        if self.spectral:
+            k = self.wavenumber(m)
+            c0, c1, c2 = ((c.real for c in self.couplings)
+                          if self.real_blocks else self.couplings)
+            odd = 0.0 if 2 * self._wrapped(m) == self.n else k
+            return c0 + odd * c1 + (k * k) * c2
         # int(m): a numpy int m rounds 2 pi i m / n differently
         phase = np.exp(2j * math.pi * int(m) / self.n)
         lower, diag, upper = self.couplings
@@ -389,15 +448,19 @@ class _FourierBlocks:
     def real_blocks(self):
         """Whether every block B_m is real (and so real symmetric).
 
-        It is when H_0 is real and H_{-1} = conj(H_{+1}), each to
+        Three-point: when H_0 is real and H_{-1} = conj(H_{+1}), each to
         ``_SHIFT_TOL`` max |H_d|: the operator commutes with complex
         conjugation combined with the reflection j -> -j of the split
         axis.  Then B_m = H_0 + 2 Re(e^{i phi} H_{+1}), phi = 2 pi m / n,
-        and its eigenvectors are real.
+        and its eigenvectors are real.  Spectral: when C_0, C_1 and C_2
+        are real to the same tolerance.
         """
-        lower, diag, upper = self.couplings
         scale = _SHIFT_TOL * max(np.abs(h).max(initial=0.0)
                                  for h in self.couplings)
+        if self.spectral:
+            return all(np.abs(c.imag).max(initial=0.0) <= scale
+                       for c in self.couplings)
+        lower, diag, upper = self.couplings
         return bool(np.abs(diag.imag).max(initial=0.0) <= scale
                     and np.abs(lower - np.conj(upper)).max(initial=0.0)
                     <= scale)
@@ -406,16 +469,19 @@ class _FourierBlocks:
     def kramers(self):
         """Whether block n - m is the time reverse of block m.
 
-        It is when each coupling H_d equals J conj(H_d) J^T to
+        Three-point: when each coupling H_d equals J conj(H_d) J^T to
         ``_SHIFT_TOL`` max |H_d|, J = i sigma_y at each node, read off
         the 2x2 node blocks in O(b^2).  Then B_{n-m} = J conj(B_m) J^T:
         block n - m has the eigenvalues of block m, and the
-        ``time_reverse`` of its eigenvectors.
+        ``time_reverse`` of its eigenvectors.  Spectral: when C_0 and
+        C_2 are even and C_1 odd under the same map, since block n - m
+        has the wavenumber -k (and the Nyquist block's symbol is even).
         """
         k = self.lines.shape[1] // 2
-        return all(_reversal_gap(h.reshape(k, 2, k, 2).swapaxes(1, 2))
+        signs = (1.0, -1.0, 1.0) if self.spectral else (1.0, 1.0, 1.0)
+        return all(_reversal_gap(h.reshape(k, 2, k, 2).swapaxes(1, 2), sign)
                    <= _SHIFT_TOL * np.abs(h).max(initial=0.0)
-                   for h in self.couplings)
+                   for h, sign in zip(self.couplings, signs))
 
     @property
     def kept(self) -> int:
@@ -526,8 +592,17 @@ def _fourier_blocks(op):
             continue
         rows = mat[lines[0]]
         return _FourierBlocks(axis, lines, tuple(
-            rows[:, lines[d]].toarray() for d in (-1, 0, 1)))
+            rows[:, lines[d]].toarray() for d in (-1, 0, 1)),
+            (grid.h1, grid.h2)[axis])
     return None
+
+
+def _sweep_order(n, kept):
+    """Blocks 0 .. kept - 1 of an n-block split in order of increasing
+    |m'|, m' the index wrapped into (-n/2, n/2]: the magnitude of the
+    block's wavenumber."""
+    frequency = np.abs(np.fft.fftfreq(n))
+    return sorted(range(kept), key=frequency.__getitem__)
 
 
 def _node_coefficients(grid, geo, axis):
@@ -554,7 +629,7 @@ def _scalar_term(geo, scalar_potential):
     raise ValueError(f"unknown scalar_potential {scalar_potential!r}")
 
 
-def _h0_blocks(grid, geo, scalar_potential):
+def _h0_blocks(grid, geo, scalar_potential, skip=None):
     """The node blocks of H0 = M^{-1/2} A M^{-1/2} / 2 + V.
 
     A is the flux-form Laplacian of the spin-up component with the
@@ -562,16 +637,23 @@ def _h0_blocks(grid, geo, scalar_potential):
     so each spin-down entry is the conjugate of the spin-up one.  The
     sqrt(g) g^{12} cross term is the centered form D1^H c12 D2 + D2^H c12
     D1 on the diagonal neighbours, written only when it is not zero.
+    Axis ``skip`` contributes nothing (neither its links nor its part of
+    the diagonal), and then a cross term raises GridError.
     """
-    link, diag, units = {}, 0.0, []
+    link, diag, units = {}, 0.0, [None, None]
     for axis, h, step in ((0, grid.h1, (1, 0)), (1, grid.h2, (0, 1))):
+        if axis == skip:
+            continue
         c_plus, c_minus, phase = _node_coefficients(grid, geo, axis)
         diag = diag + (c_plus + c_minus) / h**2
-        units.append(np.exp(1j * phase))
+        units[axis] = np.exp(1j * phase)
         link[step] = hop = -(c_plus / h**2) * units[axis]
         link[-step[0], -step[1]] = np.conj(np.roll(hop, 1, axis=axis))
     c12 = geo.c12
     if np.abs(c12).max() > 1e-14 * max(1.0, np.abs(diag).max()):
+        if skip is not None:
+            raise GridError("the g^{12} cross term couples the axes, so the "
+                            "axis terms have no symbol of their own")
         D1, D2 = ({1: fwd, -1: -np.conj(np.roll(fwd, 1, axis=axis))}
                   for axis, fwd in ((0, units[0] / (2.0 * grid.h1)),
                                     (1, units[1] / (2.0 * grid.h2))))
@@ -593,8 +675,8 @@ def _h0_blocks(grid, geo, scalar_potential):
     return blocks
 
 
-def _soi_blocks(grid, X):
-    """The node blocks of (i/2){X^b, d_b} with centered d_b.
+def _soi_blocks(grid, X, skip=None):
+    """The node blocks of (i/2){X^b, d_b} with centered d_b, b != ``skip``.
 
     The +e_b link of node k carries i (X^b_k + X^b_{k+e_b}) / (4 h_b) in
     all four spin entries, zeros included; the -e_b link, its adjoint.
@@ -602,6 +684,8 @@ def _soi_blocks(grid, X):
     X = np.asarray(X, complex)
     blocks = {}
     for b, h, step in ((0, grid.h1, (1, 0)), (1, grid.h2, (0, 1))):
+        if b == skip:
+            continue
         back = (-step[0], -step[1])
         fwd = 1j * (X[b] + np.roll(X[b], -1, axis=b + 2)) / (4.0 * h)
         for s in (0, 1):
@@ -626,6 +710,86 @@ def _soi_fields(ff):
     X[:, 0, 1].imag = 0.0 - im
     X[:, 1, 0].imag = im
     return X
+
+
+# Largest change of a geometry field along an axis, relative to max(1,
+# its magnitude), for the axis to take a spectral symbol.  The bent window
+# measures 4e-16 along s; the numeric jets of an expression surface vary
+# by ~1e-12 (sheared plane: 1.3e-12 on h w along q2).
+_LINE_TOL = 1e-10
+
+
+def _line_geometry(geo, axis):
+    """The geometry of node line 0 across ``axis`` (index 0 along it, the
+    axis kept with length 1).  GridError when a field varies along the
+    axis by more than ``_LINE_TOL`` max(1, its largest magnitude): the
+    fields are O(1) in the package's units, and one that vanishes
+    (c12 on an orthogonal chart) holds only rounding noise."""
+    def first(a):
+        a = np.asarray(a)
+        head = np.take(a, [0], axis=a.ndim - 2 + axis)   # nodes are last
+        if (np.abs(a - head).max(initial=0.0)
+                > _LINE_TOL * max(1.0, np.abs(a).max(initial=0.0))):
+            raise GridError(f"the geometry varies along axis {axis}, so "
+                            f"the operator does not split there")
+        return head
+    fields = {}
+    for f in dataclasses.fields(geo):
+        value = getattr(geo, f.name)
+        fields[f.name] = (tuple(map(first, value))
+                          if isinstance(value, tuple) else first(value))
+    return GridGeometry(**fields)
+
+
+def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
+    """H0 and Hso as ``_FourierBlocks`` along the periodic ``axis`` with
+    the exact symbol of the axis terms, for geometry that does not vary
+    along it.
+
+    The transverse terms keep the three-point stencil: they are the node
+    blocks of one line with ``axis`` skipped, written (and checked) by
+    ``_write_csr``.  The axis terms take their Fourier symbols from the
+    stencil coefficients of each node of the line: the Peierls-linked
+    kinetic term (c / (2 sqrt g)) (k + a)^2 = (1/2) g^{aa} (k + a)^2,
+    with c = sqrt(g) g^{aa} and a = w_a the link phase over the step (-a
+    for spin down), and the spin-orbit term -k X^a of (i/2){X^a, d_a}.
+    These are the limits of the stencil's (c / (sqrt(g) h^2))(1 -
+    cos((k + a) h)) and -X^a sin(k h) / h.  GridError when the axis is
+    walled, the geometry varies along it or the g^{12} cross term couples
+    it to the other.
+    """
+    if grid.bc[axis] != "periodic":
+        raise GridError("a spectral split needs a periodic axis")
+    line = _line_geometry(geometry, axis)
+    name = ("q1", "q2")[axis]
+    line_grid = dataclasses.replace(grid, **{name: getattr(grid, name)[:1]})
+    rest = [_write_csr(line_grid, blocks, label).toarray()
+            for blocks, label in (
+                (_h0_blocks(line_grid, line, "spin-connection", axis),
+                 "H0"),
+                (_soi_blocks(line_grid, line.X, axis), "Hso"))]
+    h = (grid.h1, grid.h2)[axis]
+    kappa = (0.5 * line.c[axis] / line.sqrt_g).ravel()
+    a = (line.phase[axis] / h).ravel()
+    b = 2 * len(kappa)
+
+    def spin_diagonal(up, down):
+        d = np.zeros(b)
+        d[0::2], d[1::2] = up, down
+        return np.diag(d).astype(complex)
+
+    X = np.zeros((b, b), complex)
+    for s in (0, 1):
+        for t in (0, 1):
+            X[np.arange(s, b, 2), np.arange(t, b, 2)] = \
+                line.X[axis][s, t].ravel()
+    h0 = (rest[0] + spin_diagonal(kappa * a * a, kappa * a * a),
+          spin_diagonal(2.0 * kappa * a, -2.0 * kappa * a),
+          spin_diagonal(kappa, kappa))
+    hso = (rest[1], -X, np.zeros((b, b), complex))
+    lines = _lines(grid, axis)
+    return (_FourierBlocks(axis, lines, h0, h, spectral=True),
+            _FourierBlocks(axis, lines, hso, h, spectral=True))
 
 
 def build_h0_operator(grid: Grid, geometry: GridGeometry,
@@ -747,10 +911,13 @@ def time_reversal_defect(op: HermitianOperator) -> float:
     return _reversal_gap(op.matrix.tobsr((2, 2)).data)
 
 
-def _reversal_gap(B):
-    """max |sigma_y conj(B) sigma_y - B| over 2x2 node blocks B (..., 2, 2)."""
-    diag = np.abs(np.conj(B[..., 1, 1]) - B[..., 0, 0])
-    off = np.abs(np.conj(B[..., 1, 0]) + B[..., 0, 1])
+def _reversal_gap(B, sign=1.0):
+    """max |sigma_y conj(B) sigma_y - sign B| over 2x2 node blocks B
+    (..., 2, 2): sign -1 measures how far B is from being odd."""
+    up, cross = ((B[..., 0, 0], B[..., 0, 1]) if sign > 0
+                 else (-B[..., 0, 0], -B[..., 0, 1]))
+    diag = np.abs(np.conj(B[..., 1, 1]) - up)
+    off = np.abs(np.conj(B[..., 1, 0]) + cross)
     return float(max(diag.max(initial=0.0), off.max(initial=0.0)))
 
 

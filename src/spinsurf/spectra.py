@@ -17,8 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
 from .hamiltonian import (Grid, HermitianOperator, _fourier_blocks,
-                          _spin_columns, _zero_mode_block, assemble_H0,
-                          assemble_Heff)
+                          _spin_columns, _sweep_order, _zero_mode_block,
+                          assemble_H0, assemble_Heff)
 from .surfaces import make_surface
 
 __all__ = [
@@ -85,18 +85,21 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     block m, the k values are selected from all of them, and ``eigh``
     runs again on each block holding a selected value; a block's vector
     u is the operator's u (x) exp(2 pi i m j / n) / sqrt(n), and a
-    partner's u is the time reverse of block m's.  For 'lowest' the
-    blocks run in order of increasing |m| = min(m, n - m), and once k
-    values are known a block and its partner are skipped when its least
-    diagonal entry exceeds sigma + delta (sigma the k-th lowest value so
-    far, delta the residual contract below) and B_m - (sigma + delta) I
-    has a Cholesky factor, which shows by Sylvester's law of inertia
-    that no eigenvalue of B_m lies below sigma + delta.  The values and
-    vectors are those of the sweep over blocks 0 .. kept - 1 with the
-    partners merged in block order, bit for bit.  An operator whose low
-    levels sit at large |m| (e.g. -H_eff) skips nothing and pays a failed
-    Cholesky factor for nearly every block.  'nearest' solves blocks
-    0 .. kept - 1.  The blocks are real symmetric when H_0 is real and
+    partner's u is the time reverse of block m's.  The blocks run in
+    order of increasing |m| = min(m, n - m), and once k values are known
+    a block and its partner are skipped when a Cholesky factor shows, by
+    Sylvester's law of inertia, that B_m has no eigenvalue the k values
+    can still reach, with delta the residual contract below: for
+    'lowest', when its least diagonal entry exceeds sigma + delta (sigma
+    the k-th lowest value so far) and B_m - (sigma + delta) I has a
+    factor; for 'nearest', with r the k-th least distance from
+    ``target`` so far, when B_m - (target + r + delta) I or
+    (target - r - delta) I - B_m has one (each tried only when the
+    diagonal allows it).  The values and vectors are those of the sweep
+    over blocks 0 .. kept - 1 with the partners merged in block order,
+    bit for bit.  An operator whose low levels sit at large |m| (e.g.
+    -H_eff) skips nothing and pays a failed Cholesky factor for nearly
+    every block.  The blocks are real symmetric when H_0 is real and
     H_{-1} = conj(H_{+1}) (H0 and H_eff along the torus and sphere
     azimuth, the bent window along s): ``block`` then returns float64,
     so ``eigvalsh``, ``cholesky`` and ``eigh`` run LAPACK's real
@@ -128,8 +131,8 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     'shift-invert-lanczos'), ``fourier_axis`` (the grid axis of the
     split, None without one), ``blocks`` (the number of dense blocks,
     1 without a split; None on shift-invert) and ``blocks_solved`` (the
-    blocks that ran ``eigvalsh``: kept for 'nearest', 1 without a split,
-    None on shift-invert), ``norm_inf``, ``sigma``,
+    blocks that ran ``eigvalsh``, 1 without a split, None on
+    shift-invert), ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
     ``opinv_solves`` (over every ARPACK run that returned, rejected
     shifts included), ``inertia`` (count below sigma), ``check_count``
@@ -190,8 +193,9 @@ def _dense(mat, split, k, which, target, margin):
     """Lowest / nearest k pairs by dense eigh over the operator's blocks.
 
     The Fourier blocks of ``split``, or the whole matrix as one block.
-    Blocks 0 .. kept - 1 run ``eigvalsh``, each formed when it is reached
-    so one is alive at a time, and the partner of block m, when it is
+    The blocks 0 .. kept - 1 that may hold a selected value run
+    ``eigvalsh`` (``_swept_blocks``), each formed when it is reached so
+    one is alive at a time, and the partner of block m, when it is
     another block, takes the values of block m and the ``time_reverse``
     of its vectors.  Also returns the number of blocks that ran
     ``eigvalsh``.
@@ -203,11 +207,8 @@ def _dense(mat, split, k, which, target, margin):
     else:
         count, partners, block, lift = (split.n, split.partners(),
                                         split.block, split.lift)
-    if which == "lowest":
-        found = _lowest_blocks(block, count, partners, k, margin)
-    else:
-        found = {m: np.linalg.eigvalsh(block(m))
-                 for m in range(len(partners))}
+    found = _swept_blocks(block, count, partners, k, margin,
+                           None if which == "lowest" else target)
     solved = len(found)
     found.update({partners[m]: found[m] for m in list(found)})
     ran = np.array(sorted(found))
@@ -232,36 +233,56 @@ def _dense(mat, split, k, which, target, margin):
             solved)
 
 
-def _lowest_blocks(block, count, partners, k, margin):
-    """{m: eigvalsh(B_m)} over the blocks m < kept that may hold a
-    lowest-k value, counting the values of block m twice when its
-    partner is another block.
+def _swept_blocks(block, count, partners, k, margin, target=None):
+    """{m: eigvalsh(B_m)} over the blocks m < kept that may hold one of
+    the k lowest values, or of the k nearest ``target`` when it is given,
+    counting the values of block m twice when its partner is another
+    block.
 
     Blocks run in order of increasing |m| = min(m, n - m), the magnitude
-    of the block's FFT frequency.  Once k values are known, sigma is the
-    k-th lowest so far, and a block (with its partner) is skipped when
-    its least diagonal entry exceeds sigma + margin (a cheap necessary
-    condition) and B_m - (sigma + margin) I has a Cholesky factor: by
-    Sylvester's law of inertia it has no eigenvalue below sigma +
-    margin, and the margin lies far above the backward error of Cholesky
-    and ``eigvalsh``.
+    of the block's FFT frequency.  Once k values are known, r is the k-th
+    least key so far (the value, or its distance from ``target``), and a
+    block (with its partner) is skipped when Cholesky factors show, by
+    Sylvester's law of inertia, that it has no eigenvalue in the window
+    the k values can still reach: below r + margin, or within r + margin
+    of ``target``.  A block has none below a shift when B_m - shift I has
+    a Cholesky factor, and none above one when shift I - B_m has; each is
+    tried only when the block's diagonal (a cheap necessary condition)
+    allows it.  The margin lies far above the backward error of Cholesky
+    and ``eigvalsh``, so a skipped block holds no value the full sweep
+    would select.
     """
-    found, lowest = {}, np.empty(0)
-    frequency = np.abs(np.fft.fftfreq(count))
-    for m in sorted(range(len(partners)), key=frequency.__getitem__):
+    found, least = {}, np.empty(0)
+    for m in _sweep_order(count, len(partners)):
         b = block(m)
-        if len(lowest) == k:
-            shift = lowest[-1] + margin
-            if np.diagonal(b).real.min() > shift:
-                try:
-                    np.linalg.cholesky(b - shift * np.eye(len(b)))
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
+        if len(least) == k:
+            reach = least[-1] + margin
+            if target is None:
+                skip = _inertia_clear(b, reach, +1.0)
+            else:
+                skip = (_inertia_clear(b, target + reach, +1.0)
+                        or _inertia_clear(b, target - reach, -1.0))
+            if skip:
+                continue
         found[m] = np.linalg.eigvalsh(b)
         values = np.tile(found[m], 2 if partners[m] != m else 1)
-        lowest = np.sort(np.concatenate((lowest, values)))[:k]
+        key = values if target is None else np.abs(values - target)
+        least = np.sort(np.concatenate((least, key)))[:k]
     return found
+
+
+def _inertia_clear(b, shift, side):
+    """Whether block ``b`` has no eigenvalue below ``shift`` (side +1) or
+    above it (side -1): side (B - shift I) has a Cholesky factor, tried
+    only when its least diagonal entry is positive."""
+    if (side * (np.diagonal(b).real - shift)).min() <= 0.0:
+        return False
+    shifted = b - shift * np.eye(len(b))
+    try:
+        np.linalg.cholesky(shifted if side > 0 else -shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _shift_invert(mat, k, which, target, norm, seed):

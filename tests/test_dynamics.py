@@ -40,9 +40,10 @@ def _walled_s_grid(setup):
                           bc=("wall", "wall"), domain=setup.grid().domain)
 
 
-def _closed_form_bent_operators(setup, grid):
+def _closed_form_bent_operators(setup, grid, s_terms=True):
     """The bent cylinder's H0 and Hso on ``grid`` (the window, or the
-    window walled in s) from its closed-form coefficients.
+    window walled in s) from its closed-form coefficients; without
+    ``s_terms``, only their theta and on-site terms.
 
     With W = (R + rho cos theta)/R on the torus patch (theta, s):
     sqrt(g) = rho W, sqrt(g) g^{theta theta} = W/rho, sqrt(g) g^{ss} = rho/W,
@@ -62,13 +63,13 @@ def _closed_form_bent_operators(setup, grid):
     X = np.zeros((2, 2, 2) + th.shape, dtype=complex)
     X[0] = (-SIGMA2 / (2.0 * rho**2))[..., None, None]
     X[1] = SIGMA1[..., None, None] * (
-        R * np.cos(th) / (2.0 * (R + rho * np.cos(th)) ** 2))
+        R * np.cos(th) / (2.0 * (R + rho * np.cos(th)) ** 2)) * s_terms
     geo = GridGeometry(
         sqrt_g=rho * width(th),
         K=np.cos(th) / (rho * (R + rho * np.cos(th))),
         M=0.5 * (1.0 / rho + np.cos(th) / (R + rho * np.cos(th))),
         c12=np.zeros_like(th), X=X,
-        c=(width(th_half[0]) / rho, rho / width(th_half[1])),
+        c=(width(th_half[0]) / rho, rho / width(th_half[1]) * s_terms),
         phase=(np.zeros_like(th_half[0]),
                grid.h2 * (-np.sin(th_half[1]) / (2.0 * R))))
     return build_h0_operator(grid, geo), build_soi_operator(grid, X)
@@ -293,7 +294,9 @@ def test_evolve_rejects_invalid_stepping(arg, value):
 
 def test_evolve_rejects_fields_off_the_operator_grid():
     # a 32x16 field has the dim of a 16x32 operator: stepped with it, its
-    # norm would be recorded with the other grid's cell
+    # norm would be recorded with the other grid's cell.  So has the
+    # window at n_theta = 48, n_s = 80 that of the default 40 x 96 one,
+    # whose operator and split would read it by the wrong lines
     p = make_surface("plane")
     g = Grid.for_patch(p, 16, 32)
     H = assemble_H0(p, g)
@@ -302,6 +305,14 @@ def test_evolve_rejects_fields_off_the_operator_grid():
                    SpinorField.zeros(Grid.for_patch(p, 16, 16))):
         with pytest.raises(GridError):
             evolve(H, fields, 0.01, 2)
+    window = BentCylinderSetup()
+    other = BentCylinderSetup(n_theta=48, n_s=80).grid()
+    assert other.dim == window.grid().dim
+    H0, Hso, _, _ = bent_cylinder_operators(window)
+    h0, hso = dynamics._window_blocks(window)
+    for op in (H0 + Hso, h0 + hso):
+        with pytest.raises(GridError):
+            evolve(op, SpinorField.zeros(other), 0.01, 2)
 
 
 def test_free_packet_drift():
@@ -602,21 +613,210 @@ def test_time_reverse_inverts_and_squares_to_minus_one():
 
 @pytest.mark.parametrize("theta_c", [0.0, math.pi])
 def test_force_report_equals_the_commutator_expectations(theta_c):
-    # the report's products with the packet against <psi|F|psi> of the
-    # explicit commutators of force_operators, on the default grid (at
-    # theta_c = pi on a 20x160 grid the explicit products' own round-off
-    # of theta ~ pi reaches 2e-9)
-    setup = BentCylinderSetup(theta_c=theta_c)
-    widths = (0.02, 2.0)
-    rep = force_equality_report(setup, k_s=8.0, widths=widths)
+    # the report's per-block force products, run on the three-point splits
+    # of the window's H0 and Hso, against <psi|F|psi> of the explicit
+    # commutators of force_operators on the same operators, at n_s = 384
+    # (at theta_c = pi on a 20x160 grid the explicit products' own
+    # round-off of theta ~ pi reaches 2e-9)
+    setup = BentCylinderSetup(theta_c=theta_c, n_s=384)
     H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
+    h0, hso = _fourier_blocks(H0), _fourier_blocks(Hso)
+    assert not h0.spectral and not hso.spectral
     F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
-    for spin in (+1, -1):
-        pkt = gaussian_wavepacket(H0.grid, (theta_c, setup.s_length / 3.0),
-                                  widths, 8.0, spin)
-        for got, op in ((rep.f_pm[spin], F_pm), (rep.f_so[spin], F_so)):
+    pkts = [gaussian_wavepacket(H0.grid, (theta_c, setup.s_length / 3.0),
+                                (0.02, 2.0), 8.0, spin) for spin in (+1, -1)]
+    theta = theta_op.matrix.diagonal().real[h0.lines[0]]
+    coeffs = h0.to_blocks(np.column_stack([p.flat() for p in pkts]))
+    forces = dynamics._block_forces(h0, hso, theta, coeffs, setup.rho)
+    for col, pkt in enumerate(pkts):
+        for got, op in zip(forces[:, col], (F_pm, F_so)):
             want = pkt.expectation(op).real
             assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def _fourier_matrices(n, length):
+    """The periodic Fourier differentiation matrices D1, D2 on n points
+    of [0, length) (Trefethen, Spectral Methods in MATLAB, ch. 3): exact
+    on every resolved wave, and on the Nyquist wave of even n D1 gives 0
+    and D2 -(pi n / length)^2."""
+    h = 2.0 * math.pi / n
+    j = np.arange(n)
+    diff = j[:, None] - j[None, :]
+    off = diff != 0
+    sign = np.where(diff % 2 == 0, 1.0, -1.0)
+    x = np.where(off, 0.5 * h * diff, 1.0)
+    if n % 2 == 0:
+        D1 = np.where(off, 0.5 * sign / np.tan(x), 0.0)
+        D2 = np.where(off, -0.5 * sign / np.sin(x) ** 2,
+                      -math.pi**2 / (3.0 * h**2) - 1.0 / 6.0)
+    else:
+        D1 = np.where(off, 0.5 * sign / np.sin(x), 0.0)
+        D2 = np.where(off, -0.5 * sign / (np.sin(x) * np.tan(x)),
+                      -math.pi**2 / (3.0 * h**2) + 1.0 / 12.0)
+    scale = 2.0 * math.pi / length
+    return D1 * scale, D2 * scale**2
+
+
+def _fourier_window(setup):
+    """Dense H0 and Hso of the window with Fourier derivatives along s,
+    from the closed-form coefficients: theta terms three-point, and per
+    theta node (1/2) g^{ss} (-D2 - 2 i sigma_3 w_s D1 + w_s^2) and
+    i X^s D1, with g^{ss} = R^2 / (R + rho cos theta)^2,
+    w_s = -sin(theta) / (2R) and X^s = R cos(theta) /
+    (2 (R + rho cos theta)^2) sigma_1."""
+    grid = setup.grid()
+    rho, R = setup.rho, setup.R
+    th = grid.q1
+    H0, Hso = (op.matrix.toarray() for op in
+               _closed_form_bent_operators(setup, grid, s_terms=False))
+    D1, D2 = _fourier_matrices(grid.n2, setup.s_length)
+    I_s, I_2 = np.eye(grid.n2), np.eye(2)
+    sigma3 = np.diag([1.0, -1.0])
+    g_ss = R**2 / (R + rho * np.cos(th)) ** 2
+    w_s = -np.sin(th) / (2.0 * R)
+    x_s = R * np.cos(th) / (2.0 * (R + rho * np.cos(th)) ** 2)
+    for i in range(grid.n1):
+        node = np.zeros((grid.n1, grid.n1))
+        node[i, i] = 1.0
+        H0 = H0 + 0.5 * g_ss[i] * np.kron(node, (
+            np.kron(-D2 + w_s[i]**2 * I_s, I_2)
+            - 2j * w_s[i] * np.kron(D1, sigma3)))
+        Hso = Hso + 1j * x_s[i] * np.kron(node, np.kron(D1, SIGMA1))
+    return H0, Hso
+
+
+@pytest.mark.parametrize("n_s", [16, 17])
+@pytest.mark.parametrize("theta_c", [0.0, math.pi])
+def test_spectral_blocks_are_the_fourier_operator_blocks(n_s, theta_c):
+    # each spectral block of H0, Hso and their sum is the Fourier block
+    # lift(1, m)^H H lift(1, m) of the dense operator with the Fourier
+    # differentiation matrices along s; it is Hermitian and real, and
+    # block n - m is the time reverse of block m, the Nyquist block of
+    # n_s = 16 (its own partner) included.  The symbol of p_s on each
+    # block is that of -i D1
+    setup = BentCylinderSetup(n_theta=8, n_s=n_s, s_length=6.0,
+                              theta_c=theta_c)
+    h0, hso = dynamics._window_blocks(setup)
+    H0, Hso = _fourier_window(setup)
+    b = h0.lines.shape[1]
+    J = np.kron(np.eye(b // 2), [[0, 1], [-1, 0]])
+    p_s = np.kron(np.eye(setup.n_theta), np.kron(
+        -1j * _fourier_matrices(n_s, setup.s_length)[0], np.eye(2)))
+    for m, k in enumerate(h0.momenta()):
+        lift = h0.lift(np.eye(b), m)
+        assert np.abs(lift.conj().T @ p_s @ lift - k * np.eye(b)).max() \
+            <= 1e-12 * np.abs(h0.momenta()).max(), m
+    for split, dense in ((h0, H0), (hso, Hso), (h0 + hso, H0 + Hso)):
+        assert split.spectral and split.real_blocks and split.kramers
+        assert split.kept == n_s // 2 + 1
+        for m in range(n_s):
+            block = split.block(m)
+            lift = split.lift(np.eye(b), m)
+            want = lift.conj().T @ dense @ lift
+            scale = np.abs(want).max()
+            assert block.dtype == np.float64
+            assert np.abs(block - want).max() <= 1e-12 * scale, m
+            assert np.abs(block - block.T).max() <= 1e-12 * scale, m
+            mirror = J @ block.conj() @ J.T
+            assert np.abs(mirror - split.block(-m % n_s)).max() \
+                <= 1e-12 * scale, m
+
+
+def test_spectral_block_forces_equal_the_fourier_commutators():
+    # the block force route on the spectral blocks against <psi|F|psi> of
+    # the explicit commutators of the dense Fourier window, for both spins
+    # and a packet with weight on every block
+    setup = BentCylinderSetup(n_theta=8, n_s=16, s_length=6.0, rho=1.5,
+                              R=12.0, theta0=0.05)
+    h0, hso = dynamics._window_blocks(setup)
+    H0, Hso = _fourier_window(setup)
+    grid = setup.grid()
+    th = np.diag(np.repeat(grid.mesh()[0].ravel(), 2))
+    H = H0 + Hso
+    theta_dot = -1j * (th @ H - H @ th)
+    rng = np.random.default_rng(3)
+    psi = (rng.standard_normal((grid.dim, 2))
+           + 1j * rng.standard_normal((grid.dim, 2)))
+    q1 = grid.mesh()[0]
+    forces = dynamics._block_forces(h0, hso, h0.rows(q1, q1),
+                                    h0.to_blocks(psi), setup.rho)
+    for col in range(2):
+        v = psi[:, col]
+        for got, h in zip(forces[:, col], (H0, Hso)):
+            F = -1j * setup.rho**2 * (theta_dot @ h - h @ theta_dot)
+            want = (np.vdot(v, F @ v) / np.vdot(v, v)).real
+            assert abs(got - want) <= 1e-9 * np.abs(F).max()
+
+
+def test_spectral_window_converges_in_s():
+    # with the s axis exact the default n_s = 96 is converged: the
+    # deflection, F_pm and <p_s> agree with n_s = 192 to 1e-6, and <p_s>
+    # equals k_s (the three-point s axis read 7.488 at n_s = 384)
+    reports = []
+    for n_s in (96, 192):
+        setup = BentCylinderSetup(n_s=n_s)
+        rep = force_equality_report(setup, k_s=8.0)
+        out = spin_hall_run(setup, k_s=8.0)
+        reports.append((out["deflection"]["up"], out["deflection"]["down"],
+                        rep.f_pm[+1], rep.f_pm[-1], rep.mean_ps[+1],
+                        rep.mean_ps[-1]))
+    assert BentCylinderSetup().n_s == 96
+    for a, b in zip(*reports):
+        assert abs(a - b) <= 1e-6 * abs(b)
+    for ps in reports[0][4:]:
+        assert ps == pytest.approx(8.0, rel=1e-6)
+
+
+def test_block_observables_match_the_operator_route():
+    # evolve on a split reads theta and sigma_3 from the block
+    # coefficients, p_s from the symbol of each block and s from the line
+    # densities; on the three-point split of the window they equal the
+    # records of the operator route with the CSR observables
+    H, packets, obs = _two_packets()
+    grid = H.grid
+    ones = np.ones((grid.n1, grid.n2))
+    obs["sigma3"] = dynamics._spin_diagonal(grid, "sigma3", ones, -ones)
+    split = _fourier_blocks(H)
+    theta = grid.mesh()[0]
+    kinds = {"theta": ("rows", split.rows(theta, theta)),
+             "p_s": ("blocks", split.momenta()), "s": ("lines", grid.q2),
+             "sigma3": ("rows", split.rows(ones, -ones))}
+    for stop in (None, lambda snap: snap["s"] > 3.5):
+        ops = evolve(H, packets, 2e-3, 100, observables=obs, record_every=5,
+                     stop_when=stop)
+        blocks = evolve(split, packets, 2e-3, 100, observables=kinds,
+                        record_every=5, stop_when=stop)
+        for a, b in zip(ops, blocks):
+            assert np.array_equal(a.times, b.times)
+            assert np.abs(a.norms - b.norms).max() <= 1e-13
+            for name in kinds:
+                diff = a.observables[name] - b.observables[name]
+                assert np.abs(diff).max() <= 1e-12 * max(
+                    1.0, np.abs(a.observables[name]).max()), name
+    with pytest.raises(ValueError, match="kind"):
+        evolve(split, packets, 2e-3, 10, observables={"x": ("nodes", ones)})
+
+
+def test_spectral_split_needs_a_periodic_axis_and_geometry_along_it():
+    setup = BentCylinderSetup(**SMALL)
+    patch, grid = setup.patch(), setup.grid()
+    geo = hamiltonian._grid_geometry(patch, grid)
+    with pytest.raises(GridError, match="periodic"):
+        hamiltonian._spectral_blocks(grid, geo, 0)
+    # the torus's tube angle: the geometry varies along it
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    tgrid = Grid.for_patch(torus, 16, 16)
+    with pytest.raises(GridError, match="varies"):
+        hamiltonian._spectral_blocks(
+            tgrid, hamiltonian._grid_geometry(torus, tgrid), 0)
+    # the sheared plane: its g^{12} cross term couples the axes
+    plane = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
+                         domain=((0.0, 1.0), (0.0, 1.0)),
+                         periodic=(True, True))
+    pgrid = Grid.for_patch(plane, 12, 8)
+    with pytest.raises(GridError, match="cross term"):
+        hamiltonian._spectral_blocks(
+            pgrid, hamiltonian._grid_geometry(plane, pgrid), 1)
 
 
 def test_force_equality_report_small_regime():

@@ -22,6 +22,10 @@
 * only ``hamiltonian`` reads ``.real_blocks``: it decides whether a
   Fourier block is real, and ``spectra`` and ``dynamics`` follow the
   dtype of what ``block`` returns;
+* only ``hamiltonian`` forms split-axis wavenumbers and symbols: no
+  other module reads ``fftfreq``, and no function of another module
+  that works on a Fourier split reads ``pi``, ``sin``, ``cos`` or
+  ``tan``; it takes them from ``block``, ``momenta`` and ``wavenumber``;
 * only ``spectra`` reads ``_DENSE_CUTOFF`` and calls ``splu``: the
   cutoff means only "solve a whole matrix densely", and the one sparse
   factorization serves shift-invert;
@@ -235,6 +239,49 @@ def test_real_blocks_is_read_only_in_hamiltonian():
     assert not found, found
     # the rule sees the read where it is
     assert _attribute_reads(modules["hamiltonian.py"], "real_blocks")
+
+
+# attributes only a Fourier split (``hamiltonian._FourierBlocks``) has
+_SPLIT_ATTRIBUTES = {"block", "partners", "lift", "to_blocks", "from_blocks",
+                     "time_reverse", "momenta", "wavenumber", "rows"}
+_WAVENUMBER_NAMES = {"pi", "tau", "sin", "cos", "tan"}
+
+
+def _wavenumber_uses(tree):
+    """Lines that read ``fftfreq``/``rfftfreq``, or read a name of
+    ``_WAVENUMBER_NAMES`` in a function that reads a split attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if (getattr(node, "id", None) or getattr(node, "attr", None)) \
+                    in ("fftfreq", "rfftfreq"):
+                yield node.lineno
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if not _SPLIT_ATTRIBUTES & {node.attr for node in ast.walk(func)
+                                    if isinstance(node, ast.Attribute)}:
+            continue
+        for node in ast.walk(func):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and name in _WAVENUMBER_NAMES):
+                yield node.lineno
+
+
+def test_split_wavenumbers_are_formed_only_in_hamiltonian():
+    modules = _modules()
+    found = [f"{name}:{line}" for name, tree in modules.items()
+             if name != "hamiltonian.py"
+             for line in sorted(set(_wavenumber_uses(tree)))]
+    assert not found, found
+    # the rule sees the wavenumbers where they are formed, and each form
+    assert list(_wavenumber_uses(modules["hamiltonian.py"]))
+    assert sorted(set(_wavenumber_uses(ast.parse(
+        "order = np.fft.fftfreq(n)\n"
+        "def f(split, m):\n"
+        "    return split.block(m), math.sin(2 * math.pi * m / split.n)\n"
+        "def g(c, m):\n"
+        "    return math.cos(m) * c\n")))) == [1, 3]
 
 
 def test_dense_cutoff_and_splu_live_in_spectra():

@@ -180,10 +180,9 @@ def test_fourier_blocks_match_the_full_matrix(case):
         assert d["method"] == "dense-eigh"
         assert d["fourier_axis"] == axis
         assert d["blocks"] == (n1, n2)[axis]
-        if which == "nearest":       # Kramers: blocks 0 .. n // 2
-            assert d["blocks_solved"] == d["blocks"] // 2 + 1
-        else:
-            assert 1 <= d["blocks_solved"] < d["blocks"]
+        # Kramers: blocks 0 .. n // 2 at most, and the inertia tests skip
+        # some of them for either which
+        assert 1 <= d["blocks_solved"] < d["blocks"] // 2 + 1
         assert all(d[key] is None for key in (
             "sigma", "ordering", "fill", "opinv_solves", "inertia",
             "check_count", "check_expected", "factorizations", "retries",
@@ -191,16 +190,17 @@ def test_fourier_blocks_match_the_full_matrix(case):
         assert d["max_residual"] <= d["contract"]
 
 
-def _full_sweep(split, k):
-    """The lowest k pairs from ``eigvalsh`` on every block in index order,
-    a partner block n - m >= kept taking the values of block m and the
-    time reverse of its vectors: the oracle for the block route, which
-    skips blocks."""
+def _full_sweep(split, k, target=None):
+    """The lowest k pairs, or the k nearest ``target``, from ``eigvalsh``
+    on every block in index order, a partner block n - m >= kept taking
+    the values of block m and the time reverse of its vectors: the oracle
+    for the block route, which skips blocks."""
     source = [m if m < split.kept else split.n - m for m in range(split.n)]
     values = np.concatenate([np.linalg.eigvalsh(split.block(source[m]))
                              for m in range(split.n)])
     size = len(values) // split.n
-    sel = np.argsort(values, kind="stable")[:k]
+    key = values if target is None else np.abs(values - target)
+    sel = np.argsort(key, kind="stable")[:k]
     vals, vecs = [], []
     for m in np.unique(sel // size):
         w, u = np.linalg.eigh(split.block(source[m]))
@@ -262,8 +262,8 @@ def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
     d = res.diagnostics
     assert np.abs(res.values - every).max() <= 1e-12 * d["norm_inf"]
 
-    solved = spectra._lowest_blocks(split.block, split.n, split.partners(),
-                                    k, d["contract"])
+    solved = spectra._swept_blocks(split.block, split.n, split.partners(),
+                                   k, d["contract"])
     assert d["blocks"] == split.n and d["blocks_solved"] == len(solved)
     if case.startswith("-"):
         assert len(solved) == split.kept    # nothing can be skipped
@@ -274,6 +274,52 @@ def test_skipped_blocks_keep_the_full_sweep_bitwise(case):
     for m in range(split.n):
         if m not in solved and (m < split.kept or split.n - m not in solved):
             assert np.linalg.eigvalsh(split.block(m)).min() > res.values[-1]
+
+
+@pytest.mark.parametrize("case,target", [
+    ("torus 32x32", 2.0), ("torus 32x32", 0.75),
+    ("H_eff + sigma_3 torus 32x32", 2.0), ("-H_eff torus 32x32", -2.0)])
+def test_nearest_skips_blocks_and_keeps_the_full_sweep_bitwise(
+        case, target, monkeypatch):
+    # 'nearest' skips a block whose inertia shows no eigenvalue within the
+    # k-th least distance so far (plus the contract) of the target; the
+    # result must be the full sweep's, bit for bit
+    H, k = _skip_case(case)
+    split = _fourier_blocks(H)
+    vals, vecs = _full_sweep(split, k, target)
+    ran = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        ran.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", counting)
+    res = eigensolve(H, k=k, which="nearest", target=target)
+    assert res.values.tobytes() == vals.tobytes()
+    assert res.vectors.tobytes() == vecs.tobytes()
+    d = res.diagnostics
+    assert d["blocks_solved"] == len(ran) < split.kept
+    monkeypatch.undo()
+    solved = spectra._swept_blocks(split.block, split.n, split.partners(),
+                                   k, d["contract"], target)
+    assert len(solved) == len(ran)
+    reach = np.abs(res.values - target).max()
+    for m in range(split.n):
+        if m not in solved and (m < split.kept or split.n - m not in solved):
+            assert np.abs(np.linalg.eigvalsh(split.block(m))
+                          - target).min() > reach
+
+
+def test_nearest_on_a_small_torus_solves_few_blocks():
+    # nearest 16 to 2.0 on torus H_eff 48^2: 9 of the 25 kept blocks run
+    # eigvalsh, and those at large |m|, whose levels all lie above the
+    # window, are skipped
+    torus = make_surface("torus", rho=1.0, R=3.0)
+    H = assemble_Heff(torus, Grid.for_patch(torus, 48, 48))
+    d = eigensolve(H, k=16, which="nearest", target=2.0,
+                   return_vectors=False).diagnostics
+    assert d["blocks"] == 48 and d["blocks_solved"] == 9
 
 
 def _plus_sigma_y(H, strength):
@@ -343,8 +389,8 @@ def test_complex_blocks_match_the_full_matrix():
         assert np.abs(res.values - expected).max() \
             <= 1e-12 * res.diagnostics["norm_inf"]
         assert res.diagnostics["method"] == "dense-eigh"
-        if which == "nearest":       # no pairs: every block is solved
-            assert res.diagnostics["blocks_solved"] == split.n
+        # no pairs, but the inertia tests skip blocks for either which
+        assert res.diagnostics["blocks_solved"] < split.n
 
 
 @pytest.mark.parametrize("case", ["torus H_eff 32x32", "sphere H_eff 16x32",
