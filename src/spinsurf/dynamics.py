@@ -36,7 +36,7 @@ time reverse of block m (Kramers pairs): half of the blocks are
 diagonalized.  Its blocks are real, so their eigenvectors are too, and
 ``evolve`` multiplies by them in real arithmetic.  On a split, theta,
 sigma_3 and the norm are read from the block coefficients, p_s from the
-wavenumber of each block, and only s from real space.
+symbol of -i d_s on each block (``momenta``), and only s from real space.
 """
 
 from __future__ import annotations
@@ -439,8 +439,9 @@ def evolve(op, fields, dt: float, steps: int,
 
     ``op`` is a HermitianOperator that splits into Fourier blocks along a
     periodic axis (``hamiltonian._fourier_blocks``, at any block size),
-    or such a split itself (``hamiltonian._FourierBlocks``, three-point
-    or spectral).  The blocks are diagonalized once, the packets are
+    or such a split itself (``hamiltonian._FourierBlocks``: blocks B_m =
+    C_0 + p_m C_1 + q_m C_2, with the three-point or the exact symbols of
+    the axis).  The blocks are diagonalized once, the packets are
     projected on the blocks by one FFT along the split axis, and psi(t) =
     e^{-iHt} psi is formed at each record time t = step * dt.  There is
     no stepping, so dt only sets the record times, and the norm is kept
@@ -589,7 +590,7 @@ def force_equality_report(setup: BentCylinderSetup, k_s: float = 8.0,
     expectations (per-block products with the packets' block
     coefficients, ``_block_forces``) next to the closed-form prediction
     evaluated at (<theta>, <p_s>).  <theta> comes from the block
-    coefficients and <p_s> from the wavenumber of each block.
+    coefficients and <p_s> from the symbol of -i d_s on each block.
     """
     h0, hso = _window_blocks(setup)
     grid = setup.grid()
@@ -636,11 +637,11 @@ def spin_hall_run(setup: BentCylinderSetup, k_s: float = 8.0,
     with the exact symbol of the s terms (``_window_blocks``), so ``dt``
     only spaces the records, and s is resolved to round-off at the
     default n_s.  theta, sigma_3 and the norm are read from the block
-    coefficients, p_s from the wavenumber of each block and s from the
-    line densities.  The measured interval follows the ballistic-window
-    rule: recording stops once the packet has traveled 10 s-widths or its
-    center comes within 5 widths of an s-wall, which on a periodic s axis
-    is the seam s = 0 = s_length.
+    coefficients, p_s from the symbol of -i d_s on each block and s from
+    the line densities.  The measured interval follows the
+    ballistic-window rule: recording stops once the packet has traveled
+    10 s-widths or its center comes within 5 widths of an s-wall, which
+    on a periodic s axis is the seam s = 0 = s_length.
     Returns a dict with both trajectories and the deflection summary
     (mean of <theta> - theta_c over the window per spin).
     """

@@ -33,20 +33,21 @@ The writer, the one route to that layout (``dynamics``'s observables
 use it too), consumes its blocks and checks each operator it writes for
 hermiticity, once.  ``_fourier_blocks`` splits an operator that the
 one-node shift along a periodic axis leaves unchanged into the dense
-Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on;
+Fourier blocks that ``eigensolve`` solves and ``evolve`` propagates on,
+every split in the one form B_m = C_0 + p_m C_1 + q_m C_2 (``p`` and
+``q`` the symbols of -i d and -d^2 along the axis);
 ``_FourierBlocks.to_blocks`` and ``from_blocks`` carry vectors to the
 blocks and back, ``_FourierBlocks.kept`` counts the blocks that carry
 the spectrum (half of them when ``kramers``: block n - m is the time
 reverse of block m), ``partners`` names each one's pair and
-``time_reverse`` maps coefficients between the two, ``real_blocks``
-decides whether ``block`` returns real matrices, and
-``_zero_mode_block`` reads block 0 sparsely.  ``_spectral_blocks``
-builds H0 and Hso of geometry that does not vary along a periodic axis
-as blocks with the exact (Fourier) symbol of the axis terms, from the
-stencil coefficients, the transverse terms staying three-point.  The
+``time_reverse`` maps coefficients between the two, and ``real_blocks``
+decides whether ``block`` returns real matrices.
+``_transverse_operators`` writes the terms across a periodic axis on
+one line of nodes, and ``_spectral_blocks`` adds the exact (Fourier)
+symbol of the axis terms of geometry that does not vary along it.  The
 split-axis wavenumbers and symbols are formed here only:
-``_FourierBlocks.wavenumber`` and ``momenta`` (the symbol of -i d on each
-block), ``rows`` (node fields on the rows of a line) and ``_sweep_order``
+``_wavenumbers``, the symbols of both forms (``momenta`` returns p),
+``rows`` (node fields on the rows of a line) and ``_sweep_order``
 (blocks by increasing |wavenumber|).  Only this module knows the
 interleaved spin layout.
 
@@ -64,6 +65,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .errors import GridError, HermiticityError
 from .frames import frame_fields
@@ -364,17 +366,17 @@ class _FourierBlocks:
     """An operator that the one-node shift along ``axis`` leaves unchanged.
 
     ``lines[j]`` holds the rows of the j-th line of nodes across ``axis``
-    (node along the other axis, spin fastest), and ``step`` is the grid
-    spacing along ``axis``.  Block m = 0 .. n-1 acts on the wave
-    exp(2 pi i m j / n) along the axis: an eigenvector u of B_m is the
-    eigenvector u (x) exp(2 pi i m j / n) / sqrt(n) of the operator.
-    Three-point (``spectral`` false): ``couplings`` are the dense
-    couplings H_d of line 0 to line d = -1, 0, 1, and B_m = sum_d
-    exp(2 pi i m d / n) H_d.  Spectral: ``couplings`` are the
-    coefficients (C_0, C_1, C_2) of the symbol B(k) = C_0 + k C_1 +
-    k^2 C_2 at the block's ``wavenumber`` k, exact for the derivatives
-    along the axis; the Nyquist block (even n) takes the mean of its
-    symbol at +k and -k, C_0 + k^2 C_2.  Blocks 0 .. ``kept`` - 1 carry
+    (node along the other axis, spin fastest).  Block m = 0 .. n-1 acts on
+    the wave exp(2 pi i m j / n) along the axis: an eigenvector u of B_m
+    is the eigenvector u (x) exp(2 pi i m j / n) / sqrt(n) of the
+    operator.  Every split has the one form B_m = C_0 + p_m C_1 + q_m C_2:
+    ``couplings`` are the dense (C_0, C_1, C_2) and ``symbols`` the arrays
+    (p, q), the symbols of -i d and -d^2 along the axis at each block's
+    wavenumber k (``_wavenumbers``): sin(k h) / h and (2 sin(k h / 2) /
+    h)^2 for a three-point split (``_fourier_blocks``), k and k^2 for a
+    spectral one (``_spectral_blocks``).  p is odd and q even under m ->
+    n - m, p = 0 on the Nyquist block of even n (its own partner, whose
+    symbol is the mean of +k and -k).  Blocks 0 .. ``kept`` - 1 carry
     every eigenvalue and, through ``time_reverse`` of block m's
     eigenvectors for its partner n - m >= ``kept``, every eigenvector.
     """
@@ -382,8 +384,7 @@ class _FourierBlocks:
     axis: int
     lines: np.ndarray      # (n, block dimension)
     couplings: tuple
-    step: float
-    spectral: bool = False
+    symbols: tuple
 
     @property
     def n(self) -> int:
@@ -391,32 +392,16 @@ class _FourierBlocks:
 
     def __add__(self, other: "_FourierBlocks") -> "_FourierBlocks":
         """The blocks of the sum of two operators split alike."""
-        if ((self.axis, self.lines.shape, self.step, self.spectral)
-                != (other.axis, other.lines.shape, other.step,
-                    other.spectral)):
+        if ((self.axis, self.lines.shape) != (other.axis, other.lines.shape)
+                or not all(map(np.array_equal, self.symbols,
+                               other.symbols))):
             raise GridError("cannot add Fourier blocks of different splits")
         return dataclasses.replace(self, couplings=tuple(
             a + b for a, b in zip(self.couplings, other.couplings)))
 
-    def _wrapped(self, m):
-        """Block index m wrapped into (-n/2, n/2]."""
-        m = int(m) % self.n
-        return m - self.n if 2 * m > self.n else m
-
-    def wavenumber(self, m):
-        """k = 2 pi m' / (n step) of block m, m' wrapped into (-n/2, n/2]."""
-        return 2.0 * math.pi * self._wrapped(m) / (self.n * self.step)
-
     def momenta(self):
-        """The symbol of p = -i d along the axis on each block: the
-        centred difference's sin(2 pi m / n) / step on three-point blocks,
-        the wavenumber on spectral ones (0 on the Nyquist block, whose
-        symbol is the mean of +k and -k)."""
-        m = np.arange(self.n)
-        if not self.spectral:
-            return np.sin(2.0 * math.pi * m / self.n) / self.step
-        return np.array([0.0 if 2 * j == self.n else self.wavenumber(j)
-                         for j in m])
+        """The symbol p of -i d along the axis on each block."""
+        return self.symbols[0]
 
     def rows(self, up, down):
         """Values of node fields ``up`` and ``down`` (shaped like the
@@ -429,59 +414,40 @@ class _FourierBlocks:
     def block(self, m):
         """B_m: a float64 matrix when ``real_blocks`` holds, complex
         otherwise."""
-        if self.spectral:
-            k = self.wavenumber(m)
-            c0, c1, c2 = ((c.real for c in self.couplings)
-                          if self.real_blocks else self.couplings)
-            odd = 0.0 if 2 * self._wrapped(m) == self.n else k
-            return c0 + odd * c1 + (k * k) * c2
-        # int(m): a numpy int m rounds 2 pi i m / n differently
-        phase = np.exp(2j * math.pi * int(m) / self.n)
-        lower, diag, upper = self.couplings
-        if self.real_blocks:
-            # H_0 + 2 Re(e^{i phi} H_{+1}), in real arithmetic
-            return diag.real + 2.0 * (phase.real * upper.real
-                                      - phase.imag * upper.imag)
-        return diag + phase * upper + np.conj(phase) * lower
+        c0, c1, c2 = ((c.real for c in self.couplings)
+                      if self.real_blocks else self.couplings)
+        p, q = (s[m] for s in self.symbols)
+        return c0 + p * c1 + q * c2
+
+    def _negligible(self, gaps):
+        """Whether the ``gaps`` of C_0, C_1, C_2 are within ``_SHIFT_TOL``
+        of the largest max |C_j|, each weighted by its symbol's largest
+        magnitude (1 for C_0): the size of its term in the blocks."""
+        weights = (1.0, *(np.abs(s).max() for s in self.symbols))
+        scale = _SHIFT_TOL * max(w * np.abs(c).max(initial=0.0)
+                                 for w, c in zip(weights, self.couplings))
+        return all(w * gap <= scale for w, gap in zip(weights, gaps))
 
     @functools.cached_property
     def real_blocks(self):
-        """Whether every block B_m is real (and so real symmetric).
-
-        Three-point: when H_0 is real and H_{-1} = conj(H_{+1}), each to
-        ``_SHIFT_TOL`` max |H_d|: the operator commutes with complex
-        conjugation combined with the reflection j -> -j of the split
-        axis.  Then B_m = H_0 + 2 Re(e^{i phi} H_{+1}), phi = 2 pi m / n,
-        and its eigenvectors are real.  Spectral: when C_0, C_1 and C_2
-        are real to the same tolerance.
-        """
-        scale = _SHIFT_TOL * max(np.abs(h).max(initial=0.0)
-                                 for h in self.couplings)
-        if self.spectral:
-            return all(np.abs(c.imag).max(initial=0.0) <= scale
-                       for c in self.couplings)
-        lower, diag, upper = self.couplings
-        return bool(np.abs(diag.imag).max(initial=0.0) <= scale
-                    and np.abs(lower - np.conj(upper)).max(initial=0.0)
-                    <= scale)
+        """Whether every block B_m is real (and so real symmetric): when
+        C_0, C_1 and C_2 are (``_negligible`` imaginary parts), as when
+        the operator commutes with complex conjugation combined with the
+        reflection j -> -j of the split axis."""
+        return self._negligible([np.abs(c.imag).max(initial=0.0)
+                                 for c in self.couplings])
 
     @functools.cached_property
     def kramers(self):
-        """Whether block n - m is the time reverse of block m.
-
-        Three-point: when each coupling H_d equals J conj(H_d) J^T to
-        ``_SHIFT_TOL`` max |H_d|, J = i sigma_y at each node, read off
-        the 2x2 node blocks in O(b^2).  Then B_{n-m} = J conj(B_m) J^T:
-        block n - m has the eigenvalues of block m, and the
-        ``time_reverse`` of its eigenvectors.  Spectral: when C_0 and
-        C_2 are even and C_1 odd under the same map, since block n - m
-        has the wavenumber -k (and the Nyquist block's symbol is even).
-        """
+        """Whether block n - m is the time reverse of block m: when C_0
+        and C_2 are even and C_1 is odd under C -> J conj(C) J^T, J = i
+        sigma_y at each node (``_negligible`` gaps of the 2x2 node
+        blocks).  With p odd and q even, B_{n-m} = J conj(B_m) J^T then
+        has the values of B_m and the ``time_reverse`` of its vectors."""
         k = self.lines.shape[1] // 2
-        signs = (1.0, -1.0, 1.0) if self.spectral else (1.0, 1.0, 1.0)
-        return all(_reversal_gap(h.reshape(k, 2, k, 2).swapaxes(1, 2), sign)
-                   <= _SHIFT_TOL * np.abs(h).max(initial=0.0)
-                   for h, sign in zip(self.couplings, signs))
+        return self._negligible([
+            _reversal_gap(c.reshape(k, 2, k, 2).swapaxes(1, 2), sign)
+            for c, sign in zip(self.couplings, (1.0, -1.0, 1.0))])
 
     @property
     def kept(self) -> int:
@@ -540,17 +506,12 @@ def _lines(grid, axis):
             + np.arange(2)).reshape(node.shape[axis], -1)
 
 
-def _zero_mode_block(op, axis):
-    """Block 0 of ``_FourierBlocks`` along ``axis`` as CSR: the rows of
-    line 0, each column folded onto its place in its line.  The caller
-    vouches that the one-node shift along ``axis`` leaves ``op``
-    unchanged."""
-    lines = _lines(op.grid, axis)
-    place = np.empty(op.dim, dtype=lines.dtype)
-    place[lines] = np.arange(lines.shape[1])
-    rows = op.matrix[lines[0]].tocoo()
-    return sp.csr_matrix((rows.data, (rows.row, place[rows.col])),
-                         shape=(lines.shape[1],) * 2)
+def _wavenumbers(n, h):
+    """k = 2 pi m' / (n h) of blocks m = 0 .. n-1 of spacing h, m' the
+    index wrapped into (-n/2, n/2], and the mask of the Nyquist block."""
+    m = np.arange(n)
+    m = np.where(2 * m > n, m - n, m)
+    return 2.0 * np.pi * m / (n * h), 2 * m == n
 
 
 def _fourier_blocks(op):
@@ -591,18 +552,25 @@ def _fourier_blocks(op):
         if abs(mat[shift][:, shift] - mat).max() > _SHIFT_TOL * scale:
             continue
         rows = mat[lines[0]]
-        return _FourierBlocks(axis, lines, tuple(
-            rows[:, lines[d]].toarray() for d in (-1, 0, 1)),
-            (grid.h1, grid.h2)[axis])
+        lower, diag, upper = (rows[:, lines[d]].toarray()
+                              for d in (-1, 0, 1))
+        # sum_d e^{i k h d} H_d = C_0 + p C_1 + q C_2, exactly, with the
+        # centred differences' symbols p and q
+        h = (grid.h1, grid.h2)[axis]
+        k, nyquist = _wavenumbers(n, h)
+        return _FourierBlocks(axis, lines, (
+            diag + upper + lower, 1j * h * (upper - lower),
+            (-0.5 * h * h) * (upper + lower)), (
+            np.where(nyquist, 0.0, np.sin(k * h) / h),
+            (2.0 * np.sin(0.5 * k * h) / h) ** 2))
     return None
 
 
 def _sweep_order(n, kept):
     """Blocks 0 .. kept - 1 of an n-block split in order of increasing
-    |m'|, m' the index wrapped into (-n/2, n/2]: the magnitude of the
-    block's wavenumber."""
-    frequency = np.abs(np.fft.fftfreq(n))
-    return sorted(range(kept), key=frequency.__getitem__)
+    |wavenumber|."""
+    size = np.abs(_wavenumbers(n, 1.0)[0])
+    return sorted(range(kept), key=size.__getitem__)
 
 
 def _node_coefficients(grid, geo, axis):
@@ -741,55 +709,58 @@ def _line_geometry(geo, axis):
     return GridGeometry(**fields)
 
 
-def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
-    """H0 and Hso as ``_FourierBlocks`` along the periodic ``axis`` with
-    the exact symbol of the axis terms, for geometry that does not vary
-    along it.
-
-    The transverse terms keep the three-point stencil: they are the node
-    blocks of one line with ``axis`` skipped, written (and checked) by
-    ``_write_csr``.  The axis terms take their Fourier symbols from the
-    stencil coefficients of each node of the line: the Peierls-linked
-    kinetic term (c / (2 sqrt g)) (k + a)^2 = (1/2) g^{aa} (k + a)^2,
-    with c = sqrt(g) g^{aa} and a = w_a the link phase over the step (-a
-    for spin down), and the spin-orbit term -k X^a of (i/2){X^a, d_a}.
-    These are the limits of the stencil's (c / (sqrt(g) h^2))(1 -
-    cos((k + a) h)) and -X^a sin(k h) / h.  GridError when the axis is
-    walled, the geometry varies along it or the g^{12} cross term couples
-    it to the other.
+def _transverse_operators(grid: Grid, geometry: GridGeometry, axis: int):
+    """(H0, Hso) of node line 0 across the periodic ``axis`` without the
+    terms along it: the node blocks of one line with ``axis`` skipped, V
+    included, as CSR written (and checked) by ``_write_csr``.  They are
+    block 0 (C_0) of the split along the axis, less (1/2) g^{aa} w_a^2,
+    which vanishes with w_a.  GridError when the axis is walled, the
+    geometry varies along it or the g^{12} cross term couples the axes.
     """
     if grid.bc[axis] != "periodic":
         raise GridError("a spectral split needs a periodic axis")
     line = _line_geometry(geometry, axis)
     name = ("q1", "q2")[axis]
     line_grid = dataclasses.replace(grid, **{name: getattr(grid, name)[:1]})
-    rest = [_write_csr(line_grid, blocks, label).toarray()
-            for blocks, label in (
-                (_h0_blocks(line_grid, line, "spin-connection", axis),
-                 "H0"),
-                (_soi_blocks(line_grid, line.X, axis), "Hso"))]
+    return (_write_csr(line_grid, _h0_blocks(line_grid, line,
+                                             "spin-connection", axis), "H0"),
+            _write_csr(line_grid, _soi_blocks(line_grid, line.X, axis),
+                       "Hso"))
+
+
+def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
+    """H0 and Hso as ``_FourierBlocks`` along the periodic ``axis`` with
+    the exact symbol of the axis terms, for geometry that does not vary
+    along it (else GridError, as for ``_transverse_operators``).
+
+    C_0 holds the three-point transverse terms (``_transverse_operators``).
+    The axis terms take their symbols from the stencil coefficients of
+    each node of the line: the Peierls-linked kinetic term (1/2) g^{aa}
+    (k + a)^2 = (c / (2 sqrt g)) (k + a)^2, c = sqrt(g) g^{aa} and a = w_a
+    (-a for spin down), and the spin-orbit term -k X^a of (i/2){X^a,
+    d_a}: the limits of the stencil's (c / (sqrt(g) h^2))(1 - cos((k + a)
+    h)) and -X^a sin(k h) / h.
+    """
+    rest = [op.toarray() for op in _transverse_operators(grid, geometry,
+                                                         axis)]
+    line = _line_geometry(geometry, axis)
     h = (grid.h1, grid.h2)[axis]
     kappa = (0.5 * line.c[axis] / line.sqrt_g).ravel()
     a = (line.phase[axis] / h).ravel()
-    b = 2 * len(kappa)
 
     def spin_diagonal(up, down):
-        d = np.zeros(b)
-        d[0::2], d[1::2] = up, down
-        return np.diag(d).astype(complex)
+        return np.diag(np.column_stack((up, down)).ravel()).astype(complex)
 
-    X = np.zeros((b, b), complex)
-    for s in (0, 1):
-        for t in (0, 1):
-            X[np.arange(s, b, 2), np.arange(t, b, 2)] = \
-                line.X[axis][s, t].ravel()
+    X = block_diag(*np.moveaxis(line.X[axis].reshape(2, 2, -1), 2, 0))
     h0 = (rest[0] + spin_diagonal(kappa * a * a, kappa * a * a),
           spin_diagonal(2.0 * kappa * a, -2.0 * kappa * a),
           spin_diagonal(kappa, kappa))
-    hso = (rest[1], -X, np.zeros((b, b), complex))
+    hso = (rest[1], -X, np.zeros_like(X))
     lines = _lines(grid, axis)
-    return (_FourierBlocks(axis, lines, h0, h, spectral=True),
-            _FourierBlocks(axis, lines, hso, h, spectral=True))
+    k, nyquist = _wavenumbers(len(lines), h)
+    symbols = (np.where(nyquist, 0.0, k), k * k)
+    return (_FourierBlocks(axis, lines, h0, symbols),
+            _FourierBlocks(axis, lines, hso, symbols))
 
 
 def build_h0_operator(grid: Grid, geometry: GridGeometry,

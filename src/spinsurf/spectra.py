@@ -17,8 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
 from .hamiltonian import (Grid, HermitianOperator, _fourier_blocks,
-                          _spin_columns, _sweep_order, _zero_mode_block,
-                          assemble_H0, assemble_Heff)
+                          _grid_geometry, _spin_columns, _sweep_order,
+                          _transverse_operators)
 from .surfaces import make_surface
 
 __all__ = [
@@ -620,12 +620,15 @@ def cylinder_ring_operator(rho: float, n: int, with_connection: bool = True
                            ) -> HermitianOperator:
     """H_eff of the straight cylinder restricted to the p_z = 0 fiber: a
     real dim = 2n operator on the periodic theta ring, the k_z = 0 block
-    of the cylinder on an n x 8 doubly periodic grid (``assemble_Heff``,
-    or ``assemble_H0`` without the connection: w = K = 0 there).  Raises
+    of the cylinder's split along z on an n x 8 doubly periodic grid: the
+    theta terms of H0 + Hso (H0 alone without the connection) on one line
+    (``hamiltonian._transverse_operators``), as w = K = 0 there.  Raises
     GridError (a ValueError) for n < 8."""
     patch = make_surface("cylinder", rho=rho)
     grid = Grid.for_patch(patch, n, 8, bc=("periodic", "periodic"))
-    op = (assemble_Heff if with_connection else assemble_H0)(patch, grid)
+    h0, hso = _transverse_operators(grid, _grid_geometry(patch, grid), 1)
     # exactly real: w = 0 and X^theta = -sigma_2/(2 rho^2) on the cylinder
-    return HermitianOperator(matrix=_zero_mode_block(op, axis=1).real,
-                             grid=None, terms=op.terms)
+    return HermitianOperator(
+        matrix=(h0 + hso if with_connection else h0).real, grid=None,
+        terms=("kinetic", "gauge-links", "scalar:spin-connection")
+        + ("soi",) * with_connection)

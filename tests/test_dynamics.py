@@ -611,6 +611,31 @@ def test_time_reverse_inverts_and_squares_to_minus_one():
     assert np.array_equal(reverse(c)[:, 1::2], -c[:, 0::2].conj())
 
 
+def _both_splits(n_s):
+    """(three-point, spectral) splits of H0 on one small window."""
+    setup = BentCylinderSetup(n_theta=8, n_s=n_s, s_length=6.0)
+    return (_fourier_blocks(bent_cylinder_operators(setup)[0]),
+            dynamics._window_blocks(setup)[0])
+
+
+@pytest.mark.parametrize("n_s", [15, 16, 96, 384])
+def test_block_symbols_have_exact_parity(n_s):
+    # kramers and partners pair block n - m with block m: p(n - m) =
+    # -p(m) and q(n - m) = q(m) bitwise, the Nyquist block (p = 0) its
+    # own partner
+    mirror = -np.arange(n_s) % n_s
+    for split in _both_splits(n_s):
+        p, q = split.symbols
+        assert np.array_equal(p[mirror], -p)
+        assert np.array_equal(q[mirror], q)
+
+
+def test_splits_of_different_symbols_do_not_add():
+    three_point, spectral = _both_splits(16)
+    with pytest.raises(GridError, match="different splits"):
+        three_point + spectral
+
+
 @pytest.mark.parametrize("theta_c", [0.0, math.pi])
 def test_force_report_equals_the_commutator_expectations(theta_c):
     # the report's per-block force products, run on the three-point splits
@@ -621,7 +646,11 @@ def test_force_report_equals_the_commutator_expectations(theta_c):
     setup = BentCylinderSetup(theta_c=theta_c, n_s=384)
     H0, Hso, theta_op, _ = bent_cylinder_operators(setup)
     h0, hso = _fourier_blocks(H0), _fourier_blocks(Hso)
-    assert not h0.spectral and not hso.spectral
+    # three-point splits: p_s has the centred difference's symbol
+    m = np.arange(setup.n_s)
+    for split in (h0, hso):
+        assert np.abs(split.momenta() - np.sin(2.0 * math.pi * m / setup.n_s)
+                      / H0.grid.h2).max() <= 1e-13 / H0.grid.h2
     F_pm, F_so = force_operators(H0, Hso, theta_op, rho=setup.rho)
     pkts = [gaussian_wavepacket(H0.grid, (theta_c, setup.s_length / 3.0),
                                 (0.02, 2.0), 8.0, spin) for spin in (+1, -1)]
@@ -706,8 +735,15 @@ def test_spectral_blocks_are_the_fourier_operator_blocks(n_s, theta_c):
         lift = h0.lift(np.eye(b), m)
         assert np.abs(lift.conj().T @ p_s @ lift - k * np.eye(b)).max() \
             <= 1e-12 * np.abs(h0.momenta()).max(), m
+    # the wrapped wavenumber, 0 on the Nyquist block of n_s = 16
+    wrapped = np.fft.fftfreq(n_s, setup.s_length / n_s) * (2.0 * math.pi)
+    if n_s % 2 == 0:
+        wrapped[n_s // 2] = 0.0
+    for split in (h0, hso, h0 + hso):
+        assert np.abs(split.momenta() - wrapped).max() \
+            <= 1e-13 * np.abs(wrapped).max()
     for split, dense in ((h0, H0), (hso, Hso), (h0 + hso, H0 + Hso)):
-        assert split.spectral and split.real_blocks and split.kramers
+        assert split.real_blocks and split.kramers
         assert split.kept == n_s // 2 + 1
         for m in range(n_s):
             block = split.block(m)

@@ -22,10 +22,15 @@
 * only ``hamiltonian`` reads ``.real_blocks``: it decides whether a
   Fourier block is real, and ``spectra`` and ``dynamics`` follow the
   dtype of what ``block`` returns;
+* only ``hamiltonian`` reads ``.couplings`` and ``.symbols``: the one
+  form B_m = C_0 + p_m C_1 + q_m C_2 of a Fourier split is its own, and
+  ``spectra`` and ``dynamics`` take the blocks from ``block`` and the
+  symbol of -i d from ``momenta``;
 * only ``hamiltonian`` forms split-axis wavenumbers and symbols: no
-  other module reads ``fftfreq``, and no function of another module
-  that works on a Fourier split reads ``pi``, ``sin``, ``cos`` or
-  ``tan``; it takes them from ``block``, ``momenta`` and ``wavenumber``;
+  other module reads ``fftfreq`` or ``_wavenumbers``, and no
+  function of another module that works on a Fourier split reads ``pi``,
+  ``sin``, ``cos`` or ``tan``; it takes them from ``block`` and
+  ``momenta``;
 * only ``spectra`` reads ``_DENSE_CUTOFF`` and calls ``splu``: the
   cutoff means only "solve a whole matrix densely", and the one sparse
   factorization serves shift-invert;
@@ -241,19 +246,34 @@ def test_real_blocks_is_read_only_in_hamiltonian():
     assert _attribute_reads(modules["hamiltonian.py"], "real_blocks")
 
 
+def test_split_form_is_read_only_in_hamiltonian():
+    modules = _modules()
+    for attr in ("couplings", "symbols"):
+        found = [f"{name}:{line}" for name, tree in modules.items()
+                 if name != "hamiltonian.py"
+                 for line in _attribute_reads(tree, attr)]
+        assert not found, (attr, found)
+        # the rule sees the reads where they are
+        assert _attribute_reads(modules["hamiltonian.py"], attr), attr
+    for name in ("spectra.py", "dynamics.py"):
+        assert _attribute_reads(modules[name], "block"), name
+    assert _attribute_reads(modules["dynamics.py"], "momenta")
+
+
 # attributes only a Fourier split (``hamiltonian._FourierBlocks``) has
 _SPLIT_ATTRIBUTES = {"block", "partners", "lift", "to_blocks", "from_blocks",
-                     "time_reverse", "momenta", "wavenumber", "rows"}
+                     "time_reverse", "momenta", "rows"}
 _WAVENUMBER_NAMES = {"pi", "tau", "sin", "cos", "tan"}
+_WRAP_NAMES = {"fftfreq", "rfftfreq", "_wavenumbers"}
 
 
 def _wavenumber_uses(tree):
-    """Lines that read ``fftfreq``/``rfftfreq``, or read a name of
+    """Lines that read a name of ``_WRAP_NAMES``, or read a name of
     ``_WAVENUMBER_NAMES`` in a function that reads a split attribute."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
             if (getattr(node, "id", None) or getattr(node, "attr", None)) \
-                    in ("fftfreq", "rfftfreq"):
+                    in _WRAP_NAMES:
                 yield node.lineno
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
@@ -274,8 +294,17 @@ def test_split_wavenumbers_are_formed_only_in_hamiltonian():
              if name != "hamiltonian.py"
              for line in sorted(set(_wavenumber_uses(tree)))]
     assert not found, found
-    # the rule sees the wavenumbers where they are formed, and each form
-    assert list(_wavenumber_uses(modules["hamiltonian.py"]))
+    # the rule sees the wavenumbers where they are formed (the symbols of
+    # both split forms and the sweep order), and each form
+    ham = modules["hamiltonian.py"]
+    seen = set(_wavenumber_uses(ham))
+    formed = {func.name: range(func.lineno, func.end_lineno + 1)
+              for func in ast.walk(ham) if isinstance(func, ast.FunctionDef)
+              and func.name in ("_fourier_blocks", "_spectral_blocks",
+                                "_sweep_order")}
+    assert len(formed) == 3, formed
+    for name, lines in formed.items():
+        assert seen.intersection(lines), name
     assert sorted(set(_wavenumber_uses(ast.parse(
         "order = np.fft.fftfreq(n)\n"
         "def f(split, m):\n"

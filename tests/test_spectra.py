@@ -356,13 +356,16 @@ def _dtype_cases():
 
 
 def test_blocks_are_real_when_the_split_axis_reflects_conjugation():
-    # H_0 real and H_{-1} = conj(H_{+1}): block(m) is the float64
-    # H_0 + 2 Re(e^{i phi} H_{+1}), equal to sum_d e^{i phi d} H_d
+    # block(m) is sum_d e^{i phi d} H_d, phi = 2 pi m / n, with the
+    # couplings H_d of line 0 to lines d = -1, 0, 1 read from the CSR; it
+    # is float64 when H_0 is real and H_{-1} = conj(H_{+1})
     for name, (op, real, kramers) in _dtype_cases().items():
         split = _fourier_blocks(op)
         assert (split.real_blocks, split.kramers) == (real, kramers), name
-        lower, diag, upper = split.couplings
-        scale = max(np.abs(h).max() for h in split.couplings)
+        rows = op.matrix[split.lines[0]]
+        lower, diag, upper = (rows[:, split.lines[d]].toarray()
+                              for d in (-1, 0, 1))
+        scale = np.abs(op.matrix.data).max()
         for m in range(split.n):
             block = split.block(m)
             assert block.dtype == (np.float64 if real else np.complex128)
@@ -820,6 +823,39 @@ def test_cylinder_ring_is_the_sigma3_conjugate_of_the_closed_form(n):
             assert ring.nnz == oracle.nnz == (10 if with_connection else 6) * n
             assert (abs(ring - oracle).max()
                     <= 1e-15 * abs(ring).max()), (rho, with_connection)
+
+
+def _folded_cylinder_line(n, with_connection):
+    """Line 0 across z of the n x 8 cylinder's assembled operator, each
+    column folded onto its place in its line: the k_z = 0 Fourier block,
+    formed from the whole grid."""
+    patch = make_surface("cylinder", rho=1.0)
+    grid = Grid.for_patch(patch, n, 8, bc=("periodic", "periodic"))
+    op = (assemble_Heff if with_connection else assemble_H0)(patch, grid)
+    lines = hamiltonian._lines(grid, 1)
+    place = np.empty(op.dim, dtype=lines.dtype)
+    place[lines] = np.arange(lines.shape[1])
+    rows = op.matrix[lines[0]].tocoo()
+    return sp.csr_matrix((rows.data, (rows.row, place[rows.col])),
+                         shape=(lines.shape[1],) * 2).real
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_cylinder_ring_is_the_folded_cylinder_line(n):
+    # the transverse terms of one line against the fold of the whole
+    # n x 8 cylinder: the same pattern, and bitwise the same entries at
+    # the CLI's n = 256.  At n = 16 the fold rounds four theta diagonals
+    # through the z terms' 2 / h_z^2 and back, where the half-step c^theta
+    # is 1 - 2.2e-16: they differ by one ulp
+    for with_connection in (True, False):
+        ring = cylinder_ring_operator(1.0, n, with_connection).matrix
+        fold = _folded_cylinder_line(n, with_connection)
+        assert ring.dtype == fold.dtype == np.float64
+        assert np.array_equal(ring.indptr, fold.indptr)
+        assert np.array_equal(ring.indices, fold.indices)
+        if n == 256:
+            assert np.array_equal(ring.data, fold.data)
+        np.testing.assert_array_max_ulp(ring.data, fold.data, maxulp=1)
 
 
 def test_ring_convergence_second_order():
