@@ -250,7 +250,9 @@ def gaussian_wavepacket(grid: Grid, center, width, k_s: float, spin,
 
     center = (theta_c, s_c); width = (sigma_theta, sigma_s) standard
     deviations (a scalar applies to both); spin in {+1, -1, 'up', 'down'}
-    fixes the sigma_3 polarization.  Widths below 4 grid spacings raise
+    fixes the sigma_3 polarization.  On a periodic axis the packet is the
+    sum of its periodic images, so it is smooth across the seam.  Widths
+    below 4 grid spacings raise
     PacketTooNarrowError; when rho is given, a wavelength 2 pi / k_s not
     smaller than rho triggers a warning (the force formulas assume a
     current with lambda < rho).
@@ -267,13 +269,22 @@ def gaussian_wavepacket(grid: Grid, center, width, k_s: float, spin,
                       "tube radius; the ballistic force formulas assume "
                       "lambda < rho", stacklevel=2)
     spin_idx = {1: 0, +1: 0, -1: 1, "up": 0, "down": 1}[spin]
-    Q1, Q2 = grid.mesh()
-    envelope = np.exp(-(Q1 - center[0])**2 / (4.0 * s_th**2)
-                      - (Q2 - center[1])**2 / (4.0 * s_s**2))
-    phase = np.exp(1j * k_s * Q2)
     values = np.zeros((grid.n1, grid.n2, 2), dtype=complex)
-    values[:, :, spin_idx] = envelope * phase
+    values[:, :, spin_idx] = np.outer(
+        _packet_profile(grid, 0, center[0], s_th, 0.0),
+        _packet_profile(grid, 1, center[1], s_s, k_s))
     return SpinorField(grid, values).normalized()
+
+
+def _packet_profile(grid, axis, center, sigma, k):
+    """exp(-(q - center)^2 / (4 sigma^2) + i k q) at the nodes q of
+    ``axis``; on a periodic axis of period L, summed over the images
+    q - n L with |n| <= 1 + 14 sigma / L (the rest lie below exp(-49))."""
+    (lo, hi), q = grid.domain[axis], (grid.q1, grid.q2)[axis]
+    reach = (1 + math.ceil(14.0 * sigma / (hi - lo))
+             if grid.bc[axis] == "periodic" else 0)
+    x = q[:, None] - (hi - lo) * np.arange(-reach, reach + 1)
+    return np.exp(-(x - center) ** 2 / (4.0 * sigma**2) + 1j * k * x).sum(1)
 
 
 @dataclass

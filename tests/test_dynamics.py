@@ -803,6 +803,31 @@ def test_spectral_window_converges_in_s():
         assert ps == pytest.approx(8.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("n_s", [96, 192])
+def test_default_packets_carry_k_s_across_the_seam(n_s):
+    # the default packets start at s = 10 with sigma_s = 2, so their tail
+    # reaches the seam s = 0 = s_length at 1.9e-3 of the peak; summed over
+    # the periodic images they are smooth there and <p_s> is k_s to
+    # round-off on the exact s axis (cut at the seam it read 7.9999993 at
+    # n_s = 96)
+    rep = force_equality_report(BentCylinderSetup(n_s=n_s), k_s=8.0)
+    for s in (+1, -1):
+        assert rep.mean_ps[s] == pytest.approx(8.0, rel=1e-9)
+    # moving the centre by the period s_length = 30 gives the same state
+    # (up to the phase e^{i k_s 30}), and the walled theta axis keeps the
+    # Gaussian profile
+    grid = BentCylinderSetup(n_s=n_s).grid()
+    a, b = (gaussian_wavepacket(grid, (0.0, s_c), (0.02, 2.0), 8.0, +1)
+            for s_c in (1.0, 31.0))
+    assert np.abs(a.values * np.exp(240j) - b.values).max() \
+        <= 1e-12 * np.abs(a.values).max()
+    theta = grid.q1[:, None]
+    envelope = np.exp(-theta**2 / (4.0 * 0.02**2))
+    ratio = a.values[:, :, 0] / envelope
+    assert np.abs(ratio - ratio[grid.n1 // 2]).max() \
+        <= 1e-12 * np.abs(ratio).max()
+
+
 def test_block_observables_match_the_operator_route():
     # evolve on a split reads theta and sigma_3 from the block
     # coefficients, p_s from the symbol of each block and s from the line
