@@ -712,20 +712,23 @@ def _line_geometry(geo, axis):
 def _transverse_operators(grid: Grid, geometry: GridGeometry, axis: int):
     """(H0, Hso) of node line 0 across the periodic ``axis`` without the
     terms along it: the node blocks of one line with ``axis`` skipped, V
-    included, as CSR written (and checked) by ``_write_csr``.  They are
-    block 0 (C_0) of the split along the axis, less (1/2) g^{aa} w_a^2,
-    which vanishes with w_a.  GridError when the axis is walled, the
-    geometry varies along it or the g^{12} cross term couples the axes.
+    included, written (and checked) by ``_write_csr`` as operators on the
+    one-line grid (length 1 along ``axis``).  They are block 0 (C_0) of
+    the split along the axis, less (1/2) g^{aa} w_a^2, which vanishes
+    with w_a.  GridError when the axis is walled, the geometry varies
+    along it or the g^{12} cross term couples the axes.
     """
     if grid.bc[axis] != "periodic":
         raise GridError("a spectral split needs a periodic axis")
     line = _line_geometry(geometry, axis)
     name = ("q1", "q2")[axis]
     line_grid = dataclasses.replace(grid, **{name: getattr(grid, name)[:1]})
-    return (_write_csr(line_grid, _h0_blocks(line_grid, line,
-                                             "spin-connection", axis), "H0"),
-            _write_csr(line_grid, _soi_blocks(line_grid, line.X, axis),
-                       "Hso"))
+    h0 = _write_csr(line_grid, _h0_blocks(line_grid, line, "spin-connection",
+                                          axis), "H0")
+    hso = _write_csr(line_grid, _soi_blocks(line_grid, line.X, axis), "Hso")
+    return (HermitianOperator(h0, line_grid, ("kinetic", "gauge-links",
+                                              "scalar:spin-connection")),
+            HermitianOperator(hso, line_grid, ("soi",)))
 
 
 def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
@@ -741,8 +744,8 @@ def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
     d_a}: the limits of the stencil's (c / (sqrt(g) h^2))(1 - cos((k + a)
     h)) and -X^a sin(k h) / h.
     """
-    rest = [op.toarray() for op in _transverse_operators(grid, geometry,
-                                                         axis)]
+    rest = [op.matrix.toarray()
+            for op in _transverse_operators(grid, geometry, axis)]
     line = _line_geometry(geometry, axis)
     h = (grid.h1, grid.h2)[axis]
     kappa = (0.5 * line.c[axis] / line.sqrt_g).ravel()

@@ -8,7 +8,7 @@ ladder 0, 1, 3, 6, ... at rho = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -108,20 +108,22 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     operator with dim <= ``_DENSE_CUTOFF`` (or k >= dim - 1, which ARPACK
     cannot do) is one block.
 
-    Shift-invert, for everything else (grid=None such as the ring,
-    walled or expression surfaces, bare matrices): for
-    'nearest' sigma = ``target`` with the row-pivoting LU (a target
-    exactly on an eigenvalue raises EigensolverError; a target that is
-    not finite raises ValueError on every route).  For 'lowest'
-    sigma steps down from the least Rayleigh quotient of four real
-    spinors (the two constant ones and their |diag H|^(-1/2)-weighted
-    forms) until the Hermitian factor that ARPACK solved on counts, by
-    its inertia, no eigenvalue below sigma.  After the solve a second
-    count, between the top returned cluster and the value below it,
-    must equal the number of returned values below that cluster.  A
-    miss is retried once with 2k pairs (keeping the lowest k), then
-    raises EigensolverError; an untrustworthy count falls back to the
-    row-pivoting LU just below the Gershgorin bound.
+    Shift-invert, for everything else without a split (walled grids such
+    as the plane and walled expression surfaces, operators that vary
+    along every periodic axis, bare matrices): for 'nearest' sigma =
+    ``target`` with the row-pivoting LU (a target exactly on an
+    eigenvalue raises EigensolverError; a target that is not finite
+    raises ValueError on every route).  For 'lowest' sigma steps down
+    from the least Rayleigh quotient of four real spinors (the two
+    constant ones and their |diag H|^(-1/2)-weighted forms) until its
+    Hermitian factor counts, by its inertia, no eigenvalue below sigma,
+    and ARPACK runs once, on that factor (an ARPACK error there raises
+    EigensolverError).  After the solve a second count, between the top
+    returned cluster and the value below it, must equal the number of
+    returned values below that cluster.  A miss is retried once with 2k
+    pairs (keeping the lowest k), then raises EigensolverError; an
+    untrustworthy count falls back to the row-pivoting LU just below the
+    Gershgorin bound.
 
     On every route each reported pair satisfies
     ||H v - lambda v|| <= 1e-10 ||H||_inf against the operator's matrix,
@@ -134,10 +136,10 @@ def eigensolve(op, k: int, which: str = "lowest", target: float = 0.0,
     blocks that ran ``eigvalsh``, 1 without a split, None on
     shift-invert), ``norm_inf``, ``sigma``,
     ``ordering``, ``fill`` (L+U nonzeros of the solve's factor),
-    ``opinv_solves`` (over every ARPACK run that returned, rejected
-    shifts included), ``inertia`` (count below sigma), ``check_count``
-    and ``check_expected`` (the post-solve count and the value it must
-    equal), ``factorizations``, ``retries``, ``fallback``,
+    ``opinv_solves`` (of the accepted run and any retry or fallback; a
+    rejected shift runs no ARPACK), ``inertia`` (count below sigma),
+    ``check_count`` and ``check_expected`` (the post-solve count and the
+    value it must equal), ``factorizations``, ``retries``, ``fallback``,
     ``max_residual`` and ``contract``.  The factorization fields are
     None on the dense route, and the three counts are None for 'nearest'
     and after a fallback.
@@ -321,32 +323,38 @@ def _pivoting(mat, k, sigma, v0, factorizations=0, solves=0, retries=0,
 def _lowest(mat, k, norm, v0):
     """Lowest k pairs with an inertia-guarded shift (see ``eigensolve``).
 
-    Each trial sigma gets one Hermitian factor, which ``_solve_counted``
-    solves on, counts and frees, so one factor is alive at a time.  The
+    Each trial sigma gets one Hermitian factor, counted by its inertia
+    before anything solves on it; a rejected factor is freed before the
+    next is made, so one factor is alive at a time, and ARPACK runs once,
+    on the factor of the first sigma that counts 0.  Its pivots are read
+    first, so SuperLU keeps CSC copies of L and U through the solve.  The
     2k retry refactors at the accepted sigma (same matrix, same fill).
     """
     floor = _lower_bound(mat) - 0.01 * max(1.0, norm)
     tiny = _TINY_PIVOT * max(norm, 1e-300)
-    factorizations = solves = retries = 0
+    factorizations = retries = 0
 
     upper = _constant_spinor_bound(mat)
     step = _FIRST_STEP * max(1.0, abs(upper))
     while True:
         sigma = max(upper - step, floor)
-        vals, vecs, n, inertia, fill = _solve_counted(mat, k, sigma, v0, tiny)
+        lu, inertia = _counted_factor(mat, sigma, tiny)
         factorizations += 1
-        solves += n
         if inertia == 0:
             break
+        del lu
         if inertia is None or sigma == floor:
-            return _pivoting(mat, k, floor, v0, factorizations, solves,
-                             retries, fallback=True)
+            return _pivoting(mat, k, floor, v0, factorizations,
+                             fallback=True)
         step *= 4.0
+    fill = _fill(lu)
+    vals, vecs, solves = _arpack(mat, k, sigma, lu, v0)
+    del lu
 
     while True:
         vals, vecs = vals[:k], vecs[:, :k]
         expected, check_shift = _check_point(vals, sigma)
-        count = _count_below(mat, check_shift, tiny)
+        count = _counted_factor(mat, check_shift, tiny)[1]
         factorizations += 1
         if count is None:
             return _pivoting(mat, k, floor, v0, factorizations, solves,
@@ -373,36 +381,15 @@ def _lowest(mat, k, norm, v0):
         "fallback": False}
 
 
-def _solve_counted(mat, k, sigma, v0, tiny):
-    """ARPACK on the Hermitian factor of H - sigma I, then its inertia.
-
-    Returns ``(vals, vecs, solves, inertia, fill)`` and frees the factor.
-    The pivots are read after the solve because reading them makes
-    SuperLU cache CSC copies of L and U for the factor's lifetime.
-    ``inertia`` is None when the count is unusable or the factor
-    singular.  An ARPACK error is raised at a shift that counts 0 and
-    otherwise returns no pairs (the shift is rejected either way).
-    """
+def _counted_factor(mat, sigma, tiny):
+    """The Hermitian factor of H - sigma I and its count of eigenvalues
+    below sigma by inertia: (None, None) on a zero pivot, and a count of
+    None when it is unusable."""
     try:
         lu = _factor_shifted(mat, -sigma, hermitian=True)
-    except RuntimeError:                # a zero pivot: no count
-        return None, None, 0, None, None
-    try:
-        vals, vecs, solves = _arpack(mat, k, sigma, lu, v0)
-    except EigensolverError:
-        if _inertia(lu, tiny) == 0:
-            raise
-        vals, vecs, solves = None, None, 0
-    return vals, vecs, solves, _inertia(lu, tiny), _fill(lu)
-
-
-def _count_below(mat, sigma, tiny):
-    """Eigenvalues below sigma by inertia (None: unusable)."""
-    try:
-        lu = _factor_shifted(mat, -sigma, hermitian=True)
-    except RuntimeError:                # a zero pivot: no count
-        return None
-    return _inertia(lu, tiny)
+    except RuntimeError:
+        return None, None
+    return lu, _inertia(lu, tiny)
 
 
 def _factor_shifted(mat, shift, hermitian=False):
@@ -622,13 +609,12 @@ def cylinder_ring_operator(rho: float, n: int, with_connection: bool = True
     real dim = 2n operator on the periodic theta ring, the k_z = 0 block
     of the cylinder's split along z on an n x 8 doubly periodic grid: the
     theta terms of H0 + Hso (H0 alone without the connection) on one line
-    (``hamiltonian._transverse_operators``), as w = K = 0 there.  Raises
-    GridError (a ValueError) for n < 8."""
+    (``hamiltonian._transverse_operators``), as w = K = 0 there.  Its grid
+    is that line (n x 1), along which it splits into n Fourier blocks of
+    2 x 2.  Raises GridError (a ValueError) for n < 8."""
     patch = make_surface("cylinder", rho=rho)
     grid = Grid.for_patch(patch, n, 8, bc=("periodic", "periodic"))
     h0, hso = _transverse_operators(grid, _grid_geometry(patch, grid), 1)
+    op = h0 + hso if with_connection else h0
     # exactly real: w = 0 and X^theta = -sigma_2/(2 rho^2) on the cylinder
-    return HermitianOperator(
-        matrix=(h0 + hso if with_connection else h0).real, grid=None,
-        terms=("kinetic", "gauge-links", "scalar:spin-connection")
-        + ("soi",) * with_connection)
+    return replace(op, matrix=op.matrix.real)

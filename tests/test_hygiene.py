@@ -36,6 +36,9 @@
   factorization serves shift-invert;
 * ``dynamics`` imports nothing from ``scipy.sparse.linalg``: it
   propagates on Fourier blocks and factors nothing;
+* no call builds a ``HermitianOperator`` with ``grid=None``, by keyword
+  or in place: every operator the package builds carries its grid, so
+  each one that splits reaches the Fourier-block route;
 * every function the benchmark's tracer wraps still exists under the
   name it looks up, so a rename shows here and not only in traced runs;
 * every ``method`` that ``eigensolve`` reports falls in one of the
@@ -345,6 +348,29 @@ def test_dynamics_imports_no_sparse_solver():
         "from scipy.sparse import linalg\n"))) == [1, 2, 3]
 
 
+def _gridless_operators(tree):
+    """Lines that call ``HermitianOperator`` with a grid of None, by
+    keyword or as the second positional argument."""
+    for node in _calls_of(tree, "HermitianOperator"):
+        grids = [kw.value for kw in node.keywords if kw.arg == "grid"]
+        grids += node.args[1:2]
+        if any(isinstance(g, ast.Constant) and g.value is None
+               for g in grids):
+            yield node.lineno
+
+
+def test_every_operator_is_built_with_its_grid():
+    modules = _modules()
+    found = [f"{name}:{line}" for name, tree in modules.items()
+             for line in _gridless_operators(tree)]
+    assert not found, found
+    # the rule sees each form of the call, and not a grid
+    assert sorted(_gridless_operators(ast.parse(
+        "HermitianOperator(m, None, t)\n"
+        "hamiltonian.HermitianOperator(matrix=m, grid=None, terms=t)\n"
+        "HermitianOperator(m, grid, t)\n"))) == [1, 2]
+
+
 def test_tracing_targets_resolve(monkeypatch):
     # benchmarks/tracing.py imports its sibling modules by bare name
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
@@ -360,11 +386,11 @@ def test_every_eigensolve_method_has_a_benchmark_bucket(monkeypatch):
     metrics = importlib.import_module("metrics")
     torus = make_surface("torus", rho=1.0, R=3.0)
     runs = {       # route: (operator, which, expected fourier_axis)
-        "dense": (cylinder_ring_operator(1.0, 16), "lowest", None),
+        "dense": (cylinder_ring_operator(1.0, 16).matrix, "lowest", None),
         "Fourier blocks": (assemble_Heff(torus, Grid.for_patch(torus, 8, 16)),
                            "lowest", 1),
-        "shift-invert lowest": (cylinder_ring_operator(1.0, 256), "lowest",
-                                None),
+        "shift-invert lowest": (cylinder_ring_operator(1.0, 256).matrix,
+                                "lowest", None),
         "shift-invert nearest": (sp.csr_matrix(np.diag(np.arange(300.0))),
                                  "nearest", None),
     }

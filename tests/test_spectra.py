@@ -72,22 +72,25 @@ def test_shift_invert_matches_dense_below_old_cutoff():
 
 
 def test_eigensolve_diagnostics():
-    op = cylinder_ring_operator(1.0, 256)
-    res = eigensolve(op, k=8, seed=0)
+    # the ring's bare matrix: no grid, so shift-invert, and below the
+    # dense cutoff one dense block
+    mat = cylinder_ring_operator(1.0, 256).matrix
+    res = eigensolve(mat, k=8, seed=0)
     d = res.diagnostics
     assert d["method"] == "shift-invert-lanczos"
     assert d["ordering"] == "MMD_AT_PLUS_A"
     assert d["sigma"] < res.values.min()
-    assert d["fill"] >= op.matrix.nnz
+    assert d["fill"] >= mat.nnz
     assert d["opinv_solves"] > 0
-    norm = abs(op.matrix).sum(axis=1).max()
+    norm = abs(mat).sum(axis=1).max()
     assert d["contract"] == pytest.approx(1e-10 * norm, rel=1e-12)
     assert d["max_residual"] == res.residuals.max() <= d["contract"]
     assert d["inertia"] == 0 and d["fallback"] is False
     assert d["check_count"] == d["check_expected"] == 8 - res.clusters[-1][1]
     assert d["factorizations"] >= 2 and d["retries"] == 0
 
-    dense = eigensolve(cylinder_ring_operator(1.0, 16), k=4).diagnostics
+    dense = eigensolve(cylinder_ring_operator(1.0, 16).matrix,
+                       k=4).diagnostics
     assert dense["method"] == "dense-eigh"
     assert dense["blocks"] == dense["blocks_solved"] == 1
     assert dense["sigma"] is dense["fill"] is dense["opinv_solves"] is None
@@ -574,28 +577,29 @@ def test_rejected_shifts_step_down_to_count_zero(monkeypatch):
     d = res.diagnostics
     assert d["inertia"] == 0 and d["fallback"] is False
     assert d["sigma"] < ref[0]
-    # each trial shift solves on its own factor, then counts on it
+    # each trial shift counts its own factor; ARPACK solves only on the
+    # accepted one, the last before the post-solve count's
     assert len(factors) == d["factorizations"] > 2
-    assert _same(solved, factors[:-1]) and _same(counted, factors)
+    assert _same(solved, factors[-2:-1]) and _same(counted, factors)
     assert np.abs(res.values - ref[:16]).max() < 1e-10
 
 
-def test_arpack_error_at_a_rejected_shift_steps_on(monkeypatch):
+def test_arpack_runs_only_at_the_accepted_shift(monkeypatch):
+    # rejected shifts are counted, not solved on
     H = _torus_16x32()
     ref = _bound_above_lowest(monkeypatch, H)
     eigsh = spectra.spla.eigsh
     sigmas = []
 
-    def failing_first(*args, **kwargs):
+    def recording(*args, **kwargs):
         sigmas.append(kwargs["sigma"])
-        if len(sigmas) == 1:
-            raise spectra.spla.ArpackError(-9999)
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spectra.spla, "eigsh", failing_first)
+    monkeypatch.setattr(spectra.spla, "eigsh", recording)
     res = eigensolve(H, k=16, seed=3, return_vectors=False)
-    assert len(sigmas) > 2 and sigmas == sorted(sigmas, reverse=True)
-    assert res.diagnostics["inertia"] == 0
+    d = res.diagnostics
+    assert d["factorizations"] > 2 and sigmas == [d["sigma"]]
+    assert d["inertia"] == 0
     assert np.abs(res.values - ref[:16]).max() < 1e-10
 
     # at a shift that counts 0 the error is the result
@@ -606,6 +610,18 @@ def test_arpack_error_at_a_rejected_shift_steps_on(monkeypatch):
     monkeypatch.setattr(spectra.spla, "eigsh", failing)
     with pytest.raises(EigensolverError, match="ARPACK failed"):
         eigensolve(H, k=16, seed=3, return_vectors=False)
+
+
+def test_walled_plane_runs_arpack_once(monkeypatch):
+    # the CLI's default plane has no split: its rejected shifts are
+    # counted and never solved on, where each once ran ARPACK (5 runs)
+    factors, solved, counted = _record_factors(monkeypatch)
+    plane = make_surface("plane")
+    H = assemble_Heff(plane, Grid.for_patch(plane, 24, 24))
+    d = eigensolve(H, k=16, seed=0, return_vectors=False).diagnostics
+    assert d["method"] == "shift-invert-lanczos" and d["retries"] == 0
+    assert len(solved) == 1 and d["factorizations"] >= 3
+    assert _same(counted, factors)
 
 
 def test_sphere_lowest_factorization_count():
@@ -692,11 +708,11 @@ def test_missed_pair_after_retry_raises(monkeypatch):
 
 def test_eigensolve_real_matrix_stays_real():
     # no connection: a real operator; start vector and OPinv stay real
-    op = cylinder_ring_operator(1.0, 256, with_connection=False)
-    assert not np.iscomplexobj(op.matrix)
+    mat = cylinder_ring_operator(1.0, 256, with_connection=False).matrix
+    assert not np.iscomplexobj(mat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = eigensolve(op, k=6, seed=2)
+        res = eigensolve(mat, k=6, seed=2)
     assert res.diagnostics["method"] == "shift-invert-lanczos"
     assert not np.iscomplexobj(res.vectors)
 
@@ -709,7 +725,8 @@ def test_eigensolve_checks_which_before_solving(monkeypatch):
     monkeypatch.setattr(spectra.np.linalg, "eigh", solver_called)
     for n in (16, 256):        # dense and shift-invert sizes
         with pytest.raises(ValueError, match="unknown which"):
-            eigensolve(cylinder_ring_operator(1.0, n), k=4, which="highest")
+            eigensolve(cylinder_ring_operator(1.0, n).matrix, k=4,
+                       which="highest")
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
@@ -719,7 +736,7 @@ def test_eigensolve_rejects_a_target_that_is_not_finite(monkeypatch,
         raise AssertionError("solver ran before target was checked")
 
     torus = make_surface("torus", rho=1.0, R=3.0)
-    ops = (_op(np.eye(8)), cylinder_ring_operator(1.0, 256),
+    ops = (_op(np.eye(8)), cylinder_ring_operator(1.0, 256).matrix,
            assemble_Heff(torus, Grid.for_patch(torus, 16, 16)))
     for name in ("_fourier_blocks", "_factor_shifted"):
         monkeypatch.setattr(spectra, name, solver_called)
@@ -792,6 +809,21 @@ def test_ring_operator_reproduces_clusters():
     res0 = eigensolve(op0, k=10, return_vectors=False)
     cl0 = degeneracy_clusters(res0.values, tol=1e-2)
     assert cl0[0][1] == 2
+
+
+def test_ring_splits_into_two_by_two_blocks():
+    # the ring's grid is its theta line: Fourier blocks, with the
+    # shift-invert solve of its bare matrix as the oracle
+    ring = cylinder_ring_operator(1.0, 256)
+    res = eigensolve(ring, k=16, return_vectors=False)
+    d = res.diagnostics
+    assert d["method"] == "dense-eigh"
+    assert d["fourier_axis"] == 0 and d["blocks"] == 256
+    ref = eigensolve(ring.matrix, k=16, seed=0, return_vectors=False)
+    assert ref.diagnostics["method"] == "shift-invert-lanczos"
+    assert np.abs(res.values - ref.values).max() <= d["contract"]
+    assert [m for _, m in degeneracy_clusters(res.values, tol=1e-2)] == [
+        4, 4, 4, 4]
 
 
 def _closed_form_ring(rho, n, with_connection):
@@ -927,7 +959,7 @@ def test_eigensolve_k_validation():
 def test_eigensolve_rejects_a_k_that_is_not_a_count(k):
     # dense, Fourier blocks and shift-invert
     torus = make_surface("torus", rho=1.0, R=3.0)
-    for op in (_op(np.eye(8)), cylinder_ring_operator(1.0, 256),
+    for op in (_op(np.eye(8)), cylinder_ring_operator(1.0, 256).matrix,
                assemble_Heff(torus, Grid.for_patch(torus, 8, 16))):
         with pytest.raises(ValueError, match="1 <= k < dimension"):
             eigensolve(op, k=k)
