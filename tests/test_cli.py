@@ -522,6 +522,19 @@ def test_forces_json_passes_compare_when_the_forces_move_by_round_off(
     assert result["max_rel_diff"] == pytest.approx(1e-10, rel=1e-3)
 
 
+def test_forces_json_passes_compare_when_mean_theta_moves_by_round_off(
+        tmp_path):
+    # <theta> at theta_c = 0 is a round-off zero (2.7e-18, then -7.7e-19
+    # after an unrelated change), so forces.json leaves it out
+    rep = force_equality_report(BentCylinderSetup())
+    moved = dataclasses.replace(rep, mean_theta={
+        s: th + 1e-18 for s, th in rep.mean_theta.items()})
+    a, b = _artifact_pair(tmp_path, "forces.json",
+                          *(json.dumps(r.as_dict()) for r in (rep, moved)))
+    result = compare(a, b, tol=1e-9)
+    assert result["passed"], result
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
 def test_compare_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     # every d > nan is False, so a NaN tolerance would pass anything
