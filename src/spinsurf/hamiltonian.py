@@ -24,7 +24,11 @@ matrices Hermitian by construction:
 All surface data come from one geometry pass per grid (``GridGeometry``):
 ``frame_fields`` at the nodes (sqrt g, K, M, sqrt(g) g^{12}, X^b) and at
 the half-steps of each axis (sqrt(g) g^{aa} and the link phase h w_a),
-each computing only the stages of the fields read there.  Each term
+each computing only the stages of the fields read there.  On a patch
+with an isometry axis (every built-in) each call evaluates one line,
+index 0 along that axis, and the fields are read-only broadcasts of it
+to the grid (``_frame_fields_on``, also the node evaluation of
+``assemble_Hso``).  Each term
 supplies its 2x2 spinor blocks on one node pattern (the node, its +-1
 neighbours on each axis and, when the g^{12} cross term is not zero, the
 four diagonal neighbours), and ``_write_csr`` writes them once into the
@@ -289,18 +293,34 @@ class GridGeometry:
     phase: tuple
 
 
+def _frame_fields_on(patch: SurfacePatch, mesh):
+    """frame_fields over ``mesh`` (two arrays of one shape (n1, n2)),
+    evaluated on index 0 along the patch's isometry axis when it has one
+    and at every point when not, and the function that broadcasts a field
+    of that evaluation (nodes last) to the mesh's shape, as a read-only
+    view."""
+    cut = [slice(None), slice(None)]
+    if patch.isometry_axis is not None:
+        cut[patch.isometry_axis] = slice(0, 1)
+    shape = mesh[0].shape
+    ff = frame_fields(patch, *(q[tuple(cut)] for q in mesh))
+    return ff, lambda a: np.broadcast_to(a, a.shape[:-2] + shape)
+
+
 def _grid_geometry(patch: SurfacePatch, grid: Grid) -> GridGeometry:
     """Evaluate frame_fields once at the nodes and once per axis at the
-    half-steps, reading only what the stencils use."""
-    ff = frame_fields(patch, *grid.mesh())
-    nodes = dict(sqrt_g=ff.sqrt_g, K=ff.K, M=ff.M,
-                 c12=ff.sqrt_g * ff.g_inv[0, 1], X=_soi_fields(ff))
+    half-steps, reading only what the stencils use, each on one line when
+    the patch has an isometry axis."""
+    ff, full = _frame_fields_on(patch, grid.mesh())
+    nodes = dict(sqrt_g=full(ff.sqrt_g), K=full(ff.K), M=full(ff.M),
+                 c12=full(ff.sqrt_g * ff.g_inv[0, 1]),
+                 X=full(_soi_fields(ff)))
     del ff  # one evaluation alive at a time bounds the peak memory
     c, phase = [], []
     for axis, h in ((0, grid.h1), (1, grid.h2)):
-        ff = frame_fields(patch, *grid.half_mesh(axis))
-        c.append(ff.sqrt_g * ff.g_inv[axis, axis])
-        phase.append(h * ff.w[axis])
+        ff, full = _frame_fields_on(patch, grid.half_mesh(axis))
+        c.append(full(ff.sqrt_g * ff.g_inv[axis, axis]))
+        phase.append(full(h * ff.w[axis]))
         del ff
     return GridGeometry(c=tuple(c), phase=tuple(phase), **nodes)
 
@@ -681,9 +701,10 @@ def _soi_fields(ff):
 
 
 # Largest change of a geometry field along an axis, relative to max(1,
-# its magnitude), for the axis to take a spectral symbol.  The bent window
-# measures 4e-16 along s; the numeric jets of an expression surface vary
-# by ~1e-12 (sheared plane: 1.3e-12 on h w along q2).
+# its magnitude), for the axis to take a spectral symbol.  A built-in
+# patch is read on one line along its isometry axis, so it varies by 0
+# there; the numeric jets of an expression surface vary by ~1e-12
+# (sheared plane: 1.3e-12 on h w along q2).
 _LINE_TOL = 1e-10
 
 
@@ -808,8 +829,8 @@ def assemble_Hso(patch: SurfacePatch, grid: Grid) -> HermitianOperator:
     X^b = (1/(2 sqrt g)) S^{ab} sigma_a evaluated at nodes and centered
     differences for d_b, Hermitian at assembly.
     """
-    return build_soi_operator(grid, _soi_fields(frame_fields(patch,
-                                                              *grid.mesh())))
+    ff, full = _frame_fields_on(patch, grid.mesh())
+    return build_soi_operator(grid, full(_soi_fields(ff)))
 
 
 def assemble_Heff(patch: SurfacePatch, grid: Grid,
@@ -854,7 +875,7 @@ def gauge_conjugate(op: HermitianOperator, theta_values) -> HermitianOperator:
     phases[0::2] = np.exp(1j * theta)
     phases[1::2] = np.exp(-1j * theta)
     m = op.matrix.tocsr()
-    data = phases[np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))]
+    data = np.repeat(phases, np.diff(m.indptr))
     data *= m.data
     data *= np.conj(phases)[m.indices]
     return HermitianOperator(

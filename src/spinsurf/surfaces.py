@@ -47,6 +47,13 @@ class SurfacePatch:
     ``jet_fn``, fixed when the patch is built: the closed form of a
     built-in shape, or finite differences of a generic patch's ``embed``.
     ``embed(q1, q2)`` returns r alone; for a built-in it is the jet's r.
+
+    ``isometry_axis`` names a chart axis along which a shift of the
+    coordinate is an isometry that the Gram-Schmidt frame follows, so
+    every frame field is constant along it: 1 on the built-in shapes (the
+    axis of revolution's angle on sphere and torus, the translation on
+    cylinder and plane), None on a generic patch.  It belongs to the
+    closed form and is no config key.
     """
 
     kind: str
@@ -58,6 +65,7 @@ class SurfacePatch:
     closed: bool = False
     genus: Optional[int] = None
     name: str = ""
+    isometry_axis: Optional[int] = None
 
     @property
     def extents(self):
@@ -113,12 +121,14 @@ def _fd1(f, q1, q2, axis, h):
 def _numeric_jet(embed, q1, q2, extents):
     """(r, r_a, r_ab) by _fd4 of embed.
 
-    Each derivative d_a r and d_a d_b r calls embed once over all its
-    stencil offsets, stacked on trailing axes, so a jet of up to 1024
-    points makes 7 calls; larger inputs go in blocks of _JET_CALL_POINTS
-    stacked points.  d_a d_b r is the stencil along a of the stencil
-    along b, and the shifted coordinates and differences are formed in
-    that nesting order, as _fd1 nested in itself would form them.
+    r, each d_a r, each d_a d_a r and the mixed partial call embed once
+    over all their stencil offsets, stacked on trailing axes, so a jet of
+    up to 1024 points makes 6 calls; larger inputs go in blocks of
+    _JET_CALL_POINTS stacked points.  d_a d_b r is the stencil along a of
+    the stencil along b, and the shifted coordinates and differences are
+    formed in that nesting order, as _fd1 nested in itself would form
+    them.  Both nestings of the mixed partial difference one set of
+    samples, in which each coordinate is shifted once.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
@@ -131,9 +141,12 @@ def _numeric_jet(embed, q1, q2, extents):
     r_ab = np.empty((3, 2, 2) + shape)
     flat = [np.broadcast_to(q, shape).ravel() for q in (q1, q2)]
 
-    def stencil(out, *axes):
-        """out[:, i] = differences at flat point i along each of axes
-        (outermost first) of embed over the stacked offsets."""
+    def stencil(axes, *outs):
+        """Sample embed at each flat point over the stacked offsets along
+        each of axes (outermost first, one trailing axis each), and write
+        to outs[k][:, i] the differences at point i that take axes[k]
+        last: with two axes, outs[0] nests axes[0] around axes[1] and
+        outs[1] the reverse."""
         block = max(_JET_CALL_POINTS // len(_FD_OFFSETS) ** len(axes), 1)
         for lo in range(0, flat[0].size, block):
             q = [x[lo:lo + block] for x in flat]
@@ -143,16 +156,21 @@ def _numeric_jet(embed, q1, q2, extents):
             # contiguous coordinates, as a plain array call passes them
             values = np.asarray(embed(*(np.ascontiguousarray(x)
                                         for x in np.broadcast_arrays(*q))))
-            for axis in reversed(axes):
-                values = _fd4(np.moveaxis(values, -1, 0), h[axis])
-            out[:, lo:lo + block] = values
+            for k, out in enumerate(outs):
+                diff = values
+                for i, axis in enumerate(axes):
+                    if i != k:
+                        diff = _fd4(np.moveaxis(diff, i - len(axes), 0),
+                                    h[axis])
+                out[:, lo:lo + block] = _fd4(np.moveaxis(diff, -1, 0),
+                                             h[axes[k]])
 
     flat_a = r_a.reshape(3, 2, -1)
     flat_ab = r_ab.reshape(3, 2, 2, -1)
     for a in range(2):
-        stencil(flat_a[:, a], a)
-        for b in range(2):
-            stencil(flat_ab[:, a, b], a, b)
+        stencil((a,), flat_a[:, a])
+        stencil((a, a), flat_ab[:, a, a])
+    stencil((0, 1), flat_ab[:, 0, 1], flat_ab[:, 1, 0])
     # symmetrize mixed partials; nesting order is not exactly symmetric
     mixed = 0.5 * (r_ab[:, 0, 1] + r_ab[:, 1, 0])
     r_ab[:, 0, 1] = mixed
@@ -165,8 +183,8 @@ def _numeric_jet(embed, q1, q2, extents):
 # ----------------------------------------------------------------------
 
 def _builtin(kind, params, domain, periodic, terms, name, **extra):
-    """A patch whose jet is the closed form ``terms`` and whose embed is
-    that jet's r.
+    """A patch whose jet is the closed form ``terms``, whose embed is
+    that jet's r, and whose isometry axis is 1.
 
     terms(q1, q2) yields the (x, y, z) components of r, d1 r, d2 r,
     d1 d1 r, d1 d2 r and d2 d2 r in turn, each an array broadcastable to
@@ -191,7 +209,7 @@ def _builtin(kind, params, domain, periodic, terms, name, **extra):
 
     return SurfacePatch(kind=kind, params=params, domain=domain,
                         periodic=periodic, embed=lambda q1, q2: jet(q1, q2)[0],
-                        jet_fn=jet, name=name, **extra)
+                        jet_fn=jet, name=name, isometry_axis=1, **extra)
 
 
 _ZERO = (0.0, 0.0, 0.0)

@@ -167,12 +167,29 @@ def _oracle_h0(grid, geo, scalar_potential="spin-connection"):
     return _interleave_spins(kin + sp.diags(np.asarray(V, float).ravel()))
 
 
+def _line_of(patch, mesh):
+    """The points of ``mesh`` that the geometry pass evaluates: index 0
+    along the patch's isometry axis, or every point without one."""
+    if patch.isometry_axis is None:
+        return mesh
+    return [np.take(q, [0], axis=patch.isometry_axis) for q in mesh]
+
+
+def _line_frame_fields(patch, mesh):
+    """frame_fields on ``_line_of`` the mesh, and the broadcast of one of
+    its fields (nodes last) to the mesh's shape."""
+    shape = mesh[0].shape
+    return (frame_fields(patch, *_line_of(patch, mesh)),
+            lambda a: np.broadcast_to(a, a.shape[:-2] + shape))
+
+
 def _oracle_operators(patch, grid):
-    """(H0, Hso, H0 + Hso) of the COO route, the sum as a sparse add."""
+    """(H0, Hso, H0 + Hso) of the COO route, the sum as a sparse add; X
+    comes from the node evaluation the assemblers make."""
     geo = _grid_geometry(patch, grid)
     h0 = _oracle_h0(grid, geo)
-    hso = _soi_matrix(grid, _soi_fields_oracle(frame_fields(patch,
-                                                           *grid.mesh())))
+    ff, full = _line_frame_fields(patch, grid.mesh())
+    hso = _soi_matrix(grid, full(_soi_fields_oracle(ff)))
     return h0, hso, (h0 + hso).tocsr()
 
 
@@ -464,7 +481,8 @@ def test_heff_makes_one_geometry_pass(monkeypatch):
 
 def test_half_step_geometry_matches_frame_fields():
     # the half-step coefficients carry the same bits as frame_fields at
-    # Grid.half_mesh
+    # Grid.half_mesh, on its line along the isometry axis of a built-in
+    # and at every point of the expression torus
     bent = BentCylinderSetup()
     for patch, grid in (
             (make_surface("torus", rho=1.0, R=3.0), None),
@@ -474,9 +492,54 @@ def test_half_step_geometry_matches_frame_fields():
         grid = grid or Grid.for_patch(patch, 12, 16)
         geo = _grid_geometry(patch, grid)
         for axis, h in ((0, grid.h1), (1, grid.h2)):
-            ff = frame_fields(patch, *grid.half_mesh(axis))
-            assert _same_bits(geo.c[axis], ff.sqrt_g * ff.g_inv[axis, axis])
-            assert _same_bits(geo.phase[axis], h * ff.w[axis])
+            ff, full = _line_frame_fields(patch, grid.half_mesh(axis))
+            assert _same_bits(geo.c[axis],
+                              full(ff.sqrt_g * ff.g_inv[axis, axis]))
+            assert _same_bits(geo.phase[axis], full(h * ff.w[axis]))
+
+
+def _isometry_cases():
+    # each built-in at a CLI-sized grid, the default bent window (periodic
+    # in s) and that window walled in s, then the expression torus, which
+    # has no isometry axis and is evaluated at every point
+    bent = BentCylinderSetup()
+    window = bent.grid()
+    for kind in ("plane", "cylinder", "sphere", "torus"):
+        patch = make_surface(kind)
+        yield kind, patch, Grid.for_patch(patch, 24, 32)
+    yield "bent periodic", bent.patch(), window
+    yield "bent walled", bent.patch(), Grid.for_patch(
+        bent.patch(), bent.n_theta, bent.n_s, bc=("wall", "wall"),
+        domain=window.domain)
+    yield "expression torus", _expression_torus(), None
+
+
+@pytest.mark.parametrize("patch, grid", [
+    pytest.param(patch, grid, id=label)
+    for label, patch, grid in _isometry_cases()])
+def test_line_geometry_matches_the_whole_grid(patch, grid):
+    # geometry read on one line along the isometry axis equals the
+    # whole-grid frame_fields to round-off, and bit for bit on a patch
+    # without an isometry axis
+    rel = 0.0 if patch.isometry_axis is None else 4e-15
+    assert patch.isometry_axis == (None if patch.kind == "generic" else 1)
+    grid = grid or Grid.for_patch(patch, 24, 32)
+    geo = _grid_geometry(patch, grid)
+    ff = frame_fields(patch, *grid.mesh())
+    pairs = [(geo.sqrt_g, ff.sqrt_g), (geo.K, ff.K), (geo.M, ff.M),
+             (geo.c12, ff.sqrt_g * ff.g_inv[0, 1]),
+             (geo.X, _soi_fields_oracle(ff))]
+    for axis, h in ((0, grid.h1), (1, grid.h2)):
+        ff = frame_fields(patch, *grid.half_mesh(axis))
+        pairs += [(geo.c[axis], ff.sqrt_g * ff.g_inv[axis, axis]),
+                  (geo.phase[axis], h * ff.w[axis])]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if rel:
+            assert (np.abs(got - want)
+                    <= rel * np.maximum(1.0, np.abs(want))).all()
+        else:
+            assert _same_bits(np.ascontiguousarray(got), want)
 
 
 def _bent_operators(patch, grid):
@@ -630,6 +693,23 @@ def test_gauge_conjugate_matches_product_oracle():
         new = gauge_conjugate(H, theta).matrix
         # numpy's and scipy's complex products may round differently
         assert abs(new - oracle).max() <= 1e-15 * abs(oracle).max()
+
+
+def test_gauge_conjugate_equals_the_row_index_formula():
+    # the row phases repeated per row are the phases gathered through an
+    # explicit row index, bit for bit
+    rng = np.random.default_rng(13)
+    for g, H in _operator_cases():
+        theta = rng.uniform(-math.pi, math.pi, (g.n1, g.n2))
+        phases = np.empty(g.dim, dtype=complex)
+        phases[0::2] = np.exp(1j * theta.ravel())
+        phases[1::2] = np.exp(-1j * theta.ravel())
+        m = H.matrix
+        want = phases[_rows(m)] * m.data * np.conj(phases)[m.indices]
+        got = gauge_conjugate(H, theta).matrix
+        assert _same_bits(got.indptr, m.indptr)
+        assert _same_bits(got.indices, m.indices)
+        assert _same_bits(got.data, want)
 
 
 def _hermiticity_oracle(m):

@@ -31,6 +31,9 @@
   function of another module that works on a Fourier split reads ``pi``,
   ``sin``, ``cos`` or ``tan``; it takes them from ``block`` and
   ``momenta``;
+* ``hamiltonian`` calls ``frame_fields`` only in ``_frame_fields_on``,
+  so no grid evaluation (``frame_fields(patch, *grid.mesh())``) skips
+  the one line it reads along a patch's isometry axis;
 * only ``spectra`` reads ``_DENSE_CUTOFF`` and calls ``splu``: the
   cutoff means only "solve a whole matrix densely", and the one sparse
   factorization serves shift-invert;
@@ -314,6 +317,31 @@ def test_split_wavenumbers_are_formed_only_in_hamiltonian():
         "    return split.block(m), math.sin(2 * math.pi * m / split.n)\n"
         "def g(c, m):\n"
         "    return math.cos(m) * c\n")))) == [1, 3]
+
+
+def _frame_fields_outside(tree, owner):
+    """Lines that call ``frame_fields`` outside the top-level function
+    ``owner``."""
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == owner
+              for node in _calls_of(fn, "frame_fields")}
+    for node in _calls_of(tree, "frame_fields"):
+        if id(node) not in inside:
+            yield node.lineno
+
+
+def test_hamiltonian_evaluates_frame_fields_on_lines():
+    tree = _modules()["hamiltonian.py"]
+    assert _calls_of(tree, "frame_fields")
+    found = list(_frame_fields_outside(tree, "_frame_fields_on"))
+    assert not found, found
+    # the rule sees a whole-grid call beside the line-aware one
+    assert list(_frame_fields_outside(ast.parse(
+        "def _frame_fields_on(patch, mesh):\n"
+        "    return frame_fields(patch, *mesh)\n"
+        "def assemble(patch, grid):\n"
+        "    return frame_fields(patch, *grid.mesh())\n"),
+        "_frame_fields_on")) == [4]
 
 
 def test_dense_cutoff_and_splu_live_in_spectra():
