@@ -149,8 +149,7 @@ def _window_blocks(setup: BentCylinderSetup):
     """(H0, Hso) of the window as Fourier blocks along s with the exact
     symbol of the s terms (``hamiltonian._spectral_blocks``); theta stays
     three-point."""
-    grid = setup.grid()
-    return _spectral_blocks(grid, _grid_geometry(setup.patch(), grid), 1)
+    return _spectral_blocks(setup.patch(), setup.grid())
 
 
 def _block_forces(h0, hso, theta, c, rho):

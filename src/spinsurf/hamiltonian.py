@@ -46,10 +46,12 @@ the spectrum (half of them when ``kramers``: block n - m is the time
 reverse of block m), ``partners`` names each one's pair and
 ``time_reverse`` maps coefficients between the two, and ``real_blocks``
 decides whether ``block`` returns real matrices.
-``_transverse_operators`` writes the terms across a periodic axis on
-one line of nodes, and ``_spectral_blocks`` adds the exact (Fourier)
-symbol of the axis terms of geometry that does not vary along it.  The
-split-axis wavenumbers and symbols are formed here only:
+A split built from geometry runs along the patch's isometry axis, its
+only source: ``_isometry_line`` evaluates one line of nodes across it,
+once per split, ``_transverse_operators`` writes the terms across the
+axis on that line, and ``_spectral_blocks`` adds the exact (Fourier)
+symbol of the axis terms.  The split-axis wavenumbers and symbols are
+formed here only:
 ``_wavenumbers``, the symbols of both forms (``momenta`` returns p),
 ``rows`` (node fields on the rows of a line) and ``_sweep_order``
 (blocks by increasing |wavenumber|).  Only this module knows the
@@ -700,50 +702,32 @@ def _soi_fields(ff):
     return X
 
 
-# Largest change of a geometry field along an axis, relative to max(1,
-# its magnitude), for the axis to take a spectral symbol.  A built-in
-# patch is read on one line along its isometry axis, so it varies by 0
-# there; the numeric jets of an expression surface vary by ~1e-12
-# (sheared plane: 1.3e-12 on h w along q2).
-_LINE_TOL = 1e-10
-
-
-def _line_geometry(geo, axis):
-    """The geometry of node line 0 across ``axis`` (index 0 along it, the
-    axis kept with length 1).  GridError when a field varies along the
-    axis by more than ``_LINE_TOL`` max(1, its largest magnitude): the
-    fields are O(1) in the package's units, and one that vanishes
-    (c12 on an orthogonal chart) holds only rounding noise."""
-    def first(a):
-        a = np.asarray(a)
-        head = np.take(a, [0], axis=a.ndim - 2 + axis)   # nodes are last
-        if (np.abs(a - head).max(initial=0.0)
-                > _LINE_TOL * max(1.0, np.abs(a).max(initial=0.0))):
-            raise GridError(f"the geometry varies along axis {axis}, so "
-                            f"the operator does not split there")
-        return head
-    fields = {}
-    for f in dataclasses.fields(geo):
-        value = getattr(geo, f.name)
-        fields[f.name] = (tuple(map(first, value))
-                          if isinstance(value, tuple) else first(value))
-    return GridGeometry(**fields)
-
-
-def _transverse_operators(grid: Grid, geometry: GridGeometry, axis: int):
-    """(H0, Hso) of node line 0 across the periodic ``axis`` without the
-    terms along it: the node blocks of one line with ``axis`` skipped, V
-    included, written (and checked) by ``_write_csr`` as operators on the
-    one-line grid (length 1 along ``axis``).  They are block 0 (C_0) of
-    the split along the axis, less (1/2) g^{aa} w_a^2, which vanishes
-    with w_a.  GridError when the axis is walled, the geometry varies
-    along it or the g^{12} cross term couples the axes.
-    """
+def _isometry_line(patch: SurfacePatch, grid: Grid):
+    """(axis, line grid, geometry) of a spectral split of ``grid``: the
+    patch's isometry axis, node line 0 across it (the axis kept with
+    length 1) and ``_grid_geometry`` of that line, the one evaluation a
+    split reads.  GridError when the patch has no isometry axis or the
+    grid walls it."""
+    axis = patch.isometry_axis
+    if axis is None:
+        raise GridError("a spectral split needs the patch's isometry axis, "
+                        "and this patch names none")
     if grid.bc[axis] != "periodic":
-        raise GridError("a spectral split needs a periodic axis")
-    line = _line_geometry(geometry, axis)
+        raise GridError(f"a spectral split needs a periodic axis, and the "
+                        f"grid walls the isometry axis {axis}")
     name = ("q1", "q2")[axis]
     line_grid = dataclasses.replace(grid, **{name: getattr(grid, name)[:1]})
+    return axis, line_grid, _grid_geometry(patch, line_grid)
+
+
+def _transverse_operators(axis: int, line_grid: Grid, line: GridGeometry):
+    """(H0, Hso) of ``_isometry_line`` without the terms along its
+    ``axis``: the node blocks of the line with ``axis`` skipped, V
+    included, written (and checked) by ``_write_csr`` as operators on the
+    line grid.  They are block 0 (C_0) of the split along the axis, less
+    (1/2) g^{aa} w_a^2, which vanishes with w_a.  GridError when the
+    g^{12} cross term couples the axes.
+    """
     h0 = _write_csr(line_grid, _h0_blocks(line_grid, line, "spin-connection",
                                           axis), "H0")
     hso = _write_csr(line_grid, _soi_blocks(line_grid, line.X, axis), "Hso")
@@ -752,10 +736,11 @@ def _transverse_operators(grid: Grid, geometry: GridGeometry, axis: int):
             HermitianOperator(hso, line_grid, ("soi",)))
 
 
-def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
-    """H0 and Hso as ``_FourierBlocks`` along the periodic ``axis`` with
-    the exact symbol of the axis terms, for geometry that does not vary
-    along it (else GridError, as for ``_transverse_operators``).
+def _spectral_blocks(patch: SurfacePatch, grid: Grid):
+    """H0 and Hso on ``grid`` as ``_FourierBlocks`` along the patch's
+    isometry axis with the exact symbol of the axis terms, from the one
+    geometry evaluation of ``_isometry_line`` (GridError as there, or as
+    for ``_transverse_operators``).
 
     C_0 holds the three-point transverse terms (``_transverse_operators``).
     The axis terms take their symbols from the stencil coefficients of
@@ -765,9 +750,9 @@ def _spectral_blocks(grid: Grid, geometry: GridGeometry, axis: int):
     d_a}: the limits of the stencil's (c / (sqrt(g) h^2))(1 - cos((k + a)
     h)) and -X^a sin(k h) / h.
     """
+    axis, line_grid, line = _isometry_line(patch, grid)
     rest = [op.matrix.toarray()
-            for op in _transverse_operators(grid, geometry, axis)]
-    line = _line_geometry(geometry, axis)
+            for op in _transverse_operators(axis, line_grid, line)]
     h = (grid.h1, grid.h2)[axis]
     kappa = (0.5 * line.c[axis] / line.sqrt_g).ravel()
     a = (line.phase[axis] / h).ravel()

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError
 from .hamiltonian import (Grid, HermitianOperator, _fourier_blocks,
-                          _grid_geometry, _spin_columns, _sweep_order,
+                          _isometry_line, _spin_columns, _sweep_order,
                           _transverse_operators)
 from .surfaces import make_surface
 
@@ -607,14 +607,15 @@ def cylinder_ring_operator(rho: float, n: int, with_connection: bool = True
                            ) -> HermitianOperator:
     """H_eff of the straight cylinder restricted to the p_z = 0 fiber: a
     real dim = 2n operator on the periodic theta ring, the k_z = 0 block
-    of the cylinder's split along z on an n x 8 doubly periodic grid: the
-    theta terms of H0 + Hso (H0 alone without the connection) on one line
-    (``hamiltonian._transverse_operators``), as w = K = 0 there.  Its grid
-    is that line (n x 1), along which it splits into n Fourier blocks of
-    2 x 2.  Raises GridError (a ValueError) for n < 8."""
+    of the cylinder's split along its isometry axis z: the theta terms of
+    H0 + Hso (H0 alone without the connection, as w = K = 0 there) that
+    ``hamiltonian._transverse_operators`` writes from the one geometry
+    evaluation of ``_isometry_line`` on an n x 8 doubly periodic grid.
+    Its grid is that line (n x 1), along which it splits into n Fourier
+    blocks of 2 x 2.  Raises GridError (a ValueError) for n < 8."""
     patch = make_surface("cylinder", rho=rho)
     grid = Grid.for_patch(patch, n, 8, bc=("periodic", "periodic"))
-    h0, hso = _transverse_operators(grid, _grid_geometry(patch, grid), 1)
+    h0, hso = _transverse_operators(*_isometry_line(patch, grid))
     op = h0 + hso if with_connection else h0
     # exactly real: w = 0 and X^theta = -sigma_2/(2 rho^2) on the cylinder
     return replace(op, matrix=op.matrix.real)

@@ -859,25 +859,31 @@ def test_block_observables_match_the_operator_route():
 
 
 def test_spectral_split_needs_a_periodic_axis_and_geometry_along_it():
+    # the split runs along the patch's isometry axis: the window walled in
+    # s has no periodic axis to split
     setup = BentCylinderSetup(**SMALL)
-    patch, grid = setup.patch(), setup.grid()
-    geo = hamiltonian._grid_geometry(patch, grid)
+    patch = setup.patch()
+    walled = Grid.for_patch(patch, setup.n_theta, setup.n_s,
+                            bc=("wall", "wall"), domain=setup.grid().domain)
     with pytest.raises(GridError, match="periodic"):
-        hamiltonian._spectral_blocks(grid, geo, 0)
-    # the torus's tube angle: the geometry varies along it
-    torus = make_surface("torus", rho=1.0, R=3.0)
-    tgrid = Grid.for_patch(torus, 16, 16)
-    with pytest.raises(GridError, match="varies"):
-        hamiltonian._spectral_blocks(
-            tgrid, hamiltonian._grid_geometry(torus, tgrid), 0)
-    # the sheared plane: its g^{12} cross term couples the axes
+        hamiltonian._spectral_blocks(patch, walled)
+    # the expression torus names no isometry axis, so no geometry is
+    # known to stay constant along an axis
+    torus = make_surface("generic", x="(2+cos(q1))*cos(q2)",
+                         y="(2+cos(q1))*sin(q2)", z="sin(q1)",
+                         domain=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                         periodic=(True, True))
+    with pytest.raises(GridError, match="isometry axis"):
+        hamiltonian._spectral_blocks(torus, Grid.for_patch(torus, 16, 16))
+    # the sheared plane: its g^{12} cross term couples the axes, so the
+    # transverse terms of a line with q2 skipped have no symbol of their own
     plane = make_surface("generic", x="q1 + 0.3*q2", y="q2", z="0",
                          domain=((0.0, 1.0), (0.0, 1.0)),
                          periodic=(True, True))
     pgrid = Grid.for_patch(plane, 12, 8)
     with pytest.raises(GridError, match="cross term"):
-        hamiltonian._spectral_blocks(
-            pgrid, hamiltonian._grid_geometry(plane, pgrid), 1)
+        hamiltonian._h0_blocks(pgrid, hamiltonian._grid_geometry(plane, pgrid),
+                               "spin-connection", skip=1)
 
 
 def test_force_equality_report_small_regime():

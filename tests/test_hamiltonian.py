@@ -540,6 +540,19 @@ def test_line_geometry_matches_the_whole_grid(patch, grid):
                     <= rel * np.maximum(1.0, np.abs(want))).all()
         else:
             assert _same_bits(got, want)
+    # a spectral split's one line carries the bits of index 0 along the
+    # isometry axis; there is none without that axis or across its wall
+    axis = patch.isometry_axis
+    if axis is None or grid.bc[axis] != "periodic":
+        with pytest.raises(GridError):
+            hamiltonian._isometry_line(patch, grid)
+        return
+    line = hamiltonian._isometry_line(patch, grid)[2]
+
+    def fields(g):
+        return [g.sqrt_g, g.K, g.M, g.c12, g.X, *g.c, *g.phase]
+    assert all(_same_bits(got, np.take(want, [0], axis=want.ndim - 2 + axis))
+               for got, want in zip(fields(line), fields(geo)))
 
 
 def _bent_operators(patch, grid):

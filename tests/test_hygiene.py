@@ -31,6 +31,10 @@
   function of another module that works on a Fourier split reads ``pi``,
   ``sin``, ``cos`` or ``tan``; it takes them from ``block`` and
   ``momenta``;
+* only ``hamiltonian`` names a split axis: no other module reads
+  ``.isometry_axis`` or passes an int literal to ``_spectral_blocks`` or
+  ``_transverse_operators``, so a split built from geometry runs along
+  the patch's isometry axis, which ``_isometry_line`` reads;
 * ``hamiltonian`` calls ``frame_fields`` only in ``_frame_fields_on``,
   so no grid evaluation (``frame_fields(patch, *grid.mesh())``) skips
   the one line it reads along a patch's isometry axis;
@@ -317,6 +321,33 @@ def test_split_wavenumbers_are_formed_only_in_hamiltonian():
         "    return split.block(m), math.sin(2 * math.pi * m / split.n)\n"
         "def g(c, m):\n"
         "    return math.cos(m) * c\n")))) == [1, 3]
+
+
+def _split_axis_uses(tree):
+    """Lines that read ``.isometry_axis`` or pass an int literal to
+    ``_spectral_blocks`` or ``_transverse_operators``."""
+    lines = _attribute_reads(tree, "isometry_axis")
+    for name in ("_spectral_blocks", "_transverse_operators"):
+        for node in _calls_of(tree, name):
+            args = node.args + [kw.value for kw in node.keywords]
+            if any(isinstance(a, ast.Constant) and type(a.value) is int
+                   for a in args):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_split_axis_is_named_only_in_hamiltonian():
+    modules = _modules()
+    found = [f"{name}:{line}" for name, tree in modules.items()
+             if name != "hamiltonian.py" for line in _split_axis_uses(tree)]
+    assert not found, found
+    # the rule sees the axis where it is read, and each form of a named one
+    assert _split_axis_uses(modules["hamiltonian.py"])
+    assert _split_axis_uses(ast.parse(
+        "h0, hso = _spectral_blocks(grid, geo, 1)\n"
+        "ring = hamiltonian._transverse_operators(grid, geo, axis=0)\n"
+        "h0, hso = _spectral_blocks(patch, grid)\n"
+        "axis = patch.isometry_axis\n")) == [1, 2, 4]
 
 
 def _frame_fields_outside(tree, owner):
